@@ -14,10 +14,13 @@ Per-device SNR parent laws (unit-mean exponential squared gains):
     Linear       F(x) = 1 - u K1(u),         u = 2 sqrt(beta), beta = sigma^2 t2 x/(Pt t1)
     Saturation   F(x) = 1 - e^(-r)           (Pt -> inf limit of NonLinear)
 
-"k-th best" always means the k-th largest order statistic.  Alternating
-binomial sums are accumulated with math.fsum under a cancellation monitor;
-for M > 60, or when the monitor trips, evaluators switch to integral
-representations over the order-statistic density, which stay stable at any M.
+"k-th best" always means the k-th largest order statistic.  EBS, IBS and MMS
+outage is the law of the ranked gain integrated against a conditional failure
+gate.  The MMS and IBS integrals take that law as an argument, so the exact,
+floor and extreme-value (evt) routes share one body per scheme.  EBS and IBS
+also have closed alternating sums of K1 terms, accumulated with math.fsum
+under a cancellation monitor; for M > 60, or when the monitor trips, they
+fall back to their integrals, which stay stable at any M.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from scipy.special import k0 as _bessel_k0  # parent PDF needs K0 alongside K1
 
 from .model import EhModel, SystemParams
 from .special import (
-    DEFAULT_QUADRATURE,
+    AccuracyError,
     DomainError,
     QuadratureSpec,
     bessel_k1,
@@ -142,8 +145,9 @@ class OutageEstimate:
 
 def _finalize(value: float, method: Method, stderr: Optional[float] = None) -> OutageEstimate:
     # anything beyond float-noise distance from [0, 1] is a formula bug,
-    # not roundoff; keep that distinction visible in debug runs
-    assert -1e-9 <= value <= 1.0 + 1e-9, f"outage {value!r} far outside the unit interval"
+    # not roundoff, so it raises instead of being clamped
+    if not -1e-9 <= value <= 1.0 + 1e-9:
+        raise AccuracyError(f"outage {value!r} far outside the unit interval", estimate=value)
     return OutageEstimate(min(1.0, max(0.0, value)), method, stderr)
 
 
@@ -177,11 +181,10 @@ def r_scale(x: float, params: SystemParams) -> float:
     return params.noise_variance * rc.c * (1.0 - t1) * x / (t1 * rc.saturation_slope)
 
 
-def _r_and_s(x: float, params: SystemParams) -> tuple[float, float]:
+def _r_and_cr(x: float, params: SystemParams) -> tuple[float, float]:
+    """r and c r / Pt, the two scales every nonlinear ranked route needs."""
     r = r_scale(x, params)
-    cr_over_pt = params.rectenna.c * r / params.transmit_power
-    s = 0.5 * r + math.sqrt(0.25 * r * r + cr_over_pt)
-    return r, s
+    return r, params.rectenna.c * r / params.transmit_power
 
 
 def _linear_beta(x: float, params: SystemParams) -> float:
@@ -244,31 +247,29 @@ class _SumCancellation(Exception):
     """Alternating sum lost more than the tolerated precision."""
 
 
-def _signed_order_sum(M: int, k: int, term: Callable[[int], float], lead: float = 0.0) -> float:
-    """lead + k C(M,k) sum_m (-1)^m C(M-k, m) term(k+m), cancellation-monitored.
+def _one_minus_order_sum(M: int, k: int, term: Callable[[int], float]) -> float:
+    """1 - k C(M,k) sum_m (-1)^m C(M-k, m) term(k+m), cancellation-monitored.
 
-    A nonzero lead folds constants like the 1 of "1 - survival sum" into the
-    monitored total, so losing the answer to the final subtraction trips the
-    fallback too, not just losing it inside the alternating sum.
+    The leading 1 is part of the monitored total, so losing the answer to the
+    final subtraction trips the fallback too, not just losing it inside the
+    alternating sum.
     """
     prefactor = k * math.comb(M, k)
-    terms = [lead] if lead else []
+    terms = [1.0]
     for m in range(M - k + 1):
         t = prefactor * math.comb(M - k, m) * term(k + m)
-        terms.append(-t if m % 2 else t)
+        terms.append(t if m % 2 else -t)
     total = math.fsum(terms)
-    worst = max((abs(t) for t in terms), default=0.0)
-    if worst > 0.0 and abs(total) < worst * sys.float_info.epsilon / _CANCELLATION_LIMIT:
+    worst = max(abs(t) for t in terms)
+    if abs(total) < worst * sys.float_info.epsilon / _CANCELLATION_LIMIT:
         raise _SumCancellation
     return total
 
 
-def _one_minus_order_sum(M: int, k: int, term: Callable[[int], float]) -> float:
-    """1 - k C(M,k) sum_m (-1)^m C(M-k, m) term(k+m), monitored as one total."""
-    return _signed_order_sum(M, k, lambda d: -term(d), lead=1.0)
+LogDensity = Callable[[float], float]
 
 
-def _order_stat_log_density(M: int, k: int, rate: float):
+def _order_stat_log_density(M: int, k: int, rate: float) -> LogDensity:
     """log f of the k-th largest of M iid exponentials with the given rate.
 
     Returns a callable t -> log f(t); -inf signals an exact zero.
@@ -341,8 +342,7 @@ def outage_sbs_high_snr(x: float, spec: SchemeSpec, params: SystemParams) -> Out
 
 def _ebs_value(x: float, k: int, M: int, params: SystemParams, parent: Parent) -> float:
     if parent is Parent.NON_LINEAR:
-        r, _ = _r_and_s(x, params)
-        cr_over_pt = params.rectenna.c * r / params.transmit_power
+        r, cr_over_pt = _r_and_cr(x, params)
         scale = math.exp(-r)
         shift = r
     else:
@@ -403,16 +403,14 @@ def outage_ebs_high_snr(x: float, params: SystemParams) -> OutageEstimate:
 
 def ibs_phi_closed(x: float, params: SystemParams, delta: int) -> float:
     """Tail integral int_r^inf exp(-delta z - c r/(Pt (z - r))) dz in closed form."""
-    r, _ = _r_and_s(x, params)
-    cr_over_pt = params.rectenna.c * r / params.transmit_power
+    r, cr_over_pt = _r_and_cr(x, params)
     arg = 2.0 * math.sqrt(cr_over_pt * delta)
     return math.exp(-delta * r) * 2.0 * math.sqrt(cr_over_pt / delta) * bessel_k1(arg)
 
 
 def ibs_phi_quadrature(x: float, params: SystemParams, delta: int) -> float:
     """Same tail integral by direct quadrature; cross-check route for the closed form."""
-    r, _ = _r_and_s(x, params)
-    cr_over_pt = params.rectenna.c * r / params.transmit_power
+    r, cr_over_pt = _r_and_cr(x, params)
 
     def f(z: float) -> float:
         u = z - r
@@ -424,19 +422,15 @@ def ibs_phi_quadrature(x: float, params: SystemParams, delta: int) -> float:
     return val
 
 
-def _ibs_value(x: float, k: int, M: int, params: SystemParams) -> float:
-    if M <= MAX_SUM_DEVICES:
-        try:
-            return _one_minus_order_sum(M, k, lambda d: ibs_phi_closed(x, params, d))
-        except _SumCancellation:
-            pass
-    r, _ = _r_and_s(x, params)
-    cr_over_pt = params.rectenna.c * r / params.transmit_power
-    logf = _order_stat_log_density(M, k, 1.0)
+def _ibs_integral(r: float, cr_over_pt: float, k: int, M: int, logf: LogDensity) -> float:
+    """IBS outage for a ranked uplink gain with log density logf.
 
-    # positive form: ranked uplink below r fails outright, above r the
-    # downlink gate fails with probability 1 - e^(-c r/(Pt (z - r)))
-    def f(t: float) -> float:
+    Positive form: a ranked uplink below r fails outright; above r the
+    downlink gate fails with probability 1 - e^(-c r/(Pt (z - r))).  logf
+    sets the law above r only: the mass below r is always the finite-M
+    order-statistic CDF.
+    """
+    def f(t: float) -> float:  # t = z - r
         if t <= 0.0:
             return 0.0
         return _exp_or_zero(logf(t + r)) * -math.expm1(-cr_over_pt / t)
@@ -444,6 +438,16 @@ def _ibs_value(x: float, k: int, M: int, params: SystemParams) -> float:
     peak = math.log(max(M / k, 2.0))
     val, _ = integrate_semi_infinite(f, 0.0, points=[peak])
     return _kth_best_cdf(-math.expm1(-r), M, k) + val
+
+
+def _ibs_value(x: float, k: int, M: int, params: SystemParams) -> float:
+    if M <= MAX_SUM_DEVICES:
+        try:
+            return _one_minus_order_sum(M, k, lambda d: ibs_phi_closed(x, params, d))
+        except _SumCancellation:
+            pass
+    r, cr_over_pt = _r_and_cr(x, params)
+    return _ibs_integral(r, cr_over_pt, k, M, _order_stat_log_density(M, k, 1.0))
 
 
 def outage_ibs(x: float, spec: SchemeSpec, params: SystemParams) -> OutageEstimate:
@@ -471,122 +475,49 @@ def outage_ibs_high_snr(x: float, spec: SchemeSpec, params: SystemParams) -> Out
         return _finalize(0.0, Method.HIGH_SNR)
     if math.isinf(x):
         return _finalize(1.0, Method.HIGH_SNR)
-    M, k = params.num_devices, spec.k
-    r, _ = _r_and_s(x, params)
-    if M <= MAX_SUM_DEVICES:
-        try:
-            value = _one_minus_order_sum(M, k, lambda d: math.exp(-d * r) / d)
-            return _finalize(value, Method.HIGH_SNR)
-        except _SumCancellation:
-            pass
-    return _finalize(_kth_best_cdf(-math.expm1(-r), M, k), Method.HIGH_SNR)
+    psi = -math.expm1(-r_scale(x, params))
+    return _finalize(_kth_best_cdf(psi, params.num_devices, spec.k), Method.HIGH_SNR)
 
 
 # ---------------------------------------------------------------------------
 # MMS: rank on the worse of the two gains
 # ---------------------------------------------------------------------------
 
-def _mms_boundary_w(y: float, r: float, c_over_pt: float) -> float:
-    return r + c_over_pt * r / y
+def _mms_integral(r: float, cr_over_pt: float, k: int, M: int, logf: LogDensity) -> float:
+    """MMS outage for a ranked worse-link gain with log density logf.
 
+    Given the ranked minimum t, a fair coin picks the link that attains it
+    and the other gain is t + Exp(1).  A downlink minimum fails when the
+    uplink is below w(t) = r + cr_over_pt/t; an uplink minimum fails outright
+    below r and otherwise when the downlink is below v(t) = cr_over_pt/(t - r).
+    Both gates close at s, the root of w(s) = s.  logf sets the law inside
+    the gates only: the mass below r is always the finite-M order-statistic
+    CDF.
+    """
+    s = 0.5 * r + math.sqrt(0.25 * r * r + cr_over_pt)
 
-def _mms_boundary_v(z: float, r: float, c_over_pt: float) -> float:
-    return c_over_pt * r / (z - r)
-
-
-def _mms_value(x: float, k: int, M: int, params: SystemParams) -> float:
-    r, s = _r_and_s(x, params)
-    c_over_pt = params.rectenna.c / params.transmit_power
-
-    def part_b(delta: int) -> float:
-        def f(y: float) -> float:
-            if y <= 0.0:
-                return 0.0
-            return _exp_or_zero(-_mms_boundary_w(y, r, c_over_pt) - (2 * delta - 1) * y)
-
-        val, _ = integrate_finite(f, 0.0, s)
-        return val
-
-    def part_a(delta: int) -> float:
-        def f(z: float) -> float:
-            u = z - r
-            if u <= 0.0:
-                return 0.0
-            return _exp_or_zero(-_mms_boundary_v(z, r, c_over_pt) - (2 * delta - 1) * z)
-
-        val, _ = integrate_finite(f, r, s)
-        return val
-
-    def term(delta: int) -> float:
-        return -math.expm1(-2.0 * delta * s) / delta - part_b(delta) - part_a(delta)
-
-    if M <= MAX_SUM_DEVICES:
-        try:
-            return _signed_order_sum(M, k, term)
-        except _SumCancellation:
-            pass
-    return _mms_value_integral(x, k, M, params)
-
-
-def _mms_value_integral(x: float, k: int, M: int, params: SystemParams) -> float:
-    """Conditional-on-rank form of the same probability; stable at any M."""
-    r, s = _r_and_s(x, params)
-    c_over_pt = params.rectenna.c / params.transmit_power
-    logf = _order_stat_log_density(M, k, 2.0)
-
-    def min_is_downlink(t: float) -> float:  # uplink gain is t + Exp(1)
+    def min_is_downlink(t: float) -> float:
         if t <= 0.0:
             return 0.0
-        w = _mms_boundary_w(t, r, c_over_pt)
-        return _exp_or_zero(logf(t)) * -math.expm1(t - w)
+        return _exp_or_zero(logf(t)) * -math.expm1(t - r - cr_over_pt / t)
 
-    def min_is_uplink(t: float) -> float:  # downlink gain is t + Exp(1)
+    def min_is_uplink(t: float) -> float:
         u = t - r
         if u <= 0.0:  # boundary diverges: outage is certain below r
             return _exp_or_zero(logf(t))
-        v = _mms_boundary_v(t, r, c_over_pt)
+        v = cr_over_pt / u
         if v <= t:
             return 0.0
         return _exp_or_zero(logf(t)) * -math.expm1(t - v)
 
+    # s grows without bound with x; the ranked law keeps under e^-80 of its
+    # mass beyond peak + 40, so cutting there keeps quadpack on the peak
+    peak = 0.5 * math.log(max(M / k, 2.0))
+    hi = min(s, peak + 40.0)
     ranked_below_r = _kth_best_cdf(-math.expm1(-2.0 * r), M, k)
-    i_down, _ = integrate_finite(min_is_downlink, 0.0, s)
-    i_up, _ = integrate_finite(min_is_uplink, r, s)
+    i_down, _ = integrate_finite(min_is_downlink, 0.0, hi, points=[peak])
+    i_up, _ = integrate_finite(min_is_uplink, min(r, hi), hi, points=[peak])
     return 0.5 * (i_down + ranked_below_r + i_up)
-
-
-def _mms_linear_value(x: float, k: int, M: int, params: SystemParams) -> float:
-    # failure region is the hyperbola g*h < beta, entered only when the
-    # ranked minimum falls below s = sqrt(beta); given the minimum t, the
-    # other gain is t + Exp(1) and fails with probability 1 - e^(t - beta/t)
-    beta = _linear_beta(x, params)
-    s = math.sqrt(beta)
-
-    def term(delta: int) -> float:
-        head = -math.expm1(-2.0 * delta * s) / delta
-
-        def f(t: float) -> float:
-            if t <= 0.0:
-                return 0.0
-            return _exp_or_zero(-(2 * delta - 1) * t - beta / t)
-
-        tail, _ = integrate_finite(f, 0.0, s)
-        return head - 2.0 * tail
-
-    if M <= MAX_SUM_DEVICES:
-        try:
-            return _signed_order_sum(M, k, term)
-        except _SumCancellation:
-            pass
-    logf = _order_stat_log_density(M, k, 2.0)
-
-    def fail_mass(t: float) -> float:
-        if t <= 0.0:
-            return 0.0
-        return _exp_or_zero(logf(t)) * -math.expm1(t - beta / t)
-
-    val, _ = integrate_finite(fail_mass, 0.0, s)
-    return val
 
 
 def outage_mms(x: float, spec: SchemeSpec, params: SystemParams) -> OutageEstimate:
@@ -598,9 +529,12 @@ def outage_mms(x: float, spec: SchemeSpec, params: SystemParams) -> OutageEstima
     if math.isinf(x):
         return _finalize(1.0, Method.ANALYTIC)
     if spec.model is EhModel.LINEAR:
-        value = _mms_linear_value(x, spec.k, params.num_devices, params)
+        # the linear harvester fails on the hyperbola g h < beta: r = 0
+        r, cr_over_pt = 0.0, _linear_beta(x, params)
     else:
-        value = _mms_value(x, spec.k, params.num_devices, params)
+        r, cr_over_pt = _r_and_cr(x, params)
+    M, k = params.num_devices, spec.k
+    value = _mms_integral(r, cr_over_pt, k, M, _order_stat_log_density(M, k, 2.0))
     return _finalize(value, Method.ANALYTIC)
 
 
@@ -613,24 +547,9 @@ def outage_mms_high_snr(x: float, spec: SchemeSpec, params: SystemParams) -> Out
     if math.isinf(x):
         return _finalize(1.0, Method.HIGH_SNR)
     M, k = params.num_devices, spec.k
-    r, _ = _r_and_s(x, params)
-
-    def term(delta: int) -> float:
-        head = -math.expm1(-2.0 * delta * r) / delta
-        tail = math.exp(-r) * -math.expm1(-(2 * delta - 1) * r) / (2 * delta - 1)
-        return head - tail
-
-    if M <= MAX_SUM_DEVICES:
-        try:
-            return _finalize(_signed_order_sum(M, k, term), Method.HIGH_SNR)
-        except _SumCancellation:
-            pass
-    logf = _order_stat_log_density(M, k, 2.0)
-    ranked_below_r = _kth_best_cdf(-math.expm1(-2.0 * r), M, k)
-    val, _ = integrate_finite(
-        lambda t: _exp_or_zero(logf(t)) * math.exp(t - r), 0.0, r
-    )
-    return _finalize(ranked_below_r - 0.5 * val, Method.HIGH_SNR)
+    # Pt -> inf drops the c r/Pt terms from both failure gates
+    value = _mms_integral(r_scale(x, params), 0.0, k, M, _order_stat_log_density(M, k, 2.0))
+    return _finalize(value, Method.HIGH_SNR)
 
 
 # ---------------------------------------------------------------------------

@@ -4,11 +4,13 @@ The scheme statistics (downlink gain, uplink gain, worse link, end-to-end
 SNR) all sit in the Gumbel domain of attraction, so the k-th best statistic
 converges, after centering and scaling, to the k-th Gumbel law.  This module
 provides the normalizing constants, the limiting CDF, and the asymptotic
-outage evaluators in their pre-series integral forms, which stay numerically
-stable where the expanded double series overflows.
+outage evaluators.  The MMS and IBS limits are the exact integrals of the
+analytic module with the Gumbel law of the ranked gain in place of its
+finite-M density; the EBS limit keeps its pre-series integral form, which
+stays stable where the expanded double series overflows.
 
 The population-size prefactor M^k / Gamma(k) is always folded into the
-integrand's exponent (k log M - lgamma(k)) so no intermediate overflows.
+log density (k log M - lgamma(k)) so no intermediate overflows.
 """
 
 from __future__ import annotations
@@ -19,13 +21,16 @@ from dataclasses import dataclass
 from scipy.optimize import brentq
 
 from .analytic import (
+    LogDensity,
     Method,
     OutageEstimate,
     PairSpec,
     Parent,
     Scheme,
     _exp_or_zero,
-    _r_and_s,
+    _ibs_integral,
+    _mms_integral,
+    _r_and_cr,
     pair_marginal_primary,
     pair_marginal_secondary,
     parent_cdf,
@@ -36,7 +41,6 @@ from .special import (
     AccuracyError,
     DomainError,
     bessel_k1,
-    integrate_finite,
     integrate_semi_infinite,
 )
 
@@ -50,11 +54,6 @@ __all__ = [
     "outage_evt_pair",
     "outage_evt_sbs",
 ]
-
-#: population size below which the closed binomial form of the ranked-mass
-#: term is exact and safe (mirrors the analytic module's sum cutoff)
-_MAX_CLOSED_M = 60
-
 
 @dataclass(frozen=True)
 class NormalizingConstants:
@@ -97,6 +96,18 @@ def gumbel_kth_cdf(z: float, k: int) -> float:
         _exp_or_zero(-ez - j * z - math.lgamma(j + 1)) for j in range(k)
     )
     return min(1.0, total)
+
+
+def _gumbel_log_density(M: int, k: int, rate: float) -> LogDensity:
+    """log density of the Gumbel limit of the k-th largest of M iid
+    exponentials with the given rate: rate M^k/Gamma(k) e^(-k rate t - M e^(-rate t)).
+    """
+    lc = math.log(rate) + k * math.log(M) - math.lgamma(k)
+
+    def logf(t: float) -> float:
+        return lc - k * rate * t - M * math.exp(-rate * t)
+
+    return logf
 
 
 def _parent_quantile(p: float, params: SystemParams) -> float:
@@ -174,94 +185,27 @@ def outage_evt_ebs(x: float, k: int, M: int, params: SystemParams) -> OutageEsti
 
 
 def outage_evt_ibs(x: float, k: int, M: int, params: SystemParams) -> OutageEstimate:
-    """Asymptotic outage when ranking on the uplink gain.
-
-    (M^k/Gamma(k)) int_r^inf (1 - e^(-c r/(Pt (z-r)))) exp(-M e^(-z) - k z) dz.
-    """
+    """Asymptotic outage when ranking on the uplink gain: the exact IBS
+    integral with the rate-1 Gumbel law of the ranked uplink gain."""
     x = float(x)
     if x <= 0.0:
         return _evt_estimate(0.0)
     if math.isinf(x):
         return _evt_estimate(1.0)
-    r = r_scale(x, params)
-    c_term = params.rectenna.c * r / params.transmit_power
-    lpre = k * math.log(M) - math.lgamma(k)
-
-    def f(t: float) -> float:  # t = z - r
-        if t <= 0.0:
-            return 0.0
-        z = t + r
-        gate = -math.expm1(-c_term / t)
-        return gate * _exp_or_zero(lpre - M * math.exp(-z) - k * z)
-
-    peak = max(math.log(max(M / k, 2.0)) - r, 0.05)
-    val, _ = integrate_semi_infinite(f, 0.0, points=[peak])
-    return _evt_estimate(val)
-
-
-def _mms_ranked_mass(r: float, k: int, M: int) -> float:
-    """k C(M,k) int_0^r e^(-2kz) (1 - e^(-2z))^(M-k) dz."""
-    if M <= _MAX_CLOSED_M:
-        pref = k * math.comb(M, k)
-        terms = []
-        for m in range(M - k + 1):
-            delta = k + m
-            t = pref * math.comb(M - k, m) * -math.expm1(-2.0 * delta * r) / (2.0 * delta)
-            terms.append(-t if m % 2 else t)
-        return math.fsum(terms)
-    lc = math.log(k) + math.lgamma(M + 1) - math.lgamma(k + 1) - math.lgamma(M - k + 1)
-
-    def f(z: float) -> float:
-        if z <= 0.0:
-            return 0.0
-        e = math.exp(-2.0 * z)
-        if e >= 1.0:
-            return 0.0
-        return _exp_or_zero(lc - 2.0 * k * z + (M - k) * math.log1p(-e))
-
-    val, _ = integrate_finite(f, 0.0, r)
-    return val
+    r, cr_over_pt = _r_and_cr(x, params)
+    return _evt_estimate(_ibs_integral(r, cr_over_pt, k, M, _gumbel_log_density(M, k, 1.0)))
 
 
 def outage_evt_mms(x: float, k: int, M: int, params: SystemParams) -> OutageEstimate:
-    """Asymptotic outage when ranking on the worse of the two links.
-
-    Three-piece form: worse-link-below-r mass plus the two conditional pieces
-    with inner integrals performed analytically (they are pure exponentials),
-    leaving single integrals of (e^(-t) - e^(-boundary)) against the
-    standardized extreme density exp(-M e^(-2t) - 2kt).
-    """
+    """Asymptotic outage when ranking on the worse of the two links: the
+    exact MMS integral with the rate-2 Gumbel law of the ranked worse link."""
     x = float(x)
     if x <= 0.0:
         return _evt_estimate(0.0)
     if math.isinf(x):
         return _evt_estimate(1.0)
-    r, s = _r_and_s(x, params)
-    c_over_pt = params.rectenna.c / params.transmit_power
-    lpre = k * math.log(M) - math.lgamma(k)
-
-    def min_is_downlink(y: float) -> float:
-        if y <= 0.0:
-            return 0.0
-        w = r + c_over_pt * r / y
-        gap = -math.expm1(y - w)  # e^-y - e^-w = e^-y * gap
-        if gap <= 0.0:
-            return 0.0
-        return _exp_or_zero(lpre - M * math.exp(-2.0 * y) - 2.0 * k * y - y + math.log(gap))
-
-    def min_is_uplink(z: float) -> float:
-        u = z - r
-        if u <= 0.0:
-            return 0.0
-        v = c_over_pt * r / u
-        gap = -math.expm1(z - v)
-        if gap <= 0.0:
-            return 0.0
-        return _exp_or_zero(lpre - M * math.exp(-2.0 * z) - 2.0 * k * z - z + math.log(gap))
-
-    i_down, _ = integrate_finite(min_is_downlink, 0.0, s)
-    i_up, _ = integrate_finite(min_is_uplink, r, s)
-    return _evt_estimate(i_down + _mms_ranked_mass(r, k, M) + i_up)
+    r, cr_over_pt = _r_and_cr(x, params)
+    return _evt_estimate(_mms_integral(r, cr_over_pt, k, M, _gumbel_log_density(M, k, 2.0)))
 
 
 def outage_evt_pair(

@@ -81,7 +81,6 @@ class SystemParams:
     harvest_fraction: float = 0.5      # t1
     rate_threshold_q: float = 1.0      # 0 dB
     num_devices: int = 5
-    slot_duration: float = 1.0
 
     def __post_init__(self) -> None:
         if not self.transmit_power > 0.0:
@@ -94,8 +93,6 @@ class SystemParams:
             raise ValueError("rate_threshold_q must be nonnegative")
         if not (isinstance(self.num_devices, int) and self.num_devices >= 1):
             raise ValueError("num_devices must be an integer >= 1")
-        if self.slot_duration != 1.0:
-            raise ValueError("slot_duration is normalized to 1 and not configurable")
 
     @property
     def comm_fraction(self) -> float:

@@ -1,6 +1,6 @@
 """Special-function and quadrature kernel shared by all evaluators.
 
-Wraps scipy's K1 / incomplete beta / incomplete gamma behind explicit domain
+Wraps scipy's K1 / incomplete beta behind explicit domain
 checks, and provides one-dimensional adaptive quadrature with an error
 contract: results that cannot meet the requested tolerance raise
 AccuracyError carrying the best available estimate instead of returning
@@ -24,7 +24,6 @@ __all__ = [
     "bessel_k1",
     "integrate_finite",
     "integrate_semi_infinite",
-    "lower_inc_gamma",
     "reg_inc_beta",
 ]
 
@@ -89,19 +88,6 @@ def reg_inc_beta(psi: float, p: float, q: float) -> float:
     if not (p > 0.0 and q > 0.0):
         raise DomainError(f"reg_inc_beta requires p, q > 0, got p={p!r}, q={q!r}")
     return float(_special.betainc(p, q, psi))
-
-
-def lower_inc_gamma(p: float, q: float) -> float:
-    """Lower incomplete gamma function gamma(p, q) = int_0^q t^(p-1) e^-t dt.
-
-    Unnormalized: gamma(p, q) = Gamma(p) * P(p, q).
-    """
-    p, q = float(p), float(q)
-    if not p > 0.0:
-        raise DomainError(f"lower_inc_gamma requires p > 0, got {p!r}")
-    if not q >= 0.0:
-        raise DomainError(f"lower_inc_gamma requires q >= 0, got {q!r}")
-    return float(_special.gammainc(p, q)) * math.gamma(p)
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ from wpcn_select.analytic import (
     Parent,
     Scheme,
     SchemeSpec,
+    _finalize,
     ibs_phi_closed,
     ibs_phi_quadrature,
     outage_ebs,
@@ -45,7 +46,7 @@ from wpcn_select.model import (
     dbm_to_watts,
     default_params,
 )
-from wpcn_select.special import DomainError
+from wpcn_select.special import AccuracyError, DomainError
 
 X = 3.0  # threshold at the default operating point (Q = 0 dB, t1 = 0.5)
 P = default_params()
@@ -441,6 +442,17 @@ def test_mms_frozen():
     ).value == pytest.approx(3.326578592543086e-10, rel=1e-9)
 
 
+@pytest.mark.parametrize("model", [EhModel.NON_LINEAR, EhModel.LINEAR])
+def test_mms_certain_outage_at_huge_threshold(model):
+    # the failure gates close at s ~ sqrt(x), far beyond all of the ranked
+    # law's mass; the integral must still find that mass
+    params = default_params(num_devices=100)
+    spec = SchemeSpec(Scheme.MMS, k=2, model=model)
+    assert outage_mms(1e12, spec, params).value == pytest.approx(1.0, abs=1e-9)
+    floor = outage_mms_high_snr(1e12, SchemeSpec(Scheme.MMS, k=2), params).value
+    assert floor == pytest.approx(1.0, abs=1e-9)
+
+
 def test_mms_floor_frozen_and_below_value():
     floor = outage_mms_high_snr(X, SchemeSpec(Scheme.MMS, k=2), P).value
     assert floor == pytest.approx(5.924716034731971e-28, rel=1e-10)
@@ -600,6 +612,15 @@ def test_outage_estimate_validation():
         OutageEstimate(0.5, Method.MONTE_CARLO)  # MC must carry stderr
     with pytest.raises(ValueError):
         OutageEstimate(0.5, Method.MONTE_CARLO, stderr=-0.01)
+
+
+def test_finalize_raises_beyond_float_noise():
+    # a formula bug must fail loudly, also under python -O
+    for bad in (1.5, -1e-6):
+        with pytest.raises(AccuracyError) as info:
+            _finalize(bad, Method.ANALYTIC)
+        assert info.value.estimate == bad
+    assert _finalize(1.0 + 1e-12, Method.ANALYTIC).value == 1.0
 
 
 def test_evaluator_spec_mismatch():

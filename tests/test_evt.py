@@ -199,8 +199,6 @@ def test_sbs_limit_single_convergence_point():
 
 
 def test_mms_limit_tracks_exact_in_low_threshold_regime():
-    # the min-link limit is stated for thresholds well below saturation;
-    # beyond that region it visibly underestimates and is not asserted on
     M = 50
     params = P40.replace(num_devices=M)
     sup_gap = 0.0
@@ -210,6 +208,34 @@ def test_mms_limit_tracks_exact_in_low_threshold_regime():
         limit = outage_evt_mms(x, 1, M, params).value
         sup_gap = max(sup_gap, abs(limit - exact))
     assert sup_gap < 1e-5
+
+
+@pytest.mark.parametrize("M", [50, 200])
+def test_mms_limit_tracks_exact_at_high_thresholds(M):
+    params = P40.replace(num_devices=M)
+    for x in (30.0, 100.0, 300.0):
+        exact = outage_mms(x, SchemeSpec(Scheme.MMS, k=1), params).value
+        limit = outage_evt_mms(x, 1, M, params).value
+        assert abs(limit - exact) < 1e-2, f"x={x}: exact {exact!r}, limit {limit!r}"
+
+
+def test_mms_limit_keeps_deep_tail_mass():
+    # ~2e-17: the ranked mass below r must stay a nonnegative probability,
+    # not a cancelled sum that the clamp turns into 0
+    assert outage_evt_mms(0.1, 2, 50, P40).value > 0.0
+
+
+def test_mms_limit_in_unit_interval_before_clamping():
+    # the fig5 grid, checked on the raw integral so the clamp hides nothing
+    from wpcn_select.analytic import _mms_integral, _r_and_cr
+    from wpcn_select.evt import _gumbel_log_density
+
+    for M in (10, 20, 50, 100, 200, 500, 1000):
+        for k in (1, 2):
+            for i in range(30):
+                r, cr_over_pt = _r_and_cr(0.1 * 30.0 ** (i / 29), P40)
+                raw = _mms_integral(r, cr_over_pt, k, M, _gumbel_log_density(M, k, 2.0))
+                assert 0.0 <= raw <= 1.0, f"M={M} k={k} i={i}: {raw!r}"
 
 
 # ---------------------------------------------------------------------------

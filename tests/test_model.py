@@ -68,8 +68,6 @@ def test_params_validation():
         SystemParams(rate_threshold_q=-0.5)
     with pytest.raises(ValueError):
         SystemParams(num_devices=0)
-    with pytest.raises(ValueError):
-        SystemParams(slot_duration=2.0)
 
 
 def test_replace_returns_new_frozen_instance():

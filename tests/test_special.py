@@ -1,8 +1,7 @@
 """Checks for the special-function and quadrature kernel.
 
 Expected values are frozen from independent computations: the Bessel tail
-against its integral representation, the incomplete gamma against direct
-quadrature of its defining integral, the incomplete beta against the
+against its integral representation, the incomplete beta against the
 binomial-tail identity.
 """
 
@@ -19,7 +18,6 @@ from wpcn_select.special import (
     bessel_k1,
     integrate_finite,
     integrate_semi_infinite,
-    lower_inc_gamma,
     reg_inc_beta,
 )
 
@@ -96,23 +94,6 @@ def test_reg_inc_beta_domain():
         reg_inc_beta(0.5, 0.0, 3)
     with pytest.raises(DomainError):
         reg_inc_beta(0.5, 2, -1.0)
-
-
-def test_lower_inc_gamma_frozen_and_quadrature():
-    # gamma(3, 5) = int_0^5 t^2 e^-t dt, frozen from 1e-12 quadrature
-    assert lower_inc_gamma(3.0, 5.0) == pytest.approx(1.7506959610338377, rel=1e-13)
-    oracle, _ = quad(lambda t: t * t * math.exp(-t), 0.0, 5.0, epsrel=1e-12)
-    assert lower_inc_gamma(3.0, 5.0) == pytest.approx(oracle, rel=1e-10)
-
-
-def test_lower_inc_gamma_limits_and_domain():
-    assert lower_inc_gamma(2.5, 0.0) == 0.0
-    # q -> inf recovers the complete value Gamma(2) = 1
-    assert lower_inc_gamma(2.0, 700.0) == pytest.approx(1.0, rel=1e-12)
-    with pytest.raises(DomainError):
-        lower_inc_gamma(0.0, 1.0)
-    with pytest.raises(DomainError):
-        lower_inc_gamma(2.0, -1.0)
 
 
 # ---------------------------------------------------------------------------
