@@ -8,11 +8,13 @@ Scaled quantities used throughout (x is the SNR threshold):
     v(z)  = c r / (Pt (z - r))                   inverse boundary, defined for z > r
     delta = k + m                                binomial summation shift
 
-Per-device SNR parent laws (unit-mean exponential squared gains):
+Per-device SNR parent laws (unit-mean exponential squared gains), each with
+its survival S = 1 - F, which is computed directly (parent_log_sf) so it keeps
+its digits in the far tail where 1 - F formed from F is 0:
 
-    NonLinear    F(x) = 1 - e^(-r) z K1(z),  z = 2 sqrt(c r / Pt)
-    Linear       F(x) = 1 - u K1(u),         u = 2 sqrt(beta), beta = sigma^2 t2 x/(Pt t1)
-    Saturation   F(x) = 1 - e^(-r)           (Pt -> inf limit of NonLinear)
+    NonLinear    S(x) = e^(-r) z K1(z),  z = 2 sqrt(c r / Pt)
+    Linear       S(x) = u K1(u),         u = 2 sqrt(beta), beta = sigma^2 t2 x/(Pt t1)
+    Saturation   S(x) = e^(-r)           (Pt -> inf limit of NonLinear)
 
 "k-th best" always means the k-th largest order statistic.  EBS, IBS and MMS
 outage is the law of the ranked gain integrated against a conditional failure
@@ -21,6 +23,18 @@ floor and extreme-value (evt) routes share one body per scheme.  EBS and IBS
 also have closed alternating sums of K1 terms, accumulated with math.fsum
 under a cancellation monitor; for M > 60, or when the monitor trips, they
 fall back to their integrals, which stay stable at any M.
+
+Pair selection ranks Y, Z as the k-th and j-th largest parent SNRs (k < j).
+Given one of them, the other is an order statistic of iid draws from the
+truncated parent, so its CDF is an incomplete beta function I and each
+marginal is one quadrature (David & Nagaraja, Order Statistics, 2003, 2.2):
+
+    primary    P(Y <= x (Z+1)) = int_0^{x/(1-x)} f_Z(z) [1 - I_{S(x(z+1))/S(z)}(k, j-k)] dz
+    secondary  P(Z <= x (Y+1)) = 1 - int_{x/(1-x)}^inf f_Y(y) [1 - I_{F(x(y+1))/F(y)}(M-j+1, j-k)] dy
+
+where f_Y and f_Z are the k-th and j-th best densities.  Both integrate
+1 - I (scipy betaincc, accurate where I is near 1), and the secondary, written
+as 1 minus a quadrature, cannot exceed 1 by that quadrature's relative error.
 """
 
 from __future__ import annotations
@@ -42,6 +56,7 @@ from .special import (
     integrate_finite,
     integrate_semi_infinite,
     reg_inc_beta,
+    reg_inc_beta_complement,
 )
 
 __all__ = [
@@ -70,9 +85,7 @@ __all__ = [
 MAX_SUM_DEVICES = 60
 _CANCELLATION_LIMIT = 1e-8
 
-# nested pair quadrature: inner tolerances tighter than outer so the outer
-# integrand looks smooth to quadpack
-_PAIR_INNER = QuadratureSpec(1e-10, 1e-14, 400)
+# the one quadrature left in each pair marginal, over the outer order statistic
 _PAIR_OUTER = QuadratureSpec(1e-8, 1e-13, 400)
 
 
@@ -193,26 +206,34 @@ def _linear_beta(x: float, params: SystemParams) -> float:
     return params.noise_variance * (1.0 - t1) * x / (params.transmit_power * t1)
 
 
-def parent_cdf(x: float, params: SystemParams, parent: Parent) -> float:
-    """CDF of a single device's SNR under the given parent law."""
+def parent_log_sf(x: float, params: SystemParams, parent: Parent) -> float:
+    """log(1 - F(x)) of a single device's SNR, formed from the survival itself.
+
+    The survival e^(-r) z K1(z), u K1(u) or e^(-r) keeps its relative
+    precision far into the tail, where 1 - F computed from F is 0.  Returns
+    -inf where K1 underflows (certain outage).
+    """
     if x <= 0.0:
         return 0.0
     if math.isinf(x):  # t2 -> 0 pushes the threshold to inf; outage is certain
-        return 1.0
+        return -math.inf
     if parent is Parent.SATURATION:
-        return -math.expm1(-r_scale(x, params))
+        return -r_scale(x, params)
     if parent is Parent.NON_LINEAR:
         r = r_scale(x, params)
         z = 2.0 * math.sqrt(params.rectenna.c * r / params.transmit_power)
         t = z * bessel_k1(z)
-        if t <= 0.0:  # K1 underflow: certain outage this deep in the tail
-            return 1.0
-        return -math.expm1(-r + math.log(t))
+        return -r + math.log(t) if t > 0.0 else -math.inf
     u = 2.0 * math.sqrt(_linear_beta(x, params))
     t = u * bessel_k1(u)
-    if t <= 0.0:
-        return 1.0
-    return -math.expm1(math.log(t))
+    return math.log(t) if t > 0.0 else -math.inf
+
+
+def parent_cdf(x: float, params: SystemParams, parent: Parent) -> float:
+    """CDF of a single device's SNR under the given parent law."""
+    if x <= 0.0:
+        return 0.0
+    return -math.expm1(parent_log_sf(x, params, parent))
 
 
 def parent_pdf(x: float, params: SystemParams, parent: Parent) -> float:
@@ -556,14 +577,22 @@ def outage_mms_high_snr(x: float, spec: SchemeSpec, params: SystemParams) -> Out
 # pair selection: k-th and j-th best transmit together, single-user detection
 # ---------------------------------------------------------------------------
 
-def _two_order_log_const(M: int, k: int, j: int) -> float:
-    # multinomial prefactor of the (k-th, j-th) largest joint density
-    return (
-        math.lgamma(M + 1)
-        - math.lgamma(M - j + 1)
-        - math.lgamma(j - k)
-        - math.lgamma(k)
+def _kth_best_parent_density(
+    y: float, log_sf: float, k: int, M: int, params: SystemParams, parent: Parent
+) -> float:
+    """Density k C(M,k) F^(M-k) S^(k-1) f of the k-th largest parent SNR at y,
+    given log S(y); summed in logs so no factor under- or overflows alone."""
+    f = parent_pdf(y, params, parent)
+    cdf = -math.expm1(log_sf)
+    if f == 0.0 or log_sf == -math.inf or (cdf == 0.0 and M > k):
+        return 0.0
+    log_d = (
+        math.lgamma(M + 1) - math.lgamma(k) - math.lgamma(M - k + 1)
+        + math.log(f) + (k - 1) * log_sf
     )
+    if M > k:
+        log_d += (M - k) * math.log(cdf)
+    return _exp_or_zero(log_d)
 
 
 def pair_marginal_primary(
@@ -572,45 +601,29 @@ def pair_marginal_primary(
     """P(Y <= x (Z + 1)) for Y, Z the k-th and j-th largest parent SNRs.
 
     This is the stronger pair member's SINR outage under single-user
-    detection, with the weaker member as interference.  Integration runs in
-    amplitude coordinates (y = wy^2, z = wz^2) because the parent densities
-    have an integrable log singularity at the origin.
+    detection, with the weaker member as interference.  Given Z = z, the j-1
+    stronger devices are iid with survival S(.)/S(z), so Y <= x (z + 1) has
+    the binomial probability 1 - I_{S(x (z+1))/S(z)}(k, j-k) in closed form;
+    one quadrature over the j-th best density remains.  It runs in amplitude
+    coordinates (z = wz^2) because the parent density has an integrable log
+    singularity at the origin.  The event needs Z <= x/(1-x).
     """
     if x <= 0.0:
         return 0.0
     z_max = x / (1.0 - x)
-    scale = math.exp(_two_order_log_const(M, k, j))
 
-    def outer(wz: float) -> float:
+    def f(wz: float) -> float:
         z = wz * wz
-        f_z = parent_pdf(z, params, parent)
-        if f_z == 0.0:
+        log_sf_z = parent_log_sf(z, params, parent)
+        density = _kth_best_parent_density(z, log_sf_z, j, M, params, parent)
+        if density == 0.0:
             return 0.0
-        cdf_z = parent_cdf(z, params, parent)
-        lo = max(z, (z - x) / x)
-        hi = x * (z + 1.0)
-        if hi <= lo:
-            return 0.0
+        # z <= x/(1-x) keeps x (z + 1) >= z, so the ratio is at most 1
+        ratio = math.exp(parent_log_sf(x * (z + 1.0), params, parent) - log_sf_z)
+        return density * 2.0 * wz * reg_inc_beta_complement(min(1.0, ratio), k, j - k)
 
-        def inner(wy: float) -> float:
-            y = wy * wy
-            gap = parent_cdf(y, params, parent) - cdf_z
-            if gap <= 0.0 and j - k - 1 > 0:
-                return 0.0
-            surv = 1.0 - parent_cdf(y, params, parent)
-            return (
-                parent_pdf(y, params, parent)
-                * gap ** (j - k - 1)
-                * surv ** (k - 1)
-                * 2.0
-                * wy
-            )
-
-        val, _ = integrate_finite(inner, math.sqrt(lo), math.sqrt(hi), _PAIR_INNER)
-        return f_z * cdf_z ** (M - j) * val * 2.0 * wz
-
-    total, _ = integrate_finite(outer, 0.0, math.sqrt(z_max), _PAIR_OUTER)
-    return scale * total
+    val, _ = integrate_finite(f, 0.0, math.sqrt(z_max), _PAIR_OUTER)
+    return val
 
 
 def pair_marginal_secondary(
@@ -618,45 +631,38 @@ def pair_marginal_secondary(
 ) -> float:
     """P(Z <= x (Y + 1)) for Y, Z the k-th and j-th largest parent SNRs.
 
-    The weaker member's SINR outage.  For Y below x/(1-x) the whole
-    conditional support Z <= Y is in outage, so that part collapses to the
-    k-th best order-statistic CDF; only the tail needs the joint density.
+    The weaker member's SINR outage, for the nonlinear parent.  For Y below
+    x/(1-x) the whole conditional support Z <= Y is in outage.  Above it,
+    given Y = y the M-k weaker devices are iid with CDF F(.)/F(y), so
+    Z > x (y + 1) has probability 1 - I_{F(x (y+1))/F(y)}(M-j+1, j-k), and
+    the marginal is 1 minus one quadrature of it over the k-th best density.
+    That keeps it at most 1, but its error is absolute: a value far below
+    the quadrature's tolerance (a low threshold) keeps no relative digits.
     """
+    if parent is not Parent.NON_LINEAR:
+        raise ValueError("the secondary pair marginal is stated for the nonlinear parent")
     if x <= 0.0:
         return 0.0
     y_star = x / (1.0 - x)
-    head = _kth_best_cdf(parent_cdf(y_star, params, parent), M, k)
-    scale = math.exp(_two_order_log_const(M, k, j))
+    # the quadrature runs in s = a wy, where the survival falls like e^(-a wy)
+    # with a = 2 sqrt(c rho/Pt): the integrand falls like e^(-k a wy), so the
+    # semi-infinite map u = e^-(s - s*) leaves it regular at u = 0, where a
+    # unit-rate map in wy is singular like u^(k a - 1) for k a < 1
+    rate = 2.0 * math.sqrt(params.rectenna.c * r_scale(1.0, params) / params.transmit_power)
 
-    # outer runs in amplitude coordinates too: the parent tail decays like
-    # exp(-a sqrt(y)), which is exponential in wy, so the semi-infinite
-    # exponential substitution converges
-    def outer(wy: float) -> float:
+    def f(s: float) -> float:
+        wy = s / rate
         y = wy * wy
-        f_y = parent_pdf(y, params, parent)
-        if f_y == 0.0:
+        log_sf_y = parent_log_sf(y, params, parent)
+        density = _kth_best_parent_density(y, log_sf_y, k, M, params, parent)
+        if density == 0.0:
             return 0.0
-        cdf_y = parent_cdf(y, params, parent)
-        hi = x * (y + 1.0)
+        q = parent_cdf(x * (y + 1.0), params, parent) / -math.expm1(log_sf_y)
+        miss = reg_inc_beta_complement(min(1.0, q), M - j + 1, j - k)
+        return density * 2.0 * wy / rate * miss
 
-        def inner(wz: float) -> float:
-            z = wz * wz
-            gap = cdf_y - parent_cdf(z, params, parent)
-            if gap <= 0.0 and j - k - 1 > 0:
-                return 0.0
-            return (
-                parent_pdf(z, params, parent)
-                * parent_cdf(z, params, parent) ** (M - j)
-                * gap ** (j - k - 1)
-                * 2.0
-                * wz
-            )
-
-        val, _ = integrate_finite(inner, 0.0, math.sqrt(hi), _PAIR_INNER)
-        return f_y * (1.0 - cdf_y) ** (k - 1) * val * 2.0 * wy
-
-    tail, _ = integrate_semi_infinite(outer, math.sqrt(y_star), _PAIR_OUTER)
-    return head + scale * tail
+    misses, _ = integrate_semi_infinite(f, rate * math.sqrt(y_star), _PAIR_OUTER)
+    return 1.0 - misses
 
 
 def _pair_rs_value(x: float, params: SystemParams, parent: Parent) -> float:

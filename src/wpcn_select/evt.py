@@ -28,6 +28,7 @@ from .analytic import (
     Parent,
     Scheme,
     _exp_or_zero,
+    _finalize,
     _ibs_integral,
     _mms_integral,
     _r_and_cr,
@@ -224,10 +225,11 @@ def outage_evt_pair(
     if pair.j > M:
         raise ValueError(f"order index j={pair.j} exceeds M={M}")
     if x <= 0.0:
-        return _evt_estimate(0.0)
+        return _finalize(0.0, Method.EVT)
     stronger = pair_marginal_primary(x, pair.k, pair.j, M, params, Parent.NON_LINEAR)
     weaker = pair_marginal_secondary(x, pair.k, pair.j, M, params, Parent.NON_LINEAR)
-    return _evt_estimate(stronger * weaker)
+    # both factors are probabilities, so an overshoot is an error, not noise
+    return _finalize(stronger * weaker, Method.EVT)
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,7 @@ __all__ = [
     "integrate_finite",
     "integrate_semi_infinite",
     "reg_inc_beta",
+    "reg_inc_beta_complement",
 ]
 
 
@@ -80,14 +81,25 @@ def bessel_k1(x: float) -> float:
     return float(_special.k1(x))
 
 
-def reg_inc_beta(psi: float, p: float, q: float) -> float:
-    """Regularized incomplete beta function I_psi(p, q) on psi in [0, 1]."""
+def _beta_args(name: str, psi: float, p: float, q: float) -> tuple[float, float, float]:
     psi, p, q = float(psi), float(p), float(q)
     if not 0.0 <= psi <= 1.0:
-        raise DomainError(f"reg_inc_beta requires 0 <= psi <= 1, got {psi!r}")
+        raise DomainError(f"{name} requires 0 <= psi <= 1, got {psi!r}")
     if not (p > 0.0 and q > 0.0):
-        raise DomainError(f"reg_inc_beta requires p, q > 0, got p={p!r}, q={q!r}")
+        raise DomainError(f"{name} requires p, q > 0, got p={p!r}, q={q!r}")
+    return psi, p, q
+
+
+def reg_inc_beta(psi: float, p: float, q: float) -> float:
+    """Regularized incomplete beta function I_psi(p, q) on psi in [0, 1]."""
+    psi, p, q = _beta_args("reg_inc_beta", psi, p, q)
     return float(_special.betainc(p, q, psi))
+
+
+def reg_inc_beta_complement(psi: float, p: float, q: float) -> float:
+    """1 - I_psi(p, q), computed directly so it keeps its digits near 0."""
+    psi, p, q = _beta_args("reg_inc_beta_complement", psi, p, q)
+    return float(_special.betaincc(p, q, psi))
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ import math
 import pytest
 from scipy.integrate import quad
 from scipy.special import k1 as scipy_k1
+from scipy.special import k1e as scipy_k1e
 
 from wpcn_select.analytic import (
     Method,
@@ -37,6 +38,7 @@ from wpcn_select.analytic import (
     outage_sbs,
     outage_sbs_high_snr,
     parent_cdf,
+    parent_log_sf,
     parent_pdf,
     r_scale,
 )
@@ -109,6 +111,28 @@ def test_parent_cdf_edges():
         assert parent_cdf(math.inf, P, parent) == 1.0
         assert parent_pdf(0.0, P, parent) == 0.0
         assert parent_pdf(math.inf, P, parent) == 0.0
+
+
+def test_parent_survival_keeps_far_tail():
+    for parent in Parent:
+        sf = math.exp(parent_log_sf(X, P, parent))
+        assert sf == pytest.approx(1.0 - parent_cdf(X, P, parent), rel=1e-12)
+        assert parent_log_sf(0.0, P, parent) == 0.0
+        assert parent_log_sf(math.inf, P, parent) == -math.inf
+    # at x = 1e7 the survival is ~1e-35 (nonlinear) and ~1e-27 (linear):
+    # 1 - F is 0 there, the direct survival matches a scaled-K1 restatement
+    x = 1e7
+    r = r_scale(x, P)
+    z = 2.0 * math.sqrt(P.rectenna.c * r / P.transmit_power)
+    u = 2.0 * math.sqrt(_beta_scale(x, P))
+    literal = {
+        Parent.NON_LINEAR: -r + math.log(z * float(scipy_k1e(z))) - z,
+        Parent.LINEAR: math.log(u * float(scipy_k1e(u))) - u,
+    }
+    for parent, want in literal.items():
+        assert parent_cdf(x, P, parent) == 1.0
+        assert parent_log_sf(x, P, parent) == pytest.approx(want, rel=1e-12)
+    assert parent_log_sf(x, P, Parent.SATURATION) == -r
 
 
 @pytest.mark.parametrize("parent", list(Parent))

@@ -12,6 +12,7 @@ import math
 import pytest
 
 from wpcn_select.analytic import (
+    Method,
     PairSpec,
     Scheme,
     SchemeSpec,
@@ -35,8 +36,9 @@ from wpcn_select.evt import (
     outage_evt_pair,
     outage_evt_sbs,
 )
+from wpcn_select.experiments import evaluate_point
 from wpcn_select.model import db_to_linear, dbm_to_watts, default_params
-from wpcn_select.special import DomainError
+from wpcn_select.special import AccuracyError, DomainError
 
 # asymptotics are exercised in the low-power regime where the outage is
 # far from its floor
@@ -277,3 +279,88 @@ def test_evt_pair_domain():
     with pytest.raises(ValueError):
         outage_evt_pair(X_PAIR, PairSpec(Scheme.SBS, 1, 12), 10, P_PAIR)
     assert outage_evt_pair(0.0, PairSpec(Scheme.SBS, 1, 3), 10, P_PAIR).value == 0.0
+
+
+def test_evt_pair_overshoot_raises(monkeypatch):
+    # the product of two probabilities cannot leave [0, 1]: no clamp hides it
+    import wpcn_select.evt as evt
+
+    monkeypatch.setattr(evt, "pair_marginal_primary", lambda *a: 1.01)
+    monkeypatch.setattr(evt, "pair_marginal_secondary", lambda *a: 1.01)
+    with pytest.raises(AccuracyError):
+        outage_evt_pair(X_PAIR, PairSpec(Scheme.SBS, 1, 3), 10, P_PAIR)
+
+
+@pytest.mark.parametrize("pt_dbm", [-30.0, -20.0])
+def test_evt_pair_converges_at_moderate_power(pt_dbm):
+    # the secondary's tail falls like e^(-k a wy) with a = 0.26 and 0.08 here;
+    # a unit-rate map of it was singular and quadpack gave up
+    params = P_PAIR.replace(transmit_power=dbm_to_watts(pt_dbm))
+    est = evaluate_point(PairSpec(Scheme.SBS, 1, 2), params, Method.EVT)
+    assert 0.0 <= est.value <= 1.0
+
+
+# ---------------------------------------------------------------------------
+# pair marginals
+# ---------------------------------------------------------------------------
+
+def test_pair_marginals_stay_probabilities():
+    # the fig4 grid plus one M = 100 point; the nested quadrature read
+    # 1.0000112 at M=30 (2, 18) and 1.0119 at the M=100 point
+    cases = [
+        (X_PAIR, M, k, j) for M in (10, 20, 30) for k in (1, 2) for j in range(3, M + 1)
+    ]
+    cases.append((0.5, 100, 2, 50))
+    for x, M, k, j in cases:
+        params = P_PAIR.replace(num_devices=M)
+        for marginal in (pair_marginal_primary, pair_marginal_secondary):
+            v = marginal(x, k, j, M, params, Parent.NON_LINEAR)
+            assert 0.0 <= v <= 1.0 + 1e-12, f"{marginal.__name__} M={M} ({k}, {j}): {v!r}"
+
+
+# (marginal, Pt in dBm, M, k, j) -> value at X_PAIR, frozen from a 30-digit
+# mpmath quadrature of the conditional forms.  A nested scipy quadrature at
+# tolerances 1e-13/1e-19 inside 1e-12/1e-17 agrees within 2e-13 at -40 dBm,
+# except at M=30 (2, 18), where it reads 0.99999999295
+PAIR_ORACLE = [
+    ("primary", -40.0, 10, 1, 3, 0.00023501526047497347),
+    ("primary", -40.0, 10, 2, 5, 0.0011205004527401837),
+    ("secondary", -40.0, 10, 1, 3, 0.96405223190199057),
+    ("secondary", -40.0, 10, 2, 5, 0.99615842005078533),
+    ("secondary", -40.0, 30, 1, 3, 0.87827806909186292),
+    ("secondary", -40.0, 30, 2, 18, 0.99999999999999797),
+    # quadpack gave up here (-30 dBm), or returned 1.07e-13 (-10 dBm)
+    ("secondary", -30.0, 10, 1, 2, 0.68645145190272591),
+    ("secondary", -10.0, 10, 1, 2, 0.67944056632044839),
+]
+
+
+@pytest.mark.parametrize("which, pt_dbm, M, k, j, want", PAIR_ORACLE)
+def test_pair_marginals_match_tight_oracle(which, pt_dbm, M, k, j, want):
+    marginal = pair_marginal_primary if which == "primary" else pair_marginal_secondary
+    params = P_PAIR.replace(num_devices=M, transmit_power=dbm_to_watts(pt_dbm))
+    got = marginal(X_PAIR, k, j, M, params, Parent.NON_LINEAR)
+    assert got == pytest.approx(want, rel=1e-8)
+
+
+def test_pair_secondary_is_stated_for_nonlinear_parent():
+    for parent in (Parent.LINEAR, Parent.SATURATION):
+        with pytest.raises(ValueError):
+            pair_marginal_secondary(X_PAIR, 1, 3, 10, P_PAIR, parent)
+
+
+def test_pair_marginals_are_one_quadrature_each(monkeypatch):
+    import wpcn_select.special as special
+
+    calls = []
+    quad = special._integrate.quad
+
+    def counted(*args, **kwargs):
+        calls.append(args[1:3])
+        return quad(*args, **kwargs)
+
+    monkeypatch.setattr(special._integrate, "quad", counted)
+    for marginal in (pair_marginal_primary, pair_marginal_secondary):
+        calls.clear()
+        marginal(X_PAIR, 2, 5, 10, P_PAIR, Parent.NON_LINEAR)
+        assert len(calls) == 1, f"{marginal.__name__}: {calls}"

@@ -19,6 +19,7 @@ from wpcn_select.special import (
     integrate_finite,
     integrate_semi_infinite,
     reg_inc_beta,
+    reg_inc_beta_complement,
 )
 
 
@@ -83,6 +84,19 @@ def test_reg_inc_beta_small_shape_values():
 def test_reg_inc_beta_endpoints():
     assert reg_inc_beta(0.0, 2, 3) == 0.0
     assert reg_inc_beta(1.0, 2, 3) == 1.0
+
+
+def test_reg_inc_beta_complement_keeps_tail_digits():
+    # I_psi(1, q) = 1 - (1 - psi)^q, so the complement is (1 - psi)^q exactly
+    assert reg_inc_beta_complement(0.75, 1, 3) == pytest.approx(0.25**3, rel=1e-14)
+    psi = 1.0 - 2.0**-40
+    assert reg_inc_beta(psi, 1, 3) == 1.0  # the direct form has no digit left
+    assert reg_inc_beta_complement(psi, 1, 3) == pytest.approx(2.0**-120, rel=1e-12)
+    assert reg_inc_beta_complement(0.3, 2, 3) == pytest.approx(
+        1.0 - reg_inc_beta(0.3, 2, 3), rel=1e-14
+    )
+    with pytest.raises(DomainError):
+        reg_inc_beta_complement(1.2, 2, 3)
 
 
 def test_reg_inc_beta_domain():
