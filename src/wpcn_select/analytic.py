@@ -17,12 +17,23 @@ its digits in the far tail where 1 - F formed from F is 0:
     Saturation   S(x) = e^(-r)           (Pt -> inf limit of NonLinear)
 
 "k-th best" always means the k-th largest order statistic.  EBS, IBS and MMS
-outage is the law of the ranked gain integrated against a conditional failure
-gate.  The MMS and IBS integrals take that law as an argument, so the exact,
-floor and extreme-value (evt) routes share one body per scheme.  EBS and IBS
-also have closed alternating sums of K1 terms, accumulated with math.fsum
-under a cancellation monitor; for M > 60, or when the monitor trips, they
-fall back to their integrals, which stay stable at any M.
+outage is the law of the ranked gain t integrated against the scheme's
+failure gate 1 - e^(-E(t)), and every gate has E(t) = shift - slope t +
+c r/(Pt (t - lo)) on t > lo.  So one helper evaluates all three:
+
+    P(t <= lo) + int_lo^hi f(t) [1 - e^(-E(t))] dt
+    EBS   lo = 0, shift = r, hi = inf      ranked downlink gain
+    IBS   lo = r, hi = inf                 ranked uplink gain, certain outage below r
+    MMS   half with lo = 0, shift = r      ranked worse link, the downlink ...
+          half with lo = r                 ... or the uplink; slope = 1, hi = s
+
+(the linear harvester has r = 0 and beta in place of c r/Pt).  The integrals
+take the ranked law (RankedLaw) as an argument: the finite-M order statistic
+on the exact and floor routes, its Gumbel limit on the extreme-value (evt)
+route.  EBS and IBS also have closed alternating sums of K1 terms,
+accumulated with math.fsum under a cancellation monitor; for M > 60, or when
+the monitor trips, they fall back to their integrals, which stay stable at
+any M.
 
 Pair selection ranks Y, Z as the k-th and j-th largest parent SNRs (k < j).
 Given one of them, the other is an order statistic of iid draws from the
@@ -287,14 +298,19 @@ def _one_minus_order_sum(M: int, k: int, term: Callable[[int], float]) -> float:
     return total
 
 
-LogDensity = Callable[[float], float]
+@dataclass(frozen=True)
+class RankedLaw:
+    """Law of a scheme's ranked gain t: log density (-inf for an exact zero),
+    CDF, and the density's peak."""
+
+    logpdf: Callable[[float], float]
+    cdf: Callable[[float], float]
+    peak: float
 
 
-def _order_stat_log_density(M: int, k: int, rate: float) -> LogDensity:
-    """log f of the k-th largest of M iid exponentials with the given rate.
-
-    Returns a callable t -> log f(t); -inf signals an exact zero.
-    """
+def order_stat_law(M: int, k: int, rate: float) -> RankedLaw:
+    """The k-th largest of M iid exponentials with the given rate:
+    cdf(t) = I_{1 - e^(-rate t)}(M - k + 1, k)."""
     lc = (
         math.log(k * rate)
         + math.lgamma(M + 1)
@@ -302,7 +318,7 @@ def _order_stat_log_density(M: int, k: int, rate: float) -> LogDensity:
         - math.lgamma(M - k + 1)
     )
 
-    def logf(t: float) -> float:
+    def logpdf(t: float) -> float:
         if t <= 0.0:
             return -math.inf
         e = math.exp(-rate * t)
@@ -310,7 +326,38 @@ def _order_stat_log_density(M: int, k: int, rate: float) -> LogDensity:
             return -math.inf
         return lc - k * rate * t + (M - k) * math.log1p(-e)
 
-    return logf
+    def cdf(t: float) -> float:
+        return _kth_best_cdf(-math.expm1(-rate * t), M, k) if t > 0.0 else 0.0
+
+    return RankedLaw(logpdf, cdf, math.log(max(M / k, 2.0)) / rate)
+
+
+def _gated_integral(
+    law: RankedLaw, lo: float, hi: float, cr_over_pt: float,
+    shift: float = 0.0, slope: float = 0.0,
+) -> float:
+    """P(t <= lo) + int_lo^hi f(t) [1 - e^(-E(t))] dt with f the law's density
+    and E(t) = shift - slope t + cr_over_pt/(t - lo): every ranked scheme's
+    outage (module docstring).  The law keeps about e^-40 of its mass or less
+    beyond peak + 40, so the quadrature stops there and stays on the peak
+    however far hi lies past it.
+    """
+    top = min(hi, law.peak + 40.0)
+    if not top > lo:
+        return law.cdf(lo)
+    logpdf = law.logpdf
+
+    def f(t: float) -> float:
+        u = t - lo
+        if u <= 0.0:
+            return 0.0
+        e = logpdf(t)
+        if e <= -745.0:
+            return 0.0
+        return math.exp(e) * -math.expm1(slope * t - shift - cr_over_pt / u)
+
+    val, _ = integrate_finite(f, lo, top, points=[law.peak])
+    return law.cdf(lo) + val
 
 
 def _exp_or_zero(e: float) -> float:
@@ -380,21 +427,14 @@ def _ebs_value(x: float, k: int, M: int, params: SystemParams, parent: Parent) -
             return _one_minus_order_sum(M, k, term)
         except _SumCancellation:
             pass
-    return _ebs_value_integral(k, M, cr_over_pt, shift)
+    return _ebs_integral(shift, cr_over_pt, order_stat_law(M, k, 1.0))
 
 
-def _ebs_value_integral(k: int, M: int, cr_over_pt: float, shift: float) -> float:
-    # positive form: integrate f*(y) P(fail | ranked gain y); no 1 - (1 - eps)
-    logf = _order_stat_log_density(M, k, 1.0)
-
-    def f(y: float) -> float:
-        if y <= 0.0:
-            return 0.0
-        return _exp_or_zero(logf(y)) * -math.expm1(-shift - cr_over_pt / y)
-
-    peak = math.log(max(M / k, 2.0))
-    val, _ = integrate_semi_infinite(f, 0.0, points=[peak])
-    return val
+def _ebs_integral(shift: float, cr_over_pt: float, law: RankedLaw) -> float:
+    """EBS outage for a ranked downlink gain y with the given law: the uplink
+    fails with probability 1 - e^(-shift - cr_over_pt/y), shift being r under
+    the nonlinear harvester and 0 under the linear one."""
+    return _gated_integral(law, 0.0, math.inf, cr_over_pt, shift=shift)
 
 
 def outage_ebs(x: float, spec: SchemeSpec, params: SystemParams) -> OutageEstimate:
@@ -429,36 +469,11 @@ def ibs_phi_closed(x: float, params: SystemParams, delta: int) -> float:
     return math.exp(-delta * r) * 2.0 * math.sqrt(cr_over_pt / delta) * bessel_k1(arg)
 
 
-def ibs_phi_quadrature(x: float, params: SystemParams, delta: int) -> float:
-    """Same tail integral by direct quadrature; cross-check route for the closed form."""
-    r, cr_over_pt = _r_and_cr(x, params)
-
-    def f(z: float) -> float:
-        u = z - r
-        if u <= 0.0:
-            return 0.0
-        return _exp_or_zero(-delta * z - cr_over_pt / u)
-
-    val, _ = integrate_semi_infinite(f, r)
-    return val
-
-
-def _ibs_integral(r: float, cr_over_pt: float, k: int, M: int, logf: LogDensity) -> float:
-    """IBS outage for a ranked uplink gain with log density logf.
-
-    Positive form: a ranked uplink below r fails outright; above r the
-    downlink gate fails with probability 1 - e^(-c r/(Pt (z - r))).  logf
-    sets the law above r only: the mass below r is always the finite-M
-    order-statistic CDF.
-    """
-    def f(t: float) -> float:  # t = z - r
-        if t <= 0.0:
-            return 0.0
-        return _exp_or_zero(logf(t + r)) * -math.expm1(-cr_over_pt / t)
-
-    peak = math.log(max(M / k, 2.0))
-    val, _ = integrate_semi_infinite(f, 0.0, points=[peak])
-    return _kth_best_cdf(-math.expm1(-r), M, k) + val
+def _ibs_integral(r: float, cr_over_pt: float, law: RankedLaw) -> float:
+    """IBS outage for a ranked uplink gain z with the given law: below r it
+    fails outright, above r the downlink gate fails with probability
+    1 - e^(-c r/(Pt (z - r)))."""
+    return _gated_integral(law, r, math.inf, cr_over_pt)
 
 
 def _ibs_value(x: float, k: int, M: int, params: SystemParams) -> float:
@@ -468,7 +483,7 @@ def _ibs_value(x: float, k: int, M: int, params: SystemParams) -> float:
         except _SumCancellation:
             pass
     r, cr_over_pt = _r_and_cr(x, params)
-    return _ibs_integral(r, cr_over_pt, k, M, _order_stat_log_density(M, k, 1.0))
+    return _ibs_integral(r, cr_over_pt, order_stat_law(M, k, 1.0))
 
 
 def outage_ibs(x: float, spec: SchemeSpec, params: SystemParams) -> OutageEstimate:
@@ -496,49 +511,29 @@ def outage_ibs_high_snr(x: float, spec: SchemeSpec, params: SystemParams) -> Out
         return _finalize(0.0, Method.HIGH_SNR)
     if math.isinf(x):
         return _finalize(1.0, Method.HIGH_SNR)
-    psi = -math.expm1(-r_scale(x, params))
-    return _finalize(_kth_best_cdf(psi, params.num_devices, spec.k), Method.HIGH_SNR)
+    # Pt -> inf closes the downlink gate: only the ranked mass below r fails
+    law = order_stat_law(params.num_devices, spec.k, 1.0)
+    value = _ibs_integral(r_scale(x, params), 0.0, law)
+    return _finalize(value, Method.HIGH_SNR)
 
 
 # ---------------------------------------------------------------------------
 # MMS: rank on the worse of the two gains
 # ---------------------------------------------------------------------------
 
-def _mms_integral(r: float, cr_over_pt: float, k: int, M: int, logf: LogDensity) -> float:
-    """MMS outage for a ranked worse-link gain with log density logf.
+def _mms_integral(r: float, cr_over_pt: float, law: RankedLaw) -> float:
+    """MMS outage for a ranked worse-link gain t with the given law.
 
     Given the ranked minimum t, a fair coin picks the link that attains it
     and the other gain is t + Exp(1).  A downlink minimum fails when the
     uplink is below w(t) = r + cr_over_pt/t; an uplink minimum fails outright
     below r and otherwise when the downlink is below v(t) = cr_over_pt/(t - r).
-    Both gates close at s, the root of w(s) = s.  logf sets the law inside
-    the gates only: the mass below r is always the finite-M order-statistic
-    CDF.
+    Both gates close at s, the root of w(s) = s.
     """
     s = 0.5 * r + math.sqrt(0.25 * r * r + cr_over_pt)
-
-    def min_is_downlink(t: float) -> float:
-        if t <= 0.0:
-            return 0.0
-        return _exp_or_zero(logf(t)) * -math.expm1(t - r - cr_over_pt / t)
-
-    def min_is_uplink(t: float) -> float:
-        u = t - r
-        if u <= 0.0:  # boundary diverges: outage is certain below r
-            return _exp_or_zero(logf(t))
-        v = cr_over_pt / u
-        if v <= t:
-            return 0.0
-        return _exp_or_zero(logf(t)) * -math.expm1(t - v)
-
-    # s grows without bound with x; the ranked law keeps under e^-80 of its
-    # mass beyond peak + 40, so cutting there keeps quadpack on the peak
-    peak = 0.5 * math.log(max(M / k, 2.0))
-    hi = min(s, peak + 40.0)
-    ranked_below_r = _kth_best_cdf(-math.expm1(-2.0 * r), M, k)
-    i_down, _ = integrate_finite(min_is_downlink, 0.0, hi, points=[peak])
-    i_up, _ = integrate_finite(min_is_uplink, min(r, hi), hi, points=[peak])
-    return 0.5 * (i_down + ranked_below_r + i_up)
+    min_is_downlink = _gated_integral(law, 0.0, s, cr_over_pt, shift=r, slope=1.0)
+    min_is_uplink = _gated_integral(law, r, s, cr_over_pt, slope=1.0)
+    return 0.5 * (min_is_downlink + min_is_uplink)
 
 
 def outage_mms(x: float, spec: SchemeSpec, params: SystemParams) -> OutageEstimate:
@@ -554,8 +549,7 @@ def outage_mms(x: float, spec: SchemeSpec, params: SystemParams) -> OutageEstima
         r, cr_over_pt = 0.0, _linear_beta(x, params)
     else:
         r, cr_over_pt = _r_and_cr(x, params)
-    M, k = params.num_devices, spec.k
-    value = _mms_integral(r, cr_over_pt, k, M, _order_stat_log_density(M, k, 2.0))
+    value = _mms_integral(r, cr_over_pt, order_stat_law(params.num_devices, spec.k, 2.0))
     return _finalize(value, Method.ANALYTIC)
 
 
@@ -567,9 +561,9 @@ def outage_mms_high_snr(x: float, spec: SchemeSpec, params: SystemParams) -> Out
         return _finalize(0.0, Method.HIGH_SNR)
     if math.isinf(x):
         return _finalize(1.0, Method.HIGH_SNR)
-    M, k = params.num_devices, spec.k
     # Pt -> inf drops the c r/Pt terms from both failure gates
-    value = _mms_integral(r_scale(x, params), 0.0, k, M, _order_stat_log_density(M, k, 2.0))
+    law = order_stat_law(params.num_devices, spec.k, 2.0)
+    value = _mms_integral(r_scale(x, params), 0.0, law)
     return _finalize(value, Method.HIGH_SNR)
 
 

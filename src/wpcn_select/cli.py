@@ -23,12 +23,12 @@ from .experiments import (
     evaluate_point,
     find_optimal_t1,
     format_comparison,
+    make_row,
     reproduce_figure,
     rows_to_csv,
     run_sweep,
     write_csv,
     write_json,
-    _row,
 )
 from .model import EhModel, SystemParams, db_to_linear, dbm_to_watts
 
@@ -144,7 +144,7 @@ def _cmd_compute(args) -> int:
         mc_trials=st.get("trials", int),
         base_seed=st.get("seed", int),
     )
-    row = _row(sel, params, st.get("sigma_e2", float), method, est)
+    row = make_row(sel, params, st.get("sigma_e2", float), method, est)
     fmt = st.get("format", str)
     if fmt == "json":
         _emit(json.dumps(row, indent=2, sort_keys=True), args.out)

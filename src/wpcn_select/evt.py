@@ -4,10 +4,12 @@ The scheme statistics (downlink gain, uplink gain, worse link, end-to-end
 SNR) all sit in the Gumbel domain of attraction, so the k-th best statistic
 converges, after centering and scaling, to the k-th Gumbel law.  This module
 provides the normalizing constants, the limiting CDF, and the asymptotic
-outage evaluators.  The MMS and IBS limits are the exact integrals of the
-analytic module with the Gumbel law of the ranked gain in place of its
-finite-M density; the EBS limit keeps its pre-series integral form, which
-stays stable where the expanded double series overflows.
+outage evaluators.  The EBS, IBS and MMS limits are the exact integrals of
+the analytic module with the Gumbel law of the ranked gain (gumbel_law) in
+place of the finite-M order statistic.  That law lives on the whole line:
+it keeps the mass Q(k, M) at negative gains, and the integrals count it as
+outage.  Each value is then a probability by construction, so it goes
+through the same unit-interval check as the exact routes, with no clamp.
 
 The population-size prefactor M^k / Gamma(k) is always folded into the
 log density (k log M - lgamma(k)) so no intermediate overflows.
@@ -17,17 +19,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 from scipy.optimize import brentq
+from scipy.special import gammaincc
 
 from .analytic import (
-    LogDensity,
     Method,
     OutageEstimate,
     PairSpec,
     Parent,
+    RankedLaw,
     Scheme,
-    _exp_or_zero,
+    _ebs_integral,
     _finalize,
     _ibs_integral,
     _mms_integral,
@@ -35,19 +39,14 @@ from .analytic import (
     pair_marginal_primary,
     pair_marginal_secondary,
     parent_cdf,
-    r_scale,
 )
-from .model import SystemParams
-from .special import (
-    AccuracyError,
-    DomainError,
-    bessel_k1,
-    integrate_semi_infinite,
-)
+from .model import EhModel, SystemParams
+from .special import AccuracyError, DomainError
 
 __all__ = [
     "NormalizingConstants",
     "gumbel_kth_cdf",
+    "gumbel_law",
     "normalizing_constants",
     "outage_evt_ebs",
     "outage_evt_ibs",
@@ -69,12 +68,6 @@ class NormalizingConstants:
             raise ValueError("scale xi must be positive")
 
 
-def _evt_estimate(value: float) -> OutageEstimate:
-    # asymptotic formulas may overshoot the unit interval pre-asymptotically;
-    # clamping is part of their contract, not a bug signal
-    return OutageEstimate(min(1.0, max(0.0, value)), Method.EVT)
-
-
 # ---------------------------------------------------------------------------
 # Gumbel machinery
 # ---------------------------------------------------------------------------
@@ -82,33 +75,30 @@ def _evt_estimate(value: float) -> OutageEstimate:
 def gumbel_kth_cdf(z: float, k: int) -> float:
     """Limiting CDF of the k-th largest standardized maximum.
 
-    G_k(z) = exp(-exp(-z)) * sum_{j<k} exp(-j z)/j!, evaluated term-wise in
-    log space so deeply negative z underflow cleanly to 0.
+    G_k(z) = exp(-exp(-z)) * sum_{j<k} exp(-j z)/j! = Q(k, e^(-z)), the
+    regularized upper incomplete gamma function.
     """
     if not (isinstance(k, int) and k >= 1):
         raise DomainError(f"order index k must be an integer >= 1, got {k!r}")
     z = float(z)
     if z < -700.0:  # exp(-z) would overflow; the limit is exactly 0
         return 0.0
-    if math.isinf(z):
-        return 1.0
-    ez = math.exp(-z)
-    total = math.fsum(
-        _exp_or_zero(-ez - j * z - math.lgamma(j + 1)) for j in range(k)
-    )
-    return min(1.0, total)
+    return float(gammaincc(k, math.exp(-z)))
 
 
-def _gumbel_log_density(M: int, k: int, rate: float) -> LogDensity:
-    """log density of the Gumbel limit of the k-th largest of M iid
-    exponentials with the given rate: rate M^k/Gamma(k) e^(-k rate t - M e^(-rate t)).
-    """
+def gumbel_law(M: int, k: int, rate: float) -> RankedLaw:
+    """Gumbel limit of the k-th largest of M iid exponentials with the given
+    rate: density rate M^k/Gamma(k) e^(-k rate t - M e^(-rate t)) on the whole
+    line, cdf(t) = Q(k, M e^(-rate t)), so cdf(0) = Q(k, M) > 0."""
     lc = math.log(rate) + k * math.log(M) - math.lgamma(k)
 
-    def logf(t: float) -> float:
+    def logpdf(t: float) -> float:
         return lc - k * rate * t - M * math.exp(-rate * t)
 
-    return logf
+    def cdf(t: float) -> float:
+        return float(gammaincc(k, M * math.exp(-rate * t)))
+
+    return RankedLaw(logpdf, cdf, math.log(max(M / k, 2.0)) / rate)
 
 
 def _parent_quantile(p: float, params: SystemParams) -> float:
@@ -163,50 +153,39 @@ def outage_evt_sbs(x: float, k: int, M: int, params: SystemParams) -> OutageEsti
     """Gumbel limit of the k-th best end-to-end SNR, standardized numerically."""
     consts = normalizing_constants(Scheme.SBS, M, params)
     z = (float(x) - consts.eta) / consts.xi
-    return _evt_estimate(gumbel_kth_cdf(z, k))
+    return _finalize(gumbel_kth_cdf(z, k), Method.EVT)
+
+
+def _ranked_limit(
+    x: float, params: SystemParams, integral: Callable[[float, float, RankedLaw], float],
+    law: RankedLaw,
+) -> OutageEstimate:
+    """A ranked scheme's exact outage integral, run with a Gumbel law."""
+    x = float(x)
+    if x <= 0.0:
+        return _finalize(0.0, Method.EVT)
+    if math.isinf(x):
+        return _finalize(1.0, Method.EVT)
+    r, cr_over_pt = _r_and_cr(x, params)
+    return _finalize(integral(r, cr_over_pt, law), Method.EVT)
 
 
 def outage_evt_ebs(x: float, k: int, M: int, params: SystemParams) -> OutageEstimate:
-    """Asymptotic outage when ranking on harvested energy.
-
-    1 - (M^k/Gamma(k)) e^(-r) int_0^inf exp(-M e^(-y) - k y - c r/(Pt y)) dy.
-    """
-    x = float(x)
-    r = r_scale(x, params)
-    c_term = params.rectenna.c * r / params.transmit_power
-    lpre = k * math.log(M) - math.lgamma(k)
-
-    def f(y: float) -> float:
-        if y <= 0.0:
-            return 0.0
-        return _exp_or_zero(lpre - M * math.exp(-y) - k * y - c_term / y)
-
-    val, _ = integrate_semi_infinite(f, 0.0, points=[math.log(max(M / k, 2.0))])
-    return _evt_estimate(1.0 - math.exp(-r) * val)
+    """Asymptotic outage when ranking on harvested energy: the exact EBS
+    integral with the rate-1 Gumbel law of the ranked downlink gain."""
+    return _ranked_limit(x, params, _ebs_integral, gumbel_law(M, k, 1.0))
 
 
 def outage_evt_ibs(x: float, k: int, M: int, params: SystemParams) -> OutageEstimate:
     """Asymptotic outage when ranking on the uplink gain: the exact IBS
     integral with the rate-1 Gumbel law of the ranked uplink gain."""
-    x = float(x)
-    if x <= 0.0:
-        return _evt_estimate(0.0)
-    if math.isinf(x):
-        return _evt_estimate(1.0)
-    r, cr_over_pt = _r_and_cr(x, params)
-    return _evt_estimate(_ibs_integral(r, cr_over_pt, k, M, _gumbel_log_density(M, k, 1.0)))
+    return _ranked_limit(x, params, _ibs_integral, gumbel_law(M, k, 1.0))
 
 
 def outage_evt_mms(x: float, k: int, M: int, params: SystemParams) -> OutageEstimate:
     """Asymptotic outage when ranking on the worse of the two links: the
     exact MMS integral with the rate-2 Gumbel law of the ranked worse link."""
-    x = float(x)
-    if x <= 0.0:
-        return _evt_estimate(0.0)
-    if math.isinf(x):
-        return _evt_estimate(1.0)
-    r, cr_over_pt = _r_and_cr(x, params)
-    return _evt_estimate(_mms_integral(r, cr_over_pt, k, M, _gumbel_log_density(M, k, 2.0)))
+    return _ranked_limit(x, params, _mms_integral, gumbel_law(M, k, 2.0))
 
 
 def outage_evt_pair(
@@ -216,6 +195,8 @@ def outage_evt_pair(
     factorizes into the product of the two finite-M marginal SINR CDFs."""
     if pair.scheme is not Scheme.SBS:
         raise ValueError("asymptotic pair independence is stated for ranked (SBS) pairs")
+    if pair.model is not EhModel.NON_LINEAR:
+        raise ValueError("asymptotics are stated for the nonlinear harvester")
     x = float(x)
     if not x < 1.0:
         raise DomainError(
@@ -230,34 +211,3 @@ def outage_evt_pair(
     weaker = pair_marginal_secondary(x, pair.k, pair.j, M, params, Parent.NON_LINEAR)
     # both factors are probabilities, so an overshoot is an error, not noise
     return _finalize(stronger * weaker, Method.EVT)
-
-
-# ---------------------------------------------------------------------------
-# series cross-check (toy sizes only)
-# ---------------------------------------------------------------------------
-
-def _series_check_ebs(
-    x: float, k: int, M: int, params: SystemParams, num_terms: int = 60
-) -> float:
-    """Alternating-series expansion of the EBS limit.
-
-    Terms grow like M^n/n! before decaying, so this is only trustworthy for
-    toy populations; it exists to cross-check the integral form, never as an
-    evaluation path.
-    """
-    if M > 5:
-        raise DomainError("series expansion loses precision beyond M = 5")
-    x = float(x)
-    r = r_scale(x, params)
-    c_term = params.rectenna.c * r / params.transmit_power
-    terms = []
-    for n in range(num_terms):
-        order = n + k
-        if c_term > 0.0:
-            arg = 2.0 * math.sqrt(c_term * order)
-            integral = 2.0 * math.sqrt(c_term / order) * bessel_k1(arg)
-        else:
-            integral = 1.0 / order
-        mag = math.exp(order * math.log(M) - math.lgamma(n + 1) - math.lgamma(k)) * integral
-        terms.append(-mag if n % 2 else mag)
-    return 1.0 - math.exp(-r) * math.fsum(terms)

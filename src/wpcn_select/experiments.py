@@ -64,6 +64,7 @@ __all__ = [
     "compare_methods",
     "evaluate_point",
     "find_optimal_t1",
+    "make_row",
     "read_csv",
     "reproduce_figure",
     "rows_to_csv",
@@ -107,6 +108,9 @@ def evaluate_point(
     if sigma_e2 != 0.0:
         raise ValueError("imperfect CSI is only modeled by the Monte Carlo route")
     x = threshold_x(params)
+    # every limit, ranked or pair, is stated for the nonlinear harvester
+    if method is Method.EVT and selection.model is not EhModel.NON_LINEAR:
+        raise ValueError("asymptotics are stated for the nonlinear harvester")
     if isinstance(selection, PairSpec):
         if method is Method.ANALYTIC:
             return outage_pair(x, selection, params, selection.model)
@@ -135,11 +139,8 @@ def evaluate_point(
             Scheme.MMS: outage_mms_high_snr,
         }
         return table[scheme](x, selection, params)
-    # asymptotics: nonlinear harvester only, and RS has no extreme-value limit
     if scheme is Scheme.RS:
         raise ValueError("random selection has no extreme-value limit")
-    if selection.model is not EhModel.NON_LINEAR:
-        raise ValueError("asymptotics are stated for the nonlinear harvester")
     table = {
         Scheme.SBS: outage_evt_sbs,
         Scheme.EBS: outage_evt_ebs,
@@ -149,13 +150,14 @@ def evaluate_point(
     return table[scheme](x, selection.k, params.num_devices, params)
 
 
-def _row(
+def make_row(
     selection: Selection,
     params: SystemParams,
     sigma_e2: float,
     method: Method,
     est: OutageEstimate,
 ) -> dict:
+    """One output row, keyed by CSV_COLUMNS, for an estimate at a point."""
     q = params.rate_threshold_q
     return {
         "scheme": selection.scheme.value,
@@ -251,7 +253,7 @@ def run_sweep(sweep: SweepSpec) -> SweepResult:
                     {"index": i, "value": value, "method": method.value, "message": str(exc)}
                 )
             else:
-                rows.append(_row(sel, params, sig, method, est))
+                rows.append(make_row(sel, params, sig, method, est))
     metadata = {
         "swept": sweep.swept.value,
         "grid": [float(v) for v in sweep.grid],
@@ -503,12 +505,13 @@ def _fig_outage_vs_power(params: SystemParams, k: int, trials: int, seed: int):
     ):
         sel = SchemeSpec(scheme, k=k, model=model)
         p = params.replace(transmit_power=dbm_to_watts(pt))
-        rows.append(_row(sel, p, 0.0, Method.ANALYTIC, evaluate_point(sel, p, Method.ANALYTIC)))
+        est = evaluate_point(sel, p, Method.ANALYTIC)
+        rows.append(make_row(sel, p, 0.0, Method.ANALYTIC, est))
         if trials > 0:
             est = evaluate_point(
                 sel, p, Method.MONTE_CARLO, mc_trials=trials, base_seed=seed + n
             )
-            rows.append(_row(sel, p, 0.0, Method.MONTE_CARLO, est))
+            rows.append(make_row(sel, p, 0.0, Method.MONTE_CARLO, est))
         n += 1
     meta = {"pt_dbm_grid": grid, "k": k, "schemes": [s.value for s in _ALL_SCHEMES],
             "models": ["nonlinear", "linear"]}
@@ -521,12 +524,13 @@ def _fig_outage_vs_k(params: SystemParams, M: int, trials: int, seed: int):
     n = 0
     for scheme, k in itertools.product(_RANKED_SCHEMES, range(1, M + 1)):
         sel = SchemeSpec(scheme, k=k)
-        rows.append(_row(sel, p0, 0.0, Method.ANALYTIC, evaluate_point(sel, p0, Method.ANALYTIC)))
+        est = evaluate_point(sel, p0, Method.ANALYTIC)
+        rows.append(make_row(sel, p0, 0.0, Method.ANALYTIC, est))
         if trials > 0:
             est = evaluate_point(
                 sel, p0, Method.MONTE_CARLO, mc_trials=trials, base_seed=seed + n
             )
-            rows.append(_row(sel, p0, 0.0, Method.MONTE_CARLO, est))
+            rows.append(make_row(sel, p0, 0.0, Method.MONTE_CARLO, est))
         n += 1
     meta = {"M": M, "k_grid": list(range(1, M + 1)), "pt_dbm": -10.0,
             "schemes": [s.value for s in _RANKED_SCHEMES]}
@@ -544,7 +548,7 @@ def _fig_pair(params: SystemParams, trials: int, seed: int):
             for j in range(3, M + 1):
                 sel = PairSpec(Scheme.SBS, k=k, j=j)
                 est = evaluate_point(sel, p, Method.ANALYTIC)
-                rows.append(_row(sel, p, 0.0, Method.ANALYTIC, est))
+                rows.append(make_row(sel, p, 0.0, Method.ANALYTIC, est))
     meta = {"M_grid": [10, 20, 30], "k_grid": [1, 2], "j": "3..M",
             "q_db": -4.0, "pt_dbm": -40.0}
     return rows, meta
@@ -562,7 +566,7 @@ def _fig_evt(params: SystemParams, trials: int, seed: int):
         for x in x_grid:
             p = _params_for_x(p1, float(x))
             for method in (Method.ANALYTIC, Method.EVT):
-                rows.append(_row(sel, p, 0.0, method, evaluate_point(sel, p, method)))
+                rows.append(make_row(sel, p, 0.0, method, evaluate_point(sel, p, method)))
     meta = {"M_grid": [10, 20, 50, 100, 200, 500, 1000], "k_grid": [1, 2],
             "x_grid": [float(x) for x in x_grid], "pt_dbm": -40.0,
             "schemes": [s.value for s in _RANKED_SCHEMES]}
@@ -578,14 +582,15 @@ def _fig_harvest_time(params: SystemParams, trials: int, seed: int):
     for scheme, t1 in itertools.product(_RANKED_SCHEMES, t1_grid):
         sel = SchemeSpec(scheme, k=2)
         p = p0.replace(harvest_fraction=t1)
-        rows.append(_row(sel, p, 0.0, Method.ANALYTIC, evaluate_point(sel, p, Method.ANALYTIC)))
+        est = evaluate_point(sel, p, Method.ANALYTIC)
+        rows.append(make_row(sel, p, 0.0, Method.ANALYTIC, est))
         if trials > 0:
             for sig in sigma_grid:
                 est = evaluate_point(
                     sel, p, Method.MONTE_CARLO,
                     sigma_e2=sig, mc_trials=trials, base_seed=seed + n,
                 )
-                rows.append(_row(sel, p, sig, Method.MONTE_CARLO, est))
+                rows.append(make_row(sel, p, sig, Method.MONTE_CARLO, est))
                 n += 1
     meta = {"t1_grid": t1_grid, "sigma_e2_grid": list(sigma_grid), "k": 2,
             "pt_dbm": -10.0, "schemes": [s.value for s in _RANKED_SCHEMES]}

@@ -20,7 +20,6 @@ from wpcn_select.analytic import (
     Scheme,
     SchemeSpec,
     ibs_phi_closed,
-    ibs_phi_quadrature,
     outage_ebs,
     outage_ibs,
     outage_mms,
@@ -50,6 +49,8 @@ from wpcn_select.model import (
 )
 from wpcn_select.montecarlo import THREADS_ENV
 from wpcn_select.special import bessel_k1, integrate_semi_infinite
+
+from oracles import ibs_phi_quadrature
 
 DEFAULTS = default_params()  # -10 dBm, -50 dBm noise, t1=0.5, Q=0 dB (x=3), M=5
 SCHEMES = (Scheme.RS, Scheme.SBS, Scheme.EBS, Scheme.IBS, Scheme.MMS)

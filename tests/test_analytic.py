@@ -24,7 +24,6 @@ from wpcn_select.analytic import (
     SchemeSpec,
     _finalize,
     ibs_phi_closed,
-    ibs_phi_quadrature,
     outage_ebs,
     outage_ebs_high_snr,
     outage_ibs,
@@ -47,8 +46,11 @@ from wpcn_select.model import (
     db_to_linear,
     dbm_to_watts,
     default_params,
+    threshold_x,
 )
 from wpcn_select.special import AccuracyError, DomainError
+
+from oracles import ibs_phi_quadrature
 
 X = 3.0  # threshold at the default operating point (Q = 0 dB, t1 = 0.5)
 P = default_params()
@@ -298,6 +300,18 @@ def test_ebs_deep_cancellation_point():
 
     oracle, _ = quad(f, 0.0, 80.0, limit=400, epsabs=1e-16, epsrel=1e-12)
     assert got == pytest.approx(oracle, rel=1e-9)
+
+
+def test_ebs_large_population_integral_keeps_relative_digits():
+    # M > 60 runs the integral; the oracle is a 40-digit mpmath quadrature
+    # of the linear-harvester EBS integral.  The u = e^-t map was 2.4e-7 off
+    params = default_params(
+        transmit_power=dbm_to_watts(20.0), num_devices=500,
+        rate_threshold_q=db_to_linear(-10.0),
+    )
+    spec = SchemeSpec(Scheme.EBS, k=1, model=EhModel.LINEAR)
+    got = outage_ebs(threshold_x(params), spec, params).value
+    assert got == pytest.approx(2.260159406029079e-09, rel=1e-9)
 
 
 def test_ebs_floor_is_rs_floor_exactly():

@@ -10,6 +10,7 @@ acceptance suite; here each evaluator gets one mid-size convergence point.
 import math
 
 import pytest
+from scipy.integrate import quad
 
 from wpcn_select.analytic import (
     Method,
@@ -17,6 +18,7 @@ from wpcn_select.analytic import (
     Scheme,
     SchemeSpec,
     Parent,
+    order_stat_law,
     outage_ebs,
     outage_mms,
     outage_pair,
@@ -24,11 +26,12 @@ from wpcn_select.analytic import (
     pair_marginal_primary,
     pair_marginal_secondary,
     parent_cdf,
+    r_scale,
 )
 from wpcn_select.evt import (
     NormalizingConstants,
-    _series_check_ebs,
     gumbel_kth_cdf,
+    gumbel_law,
     normalizing_constants,
     outage_evt_ebs,
     outage_evt_ibs,
@@ -37,8 +40,8 @@ from wpcn_select.evt import (
     outage_evt_sbs,
 )
 from wpcn_select.experiments import evaluate_point
-from wpcn_select.model import db_to_linear, dbm_to_watts, default_params
-from wpcn_select.special import AccuracyError, DomainError
+from wpcn_select.model import EhModel, db_to_linear, dbm_to_watts, default_params
+from wpcn_select.special import AccuracyError, DomainError, bessel_k1
 
 # asymptotics are exercised in the low-power regime where the outage is
 # far from its floor
@@ -133,8 +136,46 @@ def test_constants_domain():
 
 
 # ---------------------------------------------------------------------------
+# ranked laws
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("law_of", [order_stat_law, gumbel_law])
+@pytest.mark.parametrize("M, k, rate", [(20, 2, 1.0), (5, 1, 2.0), (200, 1, 1.0)])
+@pytest.mark.parametrize("lo", [0.0, 0.7])
+def test_ranked_law_cdf_and_density_agree(law_of, M, k, rate, lo):
+    # the mass below lo plus the density integrated up to where the ranked
+    # integrals stop is the whole law; Gumbel keeps Q(k, M) below 0
+    law = law_of(M, k, rate)
+    points = [law.peak] if law.peak > lo else None
+    mass, _ = quad(lambda t: math.exp(law.logpdf(t)), lo, law.peak + 40.0,
+                   points=points, epsabs=1e-14, epsrel=1e-13, limit=200)
+    assert law.cdf(lo) + mass == pytest.approx(1.0, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
 # asymptotic evaluators
 # ---------------------------------------------------------------------------
+
+def _series_check_ebs(x, k, M, params, num_terms=60):
+    """Alternating-series expansion of the EBS limit.
+
+    Terms grow like M^n/n! before decaying, so this is only trustworthy for
+    toy populations (M <= 5); it restates the integral form independently.
+    """
+    r = r_scale(x, params)
+    c_term = params.rectenna.c * r / params.transmit_power
+    terms = []
+    for n in range(num_terms):
+        order = n + k
+        if c_term > 0.0:
+            arg = 2.0 * math.sqrt(c_term * order)
+            integral = 2.0 * math.sqrt(c_term / order) * bessel_k1(arg)
+        else:
+            integral = 1.0 / order
+        mag = math.exp(order * math.log(M) - math.lgamma(n + 1) - math.lgamma(k)) * integral
+        terms.append(-mag if n % 2 else mag)
+    return 1.0 - math.exp(-r) * math.fsum(terms)
+
 
 @pytest.mark.parametrize("M", [2, 5])
 @pytest.mark.parametrize("k", [1, 2])
@@ -145,13 +186,38 @@ def test_ebs_limit_matches_series_restatement(M, k):
     assert integral == pytest.approx(series, rel=1e-8)
 
 
-def test_series_check_refuses_large_populations():
-    with pytest.raises(DomainError):
-        _series_check_ebs(3.0, 1, 20, P40)
+def test_ebs_limit_keeps_relative_digits_deep_in_the_tail():
+    # 40-digit mpmath quadrature of Q(1, M) + int_0^inf f(t) (1 - e^(-r - cr/(Pt t))) dt;
+    # the 1 - e^(-r) int form lost 2e-5 relative here to cancellation
+    params = default_params(transmit_power=dbm_to_watts(10.0), num_devices=100)
+    got = outage_evt_ebs(1e-3, 1, 100, params).value
+    assert got == pytest.approx(3.6892661841601692e-10, rel=1e-8)
+
+
+def test_mms_limit_is_one_at_certain_outage():
+    # t1 = 0.9795 leaves t2 = 0.0205, so x is about 2^48.8: no device can
+    # carry it.  The Gumbel law's mass Q(k, M) below 0 is outage too
+    params = default_params(num_devices=5, harvest_fraction=0.9795)
+    est = evaluate_point(SchemeSpec(Scheme.MMS, k=1), params, Method.EVT)
+    assert est.value == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("fn, body", [
+    (outage_evt_ebs, "_ebs_integral"),
+    (outage_evt_ibs, "_ibs_integral"),
+    (outage_evt_mms, "_mms_integral"),
+])
+def test_evt_overshoot_raises(monkeypatch, fn, body):
+    # every limit is a probability under a proper law: no clamp hides a bug
+    import wpcn_select.evt as evt
+
+    monkeypatch.setattr(evt, body, lambda *a: 1.01)
+    with pytest.raises(AccuracyError):
+        fn(1.0, 1, 20, P40)
 
 
 def test_evt_values_stay_clamped():
-    # pre-asymptotic overshoot is legal; the published value never leaves [0, 1]
+    # every limit is a probability under its law, and no clamp makes it one
     for x in (1e-3, 0.5, 10.0, 100.0, 1000.0):
         for fn in (outage_evt_sbs, outage_evt_ebs, outage_evt_ibs, outage_evt_mms):
             v = fn(x, 1, 2, P40.replace(num_devices=2)).value
@@ -161,7 +227,8 @@ def test_evt_values_stay_clamped():
 def test_evt_zero_threshold():
     assert outage_evt_ibs(0.0, 1, 20, P40).value == 0.0
     assert outage_evt_mms(0.0, 1, 20, P40).value == 0.0
-    # the energy-ranking limit keeps its residual e^-M mass at the origin
+    # the limit laws keep mass Q(k, M) below a zero gain; a zero threshold is
+    # still no outage, on every ranked route alike
     assert outage_evt_ebs(0.0, 1, 20, P40).value <= 1e-6
 
 
@@ -230,13 +297,12 @@ def test_mms_limit_keeps_deep_tail_mass():
 def test_mms_limit_in_unit_interval_before_clamping():
     # the fig5 grid, checked on the raw integral so the clamp hides nothing
     from wpcn_select.analytic import _mms_integral, _r_and_cr
-    from wpcn_select.evt import _gumbel_log_density
 
     for M in (10, 20, 50, 100, 200, 500, 1000):
         for k in (1, 2):
             for i in range(30):
                 r, cr_over_pt = _r_and_cr(0.1 * 30.0 ** (i / 29), P40)
-                raw = _mms_integral(r, cr_over_pt, k, M, _gumbel_log_density(M, k, 2.0))
+                raw = _mms_integral(r, cr_over_pt, gumbel_law(M, k, 2.0))
                 assert 0.0 <= raw <= 1.0, f"M={M} k={k} i={i}: {raw!r}"
 
 
@@ -269,6 +335,15 @@ def test_evt_pair_frozen_large_population():
     params = P_PAIR.replace(num_devices=30)
     got = outage_evt_pair(X_PAIR, PairSpec(Scheme.SBS, 1, 3), 30, params).value
     assert got == pytest.approx(8.5457771133614e-10, rel=1e-8)
+
+
+def test_evt_pair_refuses_linear_harvester():
+    # the pair limit is stated for the nonlinear harvester, as the ranked ones are
+    linear = PairSpec(Scheme.SBS, 1, 3, model=EhModel.LINEAR)
+    with pytest.raises(ValueError, match="nonlinear harvester"):
+        evaluate_point(linear, P_PAIR, Method.EVT)
+    with pytest.raises(ValueError, match="nonlinear harvester"):
+        outage_evt_pair(X_PAIR, linear, 10, P_PAIR)
 
 
 def test_evt_pair_domain():
