@@ -5,6 +5,12 @@ SeedSequence(entropy=base_seed, spawn_key=(block,)).  Block RNG state depends
 only on (base_seed, block index), and per-block failure counts are integers,
 so the estimate is bit-identical for a given config no matter how many
 worker threads execute the blocks.
+
+A block needs only the chosen device of each trial.  SBS with perfect CSI
+counts the trials in which fewer than k SNRs exceed the threshold; the other
+ranked picks take the k-th index by argmax (k = 1) or a partition, ties to
+the lowest index.  Under imperfect CSI the estimates are (1 - sigma_e2) Exp(1)
+and only the chosen devices draw a true gain, |sqrt(est) + CN(0, sigma_e2)|^2.
 """
 
 from __future__ import annotations
@@ -27,7 +33,7 @@ __all__ = [
     "simulate_outage",
 ]
 
-#: trials per RNG block; smaller for large M to bound the (8, n, M) buffers
+#: trials per RNG block; smaller for large M to bound the (n, M) arrays
 _BLOCK = 1 << 16
 _ELEMENT_BUDGET = 1 << 21
 
@@ -81,19 +87,21 @@ class ChannelDraw:
 
 
 def _draw_block(M: int, n: int, sigma_e2: float, rng: np.random.Generator):
-    """(true_g, true_h, rank_g, rank_h), each shaped (n, M)."""
-    if sigma_e2 == 0.0:
-        g = -np.log1p(-rng.random((n, M)))
-        h = -np.log1p(-rng.random((n, M)))
-        return g, h, g, h
-    z = rng.standard_normal((8, n, M))
-    s_est = math.sqrt((1.0 - sigma_e2) / 2.0)
-    s_err = math.sqrt(sigma_e2 / 2.0)
-    est_g = (s_est * z[0]) ** 2 + (s_est * z[1]) ** 2
-    g = (s_est * z[0] + s_err * z[2]) ** 2 + (s_est * z[1] + s_err * z[3]) ** 2
-    est_h = (s_est * z[4]) ** 2 + (s_est * z[5]) ** 2
-    h = (s_est * z[4] + s_err * z[6]) ** 2 + (s_est * z[5] + s_err * z[7]) ** 2
-    return g, h, est_g, est_h
+    """(rank_g, rank_h), each shaped (n, M): the squared gains selection
+    ranks on.  Under imperfect CSI these are the estimates, whose power is
+    1 - sigma_e2; the true gains are drawn later, for the chosen devices only."""
+    g = -np.log1p(-rng.random((n, M)))
+    h = -np.log1p(-rng.random((n, M)))
+    return (g, h) if sigma_e2 == 0.0 else ((1.0 - sigma_e2) * g, (1.0 - sigma_e2) * h)
+
+
+def _true_gains(est: np.ndarray, sigma_e2: float, rng: np.random.Generator) -> np.ndarray:
+    """True squared gains given their estimates.  The error is CN(0, sigma_e2)
+    and circularly symmetric, so turning the estimate onto the real axis
+    leaves |estimate + error|^2 unchanged in law."""
+    s = math.sqrt(sigma_e2 / 2.0)
+    z = rng.standard_normal((2, *est.shape))
+    return (np.sqrt(est) + s * z[0]) ** 2 + (s * z[1]) ** 2
 
 
 def draw_channels(M: int, sigma_e2: float, rng: np.random.Generator) -> ChannelDraw:
@@ -106,10 +114,10 @@ def draw_channels(M: int, sigma_e2: float, rng: np.random.Generator) -> ChannelD
         raise ValueError(f"population size must be a positive integer, got {M!r}")
     if not 0.0 <= sigma_e2 < 1.0:
         raise ValueError(f"estimation error variance must lie in [0, 1), got {sigma_e2!r}")
-    g, h, rg, rh = _draw_block(M, 1, sigma_e2, rng)
+    g, h = (a[0] for a in _draw_block(M, 1, sigma_e2, rng))
     if sigma_e2 == 0.0:
-        return ChannelDraw(g[0], h[0])
-    return ChannelDraw(g[0], h[0], rg[0], rh[0])
+        return ChannelDraw(g, h)
+    return ChannelDraw(_true_gains(g, sigma_e2, rng), _true_gains(h, sigma_e2, rng), g, h)
 
 
 def _ranking_stat(
@@ -126,65 +134,71 @@ def _ranking_stat(
     raise ValueError(f"no ranking statistic for {scheme!r}")
 
 
+def _kth_index(stat: np.ndarray, k: int) -> np.ndarray:
+    """Column of each row's k-th largest entry, ties to the lowest index:
+    position k - 1 of a stable descending sort."""
+    if k == 1:
+        return np.argmax(stat, axis=1)
+    M = stat.shape[1]
+    idx = np.argpartition(stat, M - k, axis=1)[:, M - k]
+    v = np.take_along_axis(stat, idx[:, None], axis=1)
+    eq = stat == v
+    if np.count_nonzero(eq) > len(idx):  # some row ties at its k-th value
+        t = np.flatnonzero(eq.sum(axis=1) > 1)
+        # the pick is the (k - #greater)-th of the tied entries in index order
+        need = k - (stat[t] > v[t]).sum(axis=1)
+        idx[t] = np.argmax(np.cumsum(eq[t], axis=1) >= need[:, None], axis=1)
+    return idx
+
+
+def _select(spec: SchemeSpec | PairSpec, g, h, params: SystemParams, rng) -> np.ndarray:
+    """(n, 1) indices, or (n, 2) for a pair, picked in each row of (n, M)
+    ranking gains.  Random selection consumes rng."""
+    n, M = g.shape
+    pair = isinstance(spec, PairSpec)
+    if spec.scheme is Scheme.RS:
+        if rng is None:
+            raise ValueError("random selection needs an rng")
+        a = rng.integers(M, size=n)
+        return np.stack([a, (a + rng.integers(1, M, size=n)) % M], axis=1) if pair else a[:, None]
+    stat = _ranking_stat(spec.scheme, g, h, params, spec.model)
+    ranks = (spec.k, spec.j) if pair else (spec.k,)
+    return np.stack([_kth_index(stat, r) for r in ranks], axis=1)
+
+
 def select_device(
     spec: SchemeSpec | PairSpec,
     draw: ChannelDraw,
     params: SystemParams,
     rng: np.random.Generator | None = None,
 ):
-    """Index (or index pair) picked on one draw.
-
-    Ranking uses estimated gains when present.  Ties break to the lowest
-    index via a stable descending sort.  Random selection consumes rng.
-    """
-    M = draw.gains_g.shape[-1]
-    if spec.scheme is Scheme.RS:
-        if rng is None:
-            raise ValueError("random selection needs an rng")
-        if isinstance(spec, PairSpec):
-            a = int(rng.integers(M))
-            b = (a + int(rng.integers(1, M))) % M
-            return a, b
-        return int(rng.integers(M))
-    stat = _ranking_stat(spec.scheme, draw.ranking_g, draw.ranking_h, params, spec.model)
-    order = np.argsort(-stat, kind="stable")
-    if isinstance(spec, PairSpec):
-        return int(order[spec.k - 1]), int(order[spec.j - 1])
-    return int(order[spec.k - 1])
+    """Index (or index pair) picked on one draw, the n = 1 case of the block
+    selection.  Ranking uses estimated gains when present, ties break to the
+    lowest index, and random selection consumes rng."""
+    sel = _select(spec, draw.ranking_g[None, :], draw.ranking_h[None, :], params, rng)[0]
+    return (int(sel[0]), int(sel[1])) if isinstance(spec, PairSpec) else int(sel[0])
 
 
 def _count_block(config: TrialConfig, x: float, block: int, n: int) -> int:
     """Failures among the n trials of one block (exact integer)."""
-    spec, params = config.spec, config.params
-    M = params.num_devices
+    spec, params, sigma_e2 = config.spec, config.params, config.estimation_error_var
     seq = np.random.SeedSequence(entropy=config.base_seed, spawn_key=(block,))
     rng = np.random.Generator(np.random.Philox(seq))
-    g, h, rank_g, rank_h = _draw_block(M, n, config.estimation_error_var, rng)
-    rows = np.arange(n)
-
+    g, h = _draw_block(params.num_devices, n, sigma_e2, rng)
+    if spec.scheme is Scheme.SBS and sigma_e2 == 0.0 and isinstance(spec, SchemeSpec):
+        # the k-th best SNR is <= x exactly when fewer than k devices exceed x
+        stat = _ranking_stat(spec.scheme, g, h, params, spec.model)
+        return int(((stat > x).sum(axis=1) < spec.k).sum())
     # selection indices are drawn after the fading block so the gain stream
     # is identical across schemes under one seed
+    sel = _select(spec, g, h, params, rng)
+    g, h = np.take_along_axis(g, sel, axis=1), np.take_along_axis(h, sel, axis=1)
+    if sigma_e2 > 0.0:
+        g, h = _true_gains(g, sigma_e2, rng), _true_gains(h, sigma_e2, rng)
+    x_sel = snr(h, harvested_energy(g, params, spec.model), params)
     if isinstance(spec, PairSpec):
-        if spec.scheme is Scheme.RS:
-            a = rng.integers(M, size=n)
-            b = (a + rng.integers(1, M, size=n)) % M
-        else:
-            stat = _ranking_stat(spec.scheme, rank_g, rank_h, params, spec.model)
-            order = np.argsort(-stat, axis=1, kind="stable")
-            a = order[:, spec.k - 1]
-            b = order[:, spec.j - 1]
-        x_a = snr(h[rows, a], harvested_energy(g[rows, a], params, spec.model), params)
-        x_b = snr(h[rows, b], harvested_energy(g[rows, b], params, spec.model), params)
-        sinr = x_a / (x_b + 1.0)
-        return int((sinr <= x).sum())
-
-    if spec.scheme is Scheme.RS:
-        sel = rng.integers(M, size=n)
-    else:
-        stat = _ranking_stat(spec.scheme, rank_g, rank_h, params, spec.model)
-        sel = np.argsort(-stat, axis=1, kind="stable")[:, spec.k - 1]
-    snr_sel = snr(h[rows, sel], harvested_energy(g[rows, sel], params, spec.model), params)
-    return int((snr_sel <= x).sum())
+        return int((x_sel[:, 0] / (x_sel[:, 1] + 1.0) <= x).sum())
+    return int((x_sel[:, 0] <= x).sum())
 
 
 def _worker_count(num_blocks: int) -> int:

@@ -26,15 +26,24 @@ from wpcn_select.model import (
     dbm_to_watts,
     default_params,
     harvested_energy,
+    snr,
+    threshold_x,
 )
 from wpcn_select.montecarlo import (
     THREADS_ENV,
     ChannelDraw,
     TrialConfig,
+    _count_block,
+    _draw_block,
+    _kth_index,
+    _ranking_stat,
+    _true_gains,
     draw_channels,
     select_device,
     simulate_outage,
 )
+
+from oracles import imperfect_csi_outage
 
 P = default_params()
 
@@ -94,6 +103,76 @@ def test_draw_channels_validation():
         draw_channels(4, 1.0, rng)
     with pytest.raises(ValueError):
         draw_channels(4, -0.1, rng)
+
+
+def test_conditional_true_gain_is_unit_exponential():
+    # the true gain given its (1 - sigma_e2)-power estimate must be Exp(1)
+    # again: mean 1, second moment 2; a million draws put both within 5 sigma
+    est, _ = _draw_block(10, 100_000, 0.3, np.random.default_rng(12))
+    true = _true_gains(est, 0.3, np.random.default_rng(13))
+    assert float(est.mean()) == pytest.approx(0.7, abs=5e-3)
+    assert float(true.mean()) == pytest.approx(1.0, abs=5e-3)
+    assert float((true**2).mean()) == pytest.approx(2.0, abs=2.5e-2)
+
+
+@pytest.mark.parametrize("scheme", [Scheme.SBS, Scheme.MMS])
+@pytest.mark.parametrize("M, pt_dbm, trials", [(5, -40.0, 100_000), (100, -45.0, 30_000)])
+def test_imperfect_csi_matches_eight_normal_oracle(scheme, M, pt_dbm, trials):
+    params = default_params(num_devices=M, transmit_power=dbm_to_watts(pt_dbm))
+    spec = SchemeSpec(scheme, k=1)
+    ref, ref_se = imperfect_csi_outage(spec, params, 0.3, trials, seed=4)
+    est = simulate_outage(
+        TrialConfig(spec, params, num_trials=trials, base_seed=4, estimation_error_var=0.3)
+    )
+    assert 0.05 < ref < 0.95
+    assert abs(est.value - ref) <= 3.0 * math.hypot(est.stderr, ref_se)
+
+
+# ---------------------------------------------------------------------------
+# the k-th index helper and the count path
+# ---------------------------------------------------------------------------
+
+def _stable_kth(stat, k):
+    return np.argsort(-stat, axis=1, kind="stable")[:, k - 1]
+
+
+@pytest.mark.parametrize("M", [2, 5, 100])
+def test_kth_index_matches_stable_sort(M):
+    rng = np.random.default_rng(M)
+    smooth = rng.random((3000, M))
+    tied = rng.integers(0, 3, size=(3000, M)).astype(float)  # ties in most rows
+    for stat in (smooth, tied):
+        for k in sorted({1, 2, M}):
+            assert np.array_equal(_kth_index(stat, k), _stable_kth(stat, k))
+
+
+def test_kth_index_on_crafted_ties():
+    stat = np.array([
+        [1.0, 1.0, 1.0, 1.0, 1.0],
+        [2.0, 1.0, 2.0, 1.0, 2.0],
+        [0.0, 3.0, 3.0, 0.0, 3.0],
+        [5.0, 4.0, 4.0, 4.0, 1.0],
+        [0.5, 0.5, 9.0, 0.1, 0.1],
+        [0.3, 0.2, 0.9, 0.4, 0.7],
+    ])
+    for k in range(1, 6):
+        assert np.array_equal(_kth_index(stat, k), _stable_kth(stat, k))
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_sbs_count_path_matches_select_path(k):
+    params = P.replace(transmit_power=dbm_to_watts(-40.0))
+    cfg = TrialConfig(SchemeSpec(Scheme.SBS, k=k), params, num_trials=50_000, base_seed=6)
+    x = threshold_x(params)
+    counted = _count_block(cfg, x, 2, 50_000)
+    # the same block, recomputed through the k-th index and the gathered SNR
+    seq = np.random.SeedSequence(entropy=6, spawn_key=(2,))
+    g, h = _draw_block(5, 50_000, 0.0, np.random.Generator(np.random.Philox(seq)))
+    sel = _kth_index(_ranking_stat(Scheme.SBS, g, h, params, EhModel.NON_LINEAR), k)
+    rows = np.arange(50_000)
+    x_sel = snr(h[rows, sel], harvested_energy(g[rows, sel], params, EhModel.NON_LINEAR), params)
+    assert 1_000 < counted < 49_000
+    assert counted == int((x_sel <= x).sum())
 
 
 # ---------------------------------------------------------------------------
@@ -252,6 +331,51 @@ def test_estimation_error_degrades_outage():
     )
     assert noisy.value == pytest.approx(0.003715, abs=5e-4)
     assert noisy.value - 3.0 * noisy.stderr > perfect.value + 3.0 * perfect.stderr
+
+
+# simulate_outage values with perfect CSI, recorded before the block kernel
+# counted instead of sorting; any change to the random stream shows here
+_M5 = default_params(transmit_power=dbm_to_watts(-40.0))
+_M100 = default_params(num_devices=100, transmit_power=dbm_to_watts(-51.0))
+_M100_MID = default_params(num_devices=100, transmit_power=dbm_to_watts(-40.0))
+FROZEN = [
+    (SchemeSpec(Scheme.RS, k=1), _M5, 70_000, 0.5631714285714285),
+    (SchemeSpec(Scheme.SBS, k=1), _M5, 70_000, 0.056285714285714286),
+    (SchemeSpec(Scheme.SBS, k=2), _M5, 70_000, 0.27354285714285714),
+    (SchemeSpec(Scheme.EBS, k=1), _M5, 70_000, 0.2471142857142857),
+    (SchemeSpec(Scheme.EBS, k=2), _M5, 70_000, 0.3889285714285714),
+    (SchemeSpec(Scheme.EBS, k=5), _M5, 70_000, 0.9005571428571428),
+    (SchemeSpec(Scheme.IBS, k=1), _M5, 70_000, 0.24827142857142856),
+    (SchemeSpec(Scheme.IBS, k=2), _M5, 70_000, 0.38957142857142857),
+    (SchemeSpec(Scheme.MMS, k=1), _M5, 70_000, 0.09234285714285714),
+    (SchemeSpec(Scheme.MMS, k=2), _M5, 70_000, 0.3253142857142857),
+    (PairSpec(Scheme.SBS, 1, 2), _M5, 70_000, 0.7578857142857143),
+    (SchemeSpec(Scheme.RS, k=1), _M100, 30_000, 0.9809),
+    (PairSpec(Scheme.RS, 1, 2), _M100, 30_000, 0.9882),
+    (SchemeSpec(Scheme.SBS, k=1), _M100, 30_000, 0.15063333333333334),
+    (SchemeSpec(Scheme.SBS, k=2), _M100, 30_000, 0.4387666666666667),
+    (SchemeSpec(Scheme.EBS, k=1), _M100, 30_000, 0.7228),
+    (SchemeSpec(Scheme.EBS, k=2), _M100, 30_000, 0.7899666666666667),
+    (SchemeSpec(Scheme.EBS, k=50), _M100_MID, 30_000, 0.5190333333333333),
+    (SchemeSpec(Scheme.IBS, k=1), _M100, 30_000, 0.7175666666666667),
+    (SchemeSpec(Scheme.IBS, k=2), _M100, 30_000, 0.7886),
+    (SchemeSpec(Scheme.MMS, k=1), _M100, 30_000, 0.2842),
+    (SchemeSpec(Scheme.MMS, k=2), _M100, 30_000, 0.5702333333333334),
+    (SchemeSpec(Scheme.MMS, k=50), _M100_MID, 30_000, 0.6628666666666667),
+    (PairSpec(Scheme.SBS, 1, 2), _M100, 30_000, 0.9909666666666667),
+]
+
+
+def _frozen_id(case):
+    spec, params = case[0], case[1]
+    ranks = f"{spec.k},{spec.j}" if isinstance(spec, PairSpec) else str(spec.k)
+    return f"M{params.num_devices}-{spec.scheme.value}-{ranks}"
+
+
+@pytest.mark.parametrize("spec, params, trials, frozen", FROZEN, ids=map(_frozen_id, FROZEN))
+def test_perfect_csi_stream_is_frozen(spec, params, trials, frozen):
+    est = simulate_outage(TrialConfig(spec, params, num_trials=trials, base_seed=17))
+    assert est.value == frozen
 
 
 def test_trial_config_validation():
