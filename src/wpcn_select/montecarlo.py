@@ -1,12 +1,21 @@
 """Monte Carlo estimation of the outage probabilities.
 
-Trials are split into fixed-size blocks, each seeded independently through
-SeedSequence(entropy=base_seed, spawn_key=(block,)).  Block RNG state depends
-only on (base_seed, block index), and per-block failure counts are integers,
-so the estimate is bit-identical for a given config no matter how many
-worker threads execute the blocks.
+Blocks define the random stream.  Trials are split into fixed-size blocks,
+each seeded independently through SeedSequence(entropy=base_seed,
+spawn_key=(block,)), and a block of n trials at population M reads its
+stream in a fixed order: n M doubles for the g gains, n M for the h gains,
+then the RS picks or the true-gain normals.
 
-A block needs only the chosen device of each trial.  SBS with perfect CSI
+Chunks are the unit of work.  Philox is counter-based, so a chunk of rows
+draws its g and h rows from generators positioned inside its block's
+stream; the draws after the fading rows take a variable number of raw
+outputs, so they are drawn once per block, in sequence, and each chunk
+takes its slice.  A chunk holds about 2^17 doubles per array, which bounds
+the memory of a worker at any M.  Failure counts are integers summed in any
+order, so the estimate is bit-identical for a given config no matter how
+many worker threads run the chunks, or how the blocks are cut into chunks.
+
+A chunk needs only the chosen device of each trial.  SBS with perfect CSI
 counts the trials in which fewer than k SNRs exceed the threshold; the other
 ranked picks take the k-th index by argmax (k = 1) or a partition, ties to
 the lowest index.  Under imperfect CSI the estimates are (1 - sigma_e2) Exp(1)
@@ -17,6 +26,7 @@ from __future__ import annotations
 
 import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -33,9 +43,11 @@ __all__ = [
     "simulate_outage",
 ]
 
-#: trials per RNG block; smaller for large M to bound the (n, M) arrays
+#: trials per RNG block, fewer for large M; the block sizes fix the stream
 _BLOCK = 1 << 16
 _ELEMENT_BUDGET = 1 << 21
+#: doubles per (rows, M) array of one chunk, the unit of work
+_CHUNK_ELEMENTS = 1 << 17
 
 #: env var capping the worker thread count (estimates do not depend on it)
 THREADS_ENV = "WPCN_SELECT_THREADS"
@@ -86,21 +98,42 @@ class ChannelDraw:
         return self.gains_h if self.est_h is None else self.est_h
 
 
-def _draw_block(M: int, n: int, sigma_e2: float, rng: np.random.Generator):
+def _stream_at(base_seed: int, block: int, offset: int) -> np.random.Generator:
+    """Generator whose next double is double number `offset` of a block's
+    stream: Philox yields four 64-bit outputs per counter step, and each
+    double takes one output."""
+    bitgen = np.random.Philox(np.random.SeedSequence(entropy=base_seed, spawn_key=(block,)))
+    bitgen.advance(offset // 4)
+    rng = np.random.Generator(bitgen)
+    rng.random(offset % 4)
+    return rng
+
+
+def _draw_block(M: int, n: int, sigma_e2: float, rng: np.random.Generator, rng_h=None):
     """(rank_g, rank_h), each shaped (n, M): the squared gains selection
     ranks on.  Under imperfect CSI these are the estimates, whose power is
-    1 - sigma_e2; the true gains are drawn later, for the chosen devices only."""
-    g = -np.log1p(-rng.random((n, M)))
-    h = -np.log1p(-rng.random((n, M)))
-    return (g, h) if sigma_e2 == 0.0 else ((1.0 - sigma_e2) * g, (1.0 - sigma_e2) * h)
+    1 - sigma_e2; the true gains are drawn later, for the chosen devices only.
+    The h rows continue rng's stream after the g rows unless rng_h is given."""
+    g = rng.random((n, M))
+    h = (rng if rng_h is None else rng_h).random((n, M))
+    for a in (g, h):  # -log1p(-u), in place
+        np.negative(a, out=a)
+        np.log1p(a, out=a)
+        np.negative(a, out=a)
+        if sigma_e2 != 0.0:
+            a *= 1.0 - sigma_e2
+    return g, h
 
 
-def _true_gains(est: np.ndarray, sigma_e2: float, rng: np.random.Generator) -> np.ndarray:
+def _true_gains(est: np.ndarray, sigma_e2: float, z) -> np.ndarray:
     """True squared gains given their estimates.  The error is CN(0, sigma_e2)
     and circularly symmetric, so turning the estimate onto the real axis
-    leaves |estimate + error|^2 unchanged in law."""
+    leaves |estimate + error|^2 unchanged in law.  z holds two standard
+    normals per estimate, shaped (2, *est.shape), or is the Generator to
+    draw them from."""
+    if isinstance(z, np.random.Generator):
+        z = z.standard_normal((2, *est.shape))
     s = math.sqrt(sigma_e2 / 2.0)
-    z = rng.standard_normal((2, *est.shape))
     return (np.sqrt(est) + s * z[0]) ** 2 + (s * z[1]) ** 2
 
 
@@ -151,6 +184,11 @@ def _kth_index(stat: np.ndarray, k: int) -> np.ndarray:
     return idx
 
 
+def _random_pick(M: int, n: int, pair: bool, rng: np.random.Generator) -> np.ndarray:
+    a = rng.integers(M, size=n)
+    return np.stack([a, (a + rng.integers(1, M, size=n)) % M], axis=1) if pair else a[:, None]
+
+
 def _select(spec: SchemeSpec | PairSpec, g, h, params: SystemParams, rng) -> np.ndarray:
     """(n, 1) indices, or (n, 2) for a pair, picked in each row of (n, M)
     ranking gains.  Random selection consumes rng."""
@@ -159,8 +197,7 @@ def _select(spec: SchemeSpec | PairSpec, g, h, params: SystemParams, rng) -> np.
     if spec.scheme is Scheme.RS:
         if rng is None:
             raise ValueError("random selection needs an rng")
-        a = rng.integers(M, size=n)
-        return np.stack([a, (a + rng.integers(1, M, size=n)) % M], axis=1) if pair else a[:, None]
+        return _random_pick(M, n, pair, rng)
     stat = _ranking_stat(spec.scheme, g, h, params, spec.model)
     ranks = (spec.k, spec.j) if pair else (spec.k,)
     return np.stack([_kth_index(stat, r) for r in ranks], axis=1)
@@ -179,37 +216,84 @@ def select_device(
     return (int(sel[0]), int(sel[1])) if isinstance(spec, PairSpec) else int(sel[0])
 
 
-def _count_block(config: TrialConfig, x: float, block: int, n: int) -> int:
-    """Failures among the n trials of one block (exact integer)."""
+class _BlockTail:
+    """A block's draws after its fading rows, in stream order: the RS picks
+    (size, 1 or 2), then the true-gain normals (2, 2, size, 1 or 2) for g and
+    h; None where the config draws neither.  Coming after the fading rows
+    keeps the gain stream identical across schemes under one seed.  They
+    take a variable number of raw outputs, so the first of the block's
+    chunks draws them all; each chunk takes its rows, and the last one
+    drops them."""
+
+    def __init__(self, config: TrialConfig, block: int, size: int, chunks: int = 1) -> None:
+        self.config, self.block, self.size = config, block, size
+        self._left = chunks
+        self._draws = None
+        self._lock = threading.Lock()
+
+    def _draw(self):
+        spec, M = self.config.spec, self.config.params.num_devices
+        pair = isinstance(spec, PairSpec)
+        rng = _stream_at(self.config.base_seed, self.block, 2 * self.size * M)
+        picks = _random_pick(M, self.size, pair, rng) if spec.scheme is Scheme.RS else None
+        normals = None
+        if self.config.estimation_error_var > 0.0:
+            normals = rng.standard_normal((2, 2, self.size, 2 if pair else 1))
+        return picks, normals
+
+    def rows(self, start: int, n: int):
+        with self._lock:
+            if self._draws is None:
+                self._draws = self._draw()
+            draws = self._draws
+            self._left -= 1
+            if self._left == 0:
+                self._draws = None
+        return tuple(None if d is None else d[..., start : start + n, :] for d in draws)
+
+
+def _count_block(
+    config: TrialConfig, x: float, block: int, n: int, start: int = 0,
+    tail: _BlockTail | None = None,
+) -> int:
+    """Failures among trials start .. start + n - 1 of one block (exact
+    integer).  tail is the block's shared _BlockTail; without one the n
+    trials are the whole block."""
     spec, params, sigma_e2 = config.spec, config.params, config.estimation_error_var
-    seq = np.random.SeedSequence(entropy=config.base_seed, spawn_key=(block,))
-    rng = np.random.Generator(np.random.Philox(seq))
-    g, h = _draw_block(params.num_devices, n, sigma_e2, rng)
+    M = params.num_devices
+    if tail is None:
+        tail = _BlockTail(config, block, n)
+    rng_g = _stream_at(config.base_seed, block, start * M)
+    rng_h = _stream_at(config.base_seed, block, (tail.size + start) * M)
+    g, h = _draw_block(M, n, sigma_e2, rng_g, rng_h)
     if spec.scheme is Scheme.SBS and sigma_e2 == 0.0 and isinstance(spec, SchemeSpec):
         # the k-th best SNR is <= x exactly when fewer than k devices exceed x
         stat = _ranking_stat(spec.scheme, g, h, params, spec.model)
         return int(((stat > x).sum(axis=1) < spec.k).sum())
-    # selection indices are drawn after the fading block so the gain stream
-    # is identical across schemes under one seed
-    sel = _select(spec, g, h, params, rng)
+    picks, normals = tail.rows(start, n)
+    sel = _select(spec, g, h, params, None) if picks is None else picks
     g, h = np.take_along_axis(g, sel, axis=1), np.take_along_axis(h, sel, axis=1)
-    if sigma_e2 > 0.0:
-        g, h = _true_gains(g, sigma_e2, rng), _true_gains(h, sigma_e2, rng)
+    if normals is not None:
+        g, h = _true_gains(g, sigma_e2, normals[0]), _true_gains(h, sigma_e2, normals[1])
     x_sel = snr(h, harvested_energy(g, params, spec.model), params)
     if isinstance(spec, PairSpec):
         return int((x_sel[:, 0] / (x_sel[:, 1] + 1.0) <= x).sum())
     return int((x_sel[:, 0] <= x).sum())
 
 
-def _worker_count(num_blocks: int) -> int:
-    raw = os.environ.get(THREADS_ENV, "")
+def _worker_count(num_chunks: int) -> int:
+    raw = os.environ.get(THREADS_ENV, "").strip()
     try:
-        cap = int(raw)
+        cap = int(raw) if raw else 0
     except ValueError:
-        cap = 0
+        raise ValueError(f"{THREADS_ENV} must be an integer, got {raw!r}") from None
     if cap <= 0:
-        cap = min(4, os.cpu_count() or 1)
-    return max(1, min(cap, num_blocks))
+        try:
+            usable = len(os.sched_getaffinity(0))
+        except AttributeError:  # no affinity call on this platform
+            usable = os.cpu_count() or 1
+        cap = min(4, usable)
+    return max(1, min(cap, num_chunks))
 
 
 def simulate_outage(config: TrialConfig) -> OutageEstimate:
@@ -219,16 +303,21 @@ def simulate_outage(config: TrialConfig) -> OutageEstimate:
         # zero rate threshold never fails: gains are positive a.s.
         return OutageEstimate(0.0, Method.MONTE_CARLO, stderr=0.0)
 
-    block_size = min(_BLOCK, max(1, _ELEMENT_BUDGET // config.params.num_devices))
+    M = config.params.num_devices
+    block_size = min(_BLOCK, max(1, _ELEMENT_BUDGET // M))
     total = config.num_trials
     sizes = [block_size] * (total // block_size)
     if total % block_size:
         sizes.append(total % block_size)
+    chunks = []  # (block, trials, first trial, tail): near-equal cuts of each block
+    for block, size in enumerate(sizes):
+        parts = -(-size * M // _CHUNK_ELEMENTS)
+        tail = _BlockTail(config, block, size, parts)
+        cuts = [size * i // parts for i in range(parts + 1)]
+        chunks += [(block, hi - lo, lo, tail) for lo, hi in zip(cuts, cuts[1:])]
 
-    with ThreadPoolExecutor(max_workers=_worker_count(len(sizes))) as pool:
-        counts = list(
-            pool.map(lambda ib: _count_block(config, x, ib[0], ib[1]), enumerate(sizes))
-        )
+    with ThreadPoolExecutor(max_workers=_worker_count(len(chunks))) as pool:
+        counts = list(pool.map(lambda c: _count_block(config, x, *c), chunks))
     failures = sum(counts)
     p_hat = failures / total
     stderr = math.sqrt(p_hat * (1.0 - p_hat) / total)

@@ -4,8 +4,9 @@ import math
 
 import numpy as np
 
-from wpcn_select.analytic import Scheme, r_scale
+from wpcn_select.analytic import PairSpec, Scheme, SchemeSpec, r_scale
 from wpcn_select.model import harvested_energy, snr, threshold_x
+from wpcn_select.montecarlo import _draw_block, _ranking_stat, _select, _true_gains
 from wpcn_select.special import integrate_semi_infinite
 
 
@@ -63,3 +64,27 @@ def imperfect_csi_outage(spec, params, sigma_e2, num_trials, seed, chunk=10_000)
         fails += int((x_sel <= x).sum())
     p = fails / num_trials
     return p, math.sqrt(p * (1.0 - p) / num_trials)
+
+
+def whole_block_count(config, x, block, n):
+    """Failures among the n trials of one block (exact integer), drawing the
+    whole (n, M) block from one sequential generator: the reference the
+    chunked simulator must match count for count."""
+    spec, params, sigma_e2 = config.spec, config.params, config.estimation_error_var
+    seq = np.random.SeedSequence(entropy=config.base_seed, spawn_key=(block,))
+    rng = np.random.Generator(np.random.Philox(seq))
+    g, h = _draw_block(params.num_devices, n, sigma_e2, rng)
+    if spec.scheme is Scheme.SBS and sigma_e2 == 0.0 and isinstance(spec, SchemeSpec):
+        # the k-th best SNR is <= x exactly when fewer than k devices exceed x
+        stat = _ranking_stat(spec.scheme, g, h, params, spec.model)
+        return int(((stat > x).sum(axis=1) < spec.k).sum())
+    # selection indices are drawn after the fading block so the gain stream
+    # is identical across schemes under one seed
+    sel = _select(spec, g, h, params, rng)
+    g, h = np.take_along_axis(g, sel, axis=1), np.take_along_axis(h, sel, axis=1)
+    if sigma_e2 > 0.0:
+        g, h = _true_gains(g, sigma_e2, rng), _true_gains(h, sigma_e2, rng)
+    x_sel = snr(h, harvested_energy(g, params, spec.model), params)
+    if isinstance(spec, PairSpec):
+        return int((x_sel[:, 0] / (x_sel[:, 1] + 1.0) <= x).sum())
+    return int((x_sel[:, 0] <= x).sum())

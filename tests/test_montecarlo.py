@@ -7,10 +7,14 @@ seed, same counts, regardless of worker count.
 """
 
 import math
+import os
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from wpcn_select import montecarlo
 from wpcn_select.analytic import (
     PairSpec,
     Scheme,
@@ -30,6 +34,8 @@ from wpcn_select.model import (
     threshold_x,
 )
 from wpcn_select.montecarlo import (
+    _BLOCK,
+    _ELEMENT_BUDGET,
     THREADS_ENV,
     ChannelDraw,
     TrialConfig,
@@ -37,13 +43,15 @@ from wpcn_select.montecarlo import (
     _draw_block,
     _kth_index,
     _ranking_stat,
+    _stream_at,
     _true_gains,
+    _worker_count,
     draw_channels,
     select_device,
     simulate_outage,
 )
 
-from oracles import imperfect_csi_outage
+from oracles import imperfect_csi_outage, whole_block_count
 
 P = default_params()
 
@@ -318,6 +326,149 @@ def test_simulate_invariant_to_worker_count(monkeypatch):
     threaded = simulate_outage(cfg)
     assert serial.value == threaded.value
     assert serial.stderr == threaded.stderr
+
+
+# ---------------------------------------------------------------------------
+# chunks: positioned streams, the whole-block reference, memory, workers
+# ---------------------------------------------------------------------------
+
+def _sequential(base_seed, block):
+    seq = np.random.SeedSequence(entropy=base_seed, spawn_key=(block,))
+    return np.random.Generator(np.random.Philox(seq))
+
+
+@pytest.mark.parametrize("offset", [*range(10), 2 * 4_465, 7 * 33_333, 100 * 20_971])
+def test_stream_at_reproduces_the_sequential_stream(offset):
+    expected = _sequential(9, 3).random(offset + 9)[offset:]
+    assert np.array_equal(_stream_at(9, 3, offset).random(9), expected)
+
+
+@pytest.mark.parametrize("M, n", [(2, 4_465), (7, 33_333), (100, 20_971)])
+def test_tail_draws_continue_the_sequential_stream(M, n):
+    def tail(rng):
+        return rng.integers(M, size=99), rng.integers(1, M, size=99), rng.standard_normal(99)
+
+    rng = _sequential(9, 3)
+    rng.random(2 * n * M)
+    for got, want in zip(tail(_stream_at(9, 3, 2 * n * M)), tail(rng)):
+        assert np.array_equal(got, want)
+
+
+def _block_sizes(config):
+    size = min(_BLOCK, max(1, _ELEMENT_BUDGET // config.params.num_devices))
+    full, rest = divmod(config.num_trials, size)
+    return [size] * full + ([rest] if rest else [])
+
+
+def _oracle_outage(config):
+    x = threshold_x(config.params)
+    sizes = enumerate(_block_sizes(config))
+    return sum(whole_block_count(config, x, b, n) for b, n in sizes) / config.num_trials
+
+
+def _reference_specs(M):
+    # SBS takes the count path, MMS the k-th index, EBS and IBS share it
+    ranks = sorted({1, 2, M})
+    specs = []
+    for model in EhModel:
+        specs += [
+            SchemeSpec(Scheme.RS, k=1, model=model),
+            PairSpec(Scheme.RS, 1, 2, model=model),
+            PairSpec(Scheme.SBS, 1, 2, model=model),
+            SchemeSpec(Scheme.EBS, k=2, model=model),
+            SchemeSpec(Scheme.IBS, k=1, model=model),
+        ]
+        specs += [SchemeSpec(s, k=k, model=model) for s in (Scheme.SBS, Scheme.MMS) for k in ranks]
+    return specs
+
+
+# M = 2 and 7 run two blocks, the second of 4,465 trials, whose g rows end
+# off a multiple of four doubles; M = 100 and 1000 cut one block in 7 and 8
+@pytest.mark.parametrize("sigma_e2", [0.0, 0.3])
+@pytest.mark.parametrize("M, trials, pt_dbm", [
+    (2, 70_001, -40.0), (7, 70_001, -40.0), (100, 8_001, -51.0), (1000, 1_001, -55.0),
+])
+def test_simulate_matches_whole_block_oracle(M, trials, pt_dbm, sigma_e2):
+    params = default_params(num_devices=M, transmit_power=dbm_to_watts(pt_dbm))
+    values = []
+    for spec in _reference_specs(M):
+        cfg = TrialConfig(spec, params, num_trials=trials, base_seed=M,
+                          estimation_error_var=sigma_e2)
+        values.append(simulate_outage(cfg).value)
+        assert values[-1] == _oracle_outage(cfg), spec
+    assert sum(0.0 < v < 1.0 for v in values) >= len(values) // 2
+
+
+def test_shared_block_tails_survive_many_threads(monkeypatch):
+    # hundred-row chunks share each block's tail draws; with more threads
+    # than cores, switching often, each must still take its own rows
+    monkeypatch.setattr(montecarlo, "_CHUNK_ELEMENTS", 700)
+    monkeypatch.setenv(THREADS_ENV, "8")
+    cfg = TrialConfig(PairSpec(Scheme.RS, 1, 2), P.replace(num_devices=7), num_trials=30_001,
+                      base_seed=5, estimation_error_var=0.3)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        value = simulate_outage(cfg).value
+    finally:
+        sys.setswitchinterval(interval)
+    assert value == _oracle_outage(cfg)
+
+
+def test_simulate_memory_is_bounded_by_the_chunk(monkeypatch):
+    # four workers, the default cap, hold four chunks at once; whole-block
+    # arrays at M = 100 take 16 MB each and peaked at 130-160 MB here
+    monkeypatch.setenv(THREADS_ENV, "4")
+    p100 = default_params(num_devices=100, transmit_power=dbm_to_watts(-51.0))
+    p1000 = default_params(num_devices=1000, transmit_power=dbm_to_watts(-55.0))
+    configs = [
+        TrialConfig(SchemeSpec(Scheme.SBS, k=1), p100, num_trials=50_000),
+        TrialConfig(PairSpec(Scheme.SBS, 1, 2), p100, num_trials=50_000),
+        TrialConfig(SchemeSpec(Scheme.MMS, k=1), p100, num_trials=50_000,
+                    estimation_error_var=0.3),
+        TrialConfig(SchemeSpec(Scheme.SBS, k=1), p1000, num_trials=10_000),
+    ]
+    for cfg in configs:
+        tracemalloc.start()
+        try:
+            simulate_outage(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20, (cfg.spec, cfg.params.num_devices, peak)
+
+
+def test_worker_count_sizes_the_pool_by_chunks(monkeypatch):
+    seen = []
+    real = montecarlo._worker_count
+    monkeypatch.setattr(montecarlo, "_worker_count", lambda n: seen.append(n) or real(n))
+    params = default_params(num_devices=100)
+    simulate_outage(TrialConfig(SchemeSpec(Scheme.SBS, k=1), params, num_trials=20_000))
+    # one block of 20,000 x 100 doubles, cut into chunks of at most 2^17
+    assert seen == [16]
+
+
+def test_worker_count_defaults_to_usable_cpus(monkeypatch):
+    monkeypatch.delenv(THREADS_ENV, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    assert _worker_count(100) == 3
+    assert _worker_count(2) == 2
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(16)))
+    assert _worker_count(100) == 4
+    monkeypatch.setenv(THREADS_ENV, "0")
+    assert _worker_count(100) == 4
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert _worker_count(100) == 4
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert _worker_count(100) == 1
+
+
+@pytest.mark.parametrize("raw", ["two", "2.5", "4 threads"])
+def test_worker_count_rejects_a_non_integer(monkeypatch, raw):
+    monkeypatch.setenv(THREADS_ENV, raw)
+    with pytest.raises(ValueError, match=THREADS_ENV):
+        simulate_outage(TrialConfig(SchemeSpec(Scheme.SBS, k=1), P, num_trials=100))
 
 
 def test_estimation_error_degrades_outage():
