@@ -46,7 +46,7 @@ def main() -> None:
             params = base.replace(num_devices=m)
             spec = SchemeSpec(scheme, k=1)
             gaps.append(max(
-                abs(limit(float(x), 1, m, params).value
+                abs(limit(float(x), spec, params).value
                     - exact(float(x), spec, params).value)
                 for x in X_GRID
             ))

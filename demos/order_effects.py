@@ -7,7 +7,7 @@ recover random selection exactly, because ranks partition the population.
 
 from wpcn_select.analytic import Method, Scheme, SchemeSpec, outage_rs
 from wpcn_select.experiments import evaluate_point
-from wpcn_select.model import EhModel, default_params, threshold_x
+from wpcn_select.model import default_params, threshold_x
 
 M = 10
 SCHEMES = (Scheme.SBS, Scheme.EBS, Scheme.IBS, Scheme.MMS)
@@ -28,7 +28,7 @@ def main() -> None:
         cells = "".join(f"{table[s][k - 1]:>14.4e}" for s in SCHEMES)
         print(f"{k:<4d}{cells}")
 
-    rs = outage_rs(x, params, EhModel.NON_LINEAR).value
+    rs = outage_rs(x, SchemeSpec(Scheme.RS), params).value
     for scheme in SCHEMES:
         mean = sum(table[scheme]) / M
         print(f"mean over k for {scheme.value}: {mean:.12e}  "

@@ -50,6 +50,7 @@ as 1 minus a quadrature, cannot exceed 1 by that quadrature's relative error.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -175,11 +176,43 @@ def _finalize(value: float, method: Method, stderr: Optional[float] = None) -> O
     return OutageEstimate(min(1.0, max(0.0, value)), method, stderr)
 
 
-def _require(spec: SchemeSpec, scheme: Scheme, params: SystemParams) -> None:
-    if spec.scheme is not scheme:
-        raise ValueError(f"expected a {scheme.value} spec, got {spec.scheme.value}")
-    if spec.k > params.num_devices:
-        raise ValueError(f"order index k={spec.k} exceeds num_devices={params.num_devices}")
+def _evaluator(method: Method, spec_type: type, *schemes: Scheme):
+    """Decorator: the contract every deterministic outage evaluator shares.
+
+    The evaluator takes (x, spec, params).  spec must be a spec_type naming
+    one of schemes, with its order indices within the population; the floor
+    and extreme-value routes take only the nonlinear harvester, since the
+    linear one neither saturates nor is covered by the limits.  x <= 0 is no
+    outage and x = inf certain outage; a pair also needs x < 1, where its
+    integration limit x/(1-x) is finite.  The body computes the value at any
+    other x, and it leaves through _finalize.
+    """
+    nonlinear_only = method is not Method.ANALYTIC
+    pair = spec_type is PairSpec
+
+    def decorate(body: Callable[..., float]) -> Callable[..., OutageEstimate]:
+        @functools.wraps(body, assigned=("__module__", "__name__", "__qualname__", "__doc__"))
+        def evaluator(x: float, spec, params: SystemParams) -> OutageEstimate:
+            if type(spec) is not spec_type or spec.scheme not in schemes:
+                raise ValueError(f"{body.__name__} cannot evaluate {spec!r}")
+            top = spec.j if pair else spec.k
+            if top > params.num_devices:
+                raise ValueError(f"order index {top} exceeds num_devices={params.num_devices}")
+            if nonlinear_only and spec.model is not EhModel.NON_LINEAR:
+                raise ValueError(f"the {method.value} route is stated for the nonlinear harvester")
+            x = float(x)
+            if x <= 0.0:
+                return _finalize(0.0, method)
+            if math.isinf(x):
+                return _finalize(1.0, method)
+            if pair and not x < 1.0:
+                raise DomainError(f"pair outage needs threshold x < 1, got {x!r}")
+            return _finalize(body(x, spec, params), method)
+
+        del evaluator.__wrapped__  # introspection shows the evaluator, not its body
+        return evaluator
+
+    return decorate
 
 
 # ---------------------------------------------------------------------------
@@ -275,17 +308,18 @@ def _kth_best_cdf(psi: float, M: int, k: int) -> float:
 # alternating binomial sums with cancellation guard
 # ---------------------------------------------------------------------------
 
-class _SumCancellation(Exception):
-    """Alternating sum lost more than the tolerated precision."""
-
-
-def _one_minus_order_sum(M: int, k: int, term: Callable[[int], float]) -> float:
-    """1 - k C(M,k) sum_m (-1)^m C(M-k, m) term(k+m), cancellation-monitored.
+def _order_sum_or_integral(
+    M: int, k: int, term: Callable[[int], float], integral: Callable[[], float]
+) -> float:
+    """1 - k C(M,k) sum_m (-1)^m C(M-k, m) term(k+m), cancellation-monitored;
+    integral() instead for M > MAX_SUM_DEVICES or when the monitor trips.
 
     The leading 1 is part of the monitored total, so losing the answer to the
     final subtraction trips the fallback too, not just losing it inside the
     alternating sum.
     """
+    if M > MAX_SUM_DEVICES:
+        return integral()
     prefactor = k * math.comb(M, k)
     terms = [1.0]
     for m in range(M - k + 1):
@@ -294,7 +328,7 @@ def _one_minus_order_sum(M: int, k: int, term: Callable[[int], float]) -> float:
     total = math.fsum(terms)
     worst = max(abs(t) for t in terms)
     if abs(total) < worst * sys.float_info.epsilon / _CANCELLATION_LIMIT:
-        raise _SumCancellation
+        return integral()
     return total
 
 
@@ -360,48 +394,34 @@ def _gated_integral(
     return law.cdf(lo) + val
 
 
-def _exp_or_zero(e: float) -> float:
-    return math.exp(e) if e > -745.0 else 0.0
-
-
 # ---------------------------------------------------------------------------
 # RS and SBS
 # ---------------------------------------------------------------------------
 
-def outage_rs(x: float, params: SystemParams, model: EhModel) -> OutageEstimate:
+@_evaluator(Method.ANALYTIC, SchemeSpec, Scheme.RS)
+def outage_rs(x: float, spec: SchemeSpec, params: SystemParams) -> float:
     """Outage of a uniformly selected device: the parent CDF itself."""
-    x = float(x)
-    if x <= 0.0:
-        return _finalize(0.0, Method.ANALYTIC)
-    return _finalize(parent_cdf(x, params, parent_from_model(model)), Method.ANALYTIC)
+    return parent_cdf(x, params, parent_from_model(spec.model))
 
 
-def outage_rs_high_snr(x: float, params: SystemParams) -> OutageEstimate:
+@_evaluator(Method.HIGH_SNR, SchemeSpec, Scheme.RS)
+def outage_rs_high_snr(x: float, spec: SchemeSpec, params: SystemParams) -> float:
     """Transmit-power-independent outage floor 1 - e^(-r)."""
-    x = float(x)
-    if x <= 0.0:
-        return _finalize(0.0, Method.HIGH_SNR)
-    return _finalize(parent_cdf(x, params, Parent.SATURATION), Method.HIGH_SNR)
+    return parent_cdf(x, params, Parent.SATURATION)
 
 
-def outage_sbs(x: float, spec: SchemeSpec, params: SystemParams) -> OutageEstimate:
+@_evaluator(Method.ANALYTIC, SchemeSpec, Scheme.SBS)
+def outage_sbs(x: float, spec: SchemeSpec, params: SystemParams) -> float:
     """Outage of the device with the k-th best end-to-end SNR."""
-    _require(spec, Scheme.SBS, params)
-    x = float(x)
-    if x <= 0.0:
-        return _finalize(0.0, Method.ANALYTIC)
     psi = parent_cdf(x, params, parent_from_model(spec.model))
-    return _finalize(_kth_best_cdf(psi, params.num_devices, spec.k), Method.ANALYTIC)
+    return _kth_best_cdf(psi, params.num_devices, spec.k)
 
 
-def outage_sbs_high_snr(x: float, spec: SchemeSpec, params: SystemParams) -> OutageEstimate:
+@_evaluator(Method.HIGH_SNR, SchemeSpec, Scheme.SBS)
+def outage_sbs_high_snr(x: float, spec: SchemeSpec, params: SystemParams) -> float:
     """SBS floor: the k-th best order statistic of the saturation parent."""
-    _require(spec, Scheme.SBS, params)
-    x = float(x)
-    if x <= 0.0:
-        return _finalize(0.0, Method.HIGH_SNR)
     psi = parent_cdf(x, params, Parent.SATURATION)
-    return _finalize(_kth_best_cdf(psi, params.num_devices, spec.k), Method.HIGH_SNR)
+    return _kth_best_cdf(psi, params.num_devices, spec.k)
 
 
 # ---------------------------------------------------------------------------
@@ -422,12 +442,10 @@ def _ebs_value(x: float, k: int, M: int, params: SystemParams, parent: Parent) -
         arg = 2.0 * math.sqrt(cr_over_pt * delta)
         return scale * 2.0 * math.sqrt(cr_over_pt / delta) * bessel_k1(arg)
 
-    if M <= MAX_SUM_DEVICES:
-        try:
-            return _one_minus_order_sum(M, k, term)
-        except _SumCancellation:
-            pass
-    return _ebs_integral(shift, cr_over_pt, order_stat_law(M, k, 1.0))
+    def integral() -> float:
+        return _ebs_integral(shift, cr_over_pt, order_stat_law(M, k, 1.0))
+
+    return _order_sum_or_integral(M, k, term, integral)
 
 
 def _ebs_integral(shift: float, cr_over_pt: float, law: RankedLaw) -> float:
@@ -437,25 +455,17 @@ def _ebs_integral(shift: float, cr_over_pt: float, law: RankedLaw) -> float:
     return _gated_integral(law, 0.0, math.inf, cr_over_pt, shift=shift)
 
 
-def outage_ebs(x: float, spec: SchemeSpec, params: SystemParams) -> OutageEstimate:
+@_evaluator(Method.ANALYTIC, SchemeSpec, Scheme.EBS)
+def outage_ebs(x: float, spec: SchemeSpec, params: SystemParams) -> float:
     """Outage of the device harvesting the k-th most energy."""
-    _require(spec, Scheme.EBS, params)
-    x = float(x)
-    if x <= 0.0:
-        return _finalize(0.0, Method.ANALYTIC)
-    if math.isinf(x):
-        return _finalize(1.0, Method.ANALYTIC)
-    value = _ebs_value(x, spec.k, params.num_devices, params, parent_from_model(spec.model))
-    return _finalize(value, Method.ANALYTIC)
+    return _ebs_value(x, spec.k, params.num_devices, params, parent_from_model(spec.model))
 
 
-def outage_ebs_high_snr(x: float, params: SystemParams) -> OutageEstimate:
+@_evaluator(Method.HIGH_SNR, SchemeSpec, Scheme.EBS)
+def outage_ebs_high_snr(x: float, spec: SchemeSpec, params: SystemParams) -> float:
     """EBS floor.  Saturation erases the harvested-energy ranking, so this is
     the RS floor evaluated through the same saturation parent."""
-    x = float(x)
-    if x <= 0.0:
-        return _finalize(0.0, Method.HIGH_SNR)
-    return _finalize(parent_cdf(x, params, Parent.SATURATION), Method.HIGH_SNR)
+    return parent_cdf(x, params, Parent.SATURATION)
 
 
 # ---------------------------------------------------------------------------
@@ -477,44 +487,28 @@ def _ibs_integral(r: float, cr_over_pt: float, law: RankedLaw) -> float:
 
 
 def _ibs_value(x: float, k: int, M: int, params: SystemParams) -> float:
-    if M <= MAX_SUM_DEVICES:
-        try:
-            return _one_minus_order_sum(M, k, lambda d: ibs_phi_closed(x, params, d))
-        except _SumCancellation:
-            pass
-    r, cr_over_pt = _r_and_cr(x, params)
-    return _ibs_integral(r, cr_over_pt, order_stat_law(M, k, 1.0))
+    def integral() -> float:
+        return _ibs_integral(*_r_and_cr(x, params), order_stat_law(M, k, 1.0))
+
+    return _order_sum_or_integral(M, k, lambda d: ibs_phi_closed(x, params, d), integral)
 
 
-def outage_ibs(x: float, spec: SchemeSpec, params: SystemParams) -> OutageEstimate:
+@_evaluator(Method.ANALYTIC, SchemeSpec, Scheme.IBS)
+def outage_ibs(x: float, spec: SchemeSpec, params: SystemParams) -> float:
     """Outage of the device with the k-th best uplink gain."""
-    _require(spec, Scheme.IBS, params)
-    x = float(x)
-    if x <= 0.0:
-        return _finalize(0.0, Method.ANALYTIC)
-    if math.isinf(x):
-        return _finalize(1.0, Method.ANALYTIC)
     if spec.model is EhModel.LINEAR:
         # under the linear harvester the SNR is symmetric in the two gains,
         # so ranking the uplink gain performs exactly like ranking energy
-        value = _ebs_value(x, spec.k, params.num_devices, params, Parent.LINEAR)
-    else:
-        value = _ibs_value(x, spec.k, params.num_devices, params)
-    return _finalize(value, Method.ANALYTIC)
+        return _ebs_value(x, spec.k, params.num_devices, params, Parent.LINEAR)
+    return _ibs_value(x, spec.k, params.num_devices, params)
 
 
-def outage_ibs_high_snr(x: float, spec: SchemeSpec, params: SystemParams) -> OutageEstimate:
+@_evaluator(Method.HIGH_SNR, SchemeSpec, Scheme.IBS)
+def outage_ibs_high_snr(x: float, spec: SchemeSpec, params: SystemParams) -> float:
     """IBS floor: the k-th best uplink order statistic against the threshold r."""
-    _require(spec, Scheme.IBS, params)
-    x = float(x)
-    if x <= 0.0:
-        return _finalize(0.0, Method.HIGH_SNR)
-    if math.isinf(x):
-        return _finalize(1.0, Method.HIGH_SNR)
     # Pt -> inf closes the downlink gate: only the ranked mass below r fails
     law = order_stat_law(params.num_devices, spec.k, 1.0)
-    value = _ibs_integral(r_scale(x, params), 0.0, law)
-    return _finalize(value, Method.HIGH_SNR)
+    return _ibs_integral(r_scale(x, params), 0.0, law)
 
 
 # ---------------------------------------------------------------------------
@@ -536,35 +530,23 @@ def _mms_integral(r: float, cr_over_pt: float, law: RankedLaw) -> float:
     return 0.5 * (min_is_downlink + min_is_uplink)
 
 
-def outage_mms(x: float, spec: SchemeSpec, params: SystemParams) -> OutageEstimate:
+@_evaluator(Method.ANALYTIC, SchemeSpec, Scheme.MMS)
+def outage_mms(x: float, spec: SchemeSpec, params: SystemParams) -> float:
     """Outage of the device whose worse link is the k-th best."""
-    _require(spec, Scheme.MMS, params)
-    x = float(x)
-    if x <= 0.0:
-        return _finalize(0.0, Method.ANALYTIC)
-    if math.isinf(x):
-        return _finalize(1.0, Method.ANALYTIC)
     if spec.model is EhModel.LINEAR:
         # the linear harvester fails on the hyperbola g h < beta: r = 0
         r, cr_over_pt = 0.0, _linear_beta(x, params)
     else:
         r, cr_over_pt = _r_and_cr(x, params)
-    value = _mms_integral(r, cr_over_pt, order_stat_law(params.num_devices, spec.k, 2.0))
-    return _finalize(value, Method.ANALYTIC)
+    return _mms_integral(r, cr_over_pt, order_stat_law(params.num_devices, spec.k, 2.0))
 
 
-def outage_mms_high_snr(x: float, spec: SchemeSpec, params: SystemParams) -> OutageEstimate:
+@_evaluator(Method.HIGH_SNR, SchemeSpec, Scheme.MMS)
+def outage_mms_high_snr(x: float, spec: SchemeSpec, params: SystemParams) -> float:
     """MMS floor: the saturation limit of the min-link selection outage."""
-    _require(spec, Scheme.MMS, params)
-    x = float(x)
-    if x <= 0.0:
-        return _finalize(0.0, Method.HIGH_SNR)
-    if math.isinf(x):
-        return _finalize(1.0, Method.HIGH_SNR)
     # Pt -> inf drops the c r/Pt terms from both failure gates
     law = order_stat_law(params.num_devices, spec.k, 2.0)
-    value = _mms_integral(r_scale(x, params), 0.0, law)
-    return _finalize(value, Method.HIGH_SNR)
+    return _mms_integral(r_scale(x, params), 0.0, law)
 
 
 # ---------------------------------------------------------------------------
@@ -586,7 +568,7 @@ def _kth_best_parent_density(
     )
     if M > k:
         log_d += (M - k) * math.log(cdf)
-    return _exp_or_zero(log_d)
+    return math.exp(log_d) if log_d > -745.0 else 0.0
 
 
 def pair_marginal_primary(
@@ -681,30 +663,18 @@ def _pair_rs_value(x: float, params: SystemParams, parent: Parent) -> float:
 
 
 def _pair_value(x: float, pair: PairSpec, params: SystemParams, parent: Parent) -> float:
-    x = float(x)
-    if not x < 1.0:
-        raise DomainError(
-            "pair outage evaluation requires threshold x < 1: the outer "
-            f"integration limit x/(1-x) diverges at x = {x!r}"
-        )
-    if pair.j > params.num_devices:
-        raise ValueError(f"order index j={pair.j} exceeds num_devices={params.num_devices}")
-    if x <= 0.0:
-        return 0.0
     if pair.scheme is Scheme.RS:
         return _pair_rs_value(x, params, parent)
     return pair_marginal_primary(x, pair.k, pair.j, params.num_devices, params, parent)
 
 
-def outage_pair(
-    x: float, pair: PairSpec, params: SystemParams, model: EhModel
-) -> OutageEstimate:
+@_evaluator(Method.ANALYTIC, PairSpec, Scheme.RS, Scheme.SBS)
+def outage_pair(x: float, pair: PairSpec, params: SystemParams) -> float:
     """Outage of a two-device transmission under single-user detection."""
-    value = _pair_value(x, pair, params, parent_from_model(model))
-    return _finalize(value, Method.ANALYTIC)
+    return _pair_value(x, pair, params, parent_from_model(pair.model))
 
 
-def outage_pair_high_snr(x: float, pair: PairSpec, params: SystemParams) -> OutageEstimate:
+@_evaluator(Method.HIGH_SNR, PairSpec, Scheme.RS, Scheme.SBS)
+def outage_pair_high_snr(x: float, pair: PairSpec, params: SystemParams) -> float:
     """Pair outage floor through the saturation parent."""
-    value = _pair_value(x, pair, params, Parent.SATURATION)
-    return _finalize(value, Method.HIGH_SNR)
+    return _pair_value(x, pair, params, Parent.SATURATION)

@@ -19,20 +19,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 from scipy.optimize import brentq
 from scipy.special import gammaincc
 
 from .analytic import (
     Method,
-    OutageEstimate,
     PairSpec,
     Parent,
     RankedLaw,
     Scheme,
+    SchemeSpec,
     _ebs_integral,
-    _finalize,
+    _evaluator,
     _ibs_integral,
     _mms_integral,
     _r_and_cr,
@@ -40,7 +39,7 @@ from .analytic import (
     pair_marginal_secondary,
     parent_cdf,
 )
-from .model import EhModel, SystemParams
+from .model import SystemParams
 from .special import AccuracyError, DomainError
 
 __all__ = [
@@ -149,65 +148,40 @@ def normalizing_constants(scheme: Scheme, M: int, params: SystemParams) -> Norma
 # asymptotic outage evaluators
 # ---------------------------------------------------------------------------
 
-def outage_evt_sbs(x: float, k: int, M: int, params: SystemParams) -> OutageEstimate:
+@_evaluator(Method.EVT, SchemeSpec, Scheme.SBS)
+def outage_evt_sbs(x: float, spec: SchemeSpec, params: SystemParams) -> float:
     """Gumbel limit of the k-th best end-to-end SNR, standardized numerically."""
-    consts = normalizing_constants(Scheme.SBS, M, params)
-    z = (float(x) - consts.eta) / consts.xi
-    return _finalize(gumbel_kth_cdf(z, k), Method.EVT)
+    consts = normalizing_constants(Scheme.SBS, params.num_devices, params)
+    return gumbel_kth_cdf((x - consts.eta) / consts.xi, spec.k)
 
 
-def _ranked_limit(
-    x: float, params: SystemParams, integral: Callable[[float, float, RankedLaw], float],
-    law: RankedLaw,
-) -> OutageEstimate:
-    """A ranked scheme's exact outage integral, run with a Gumbel law."""
-    x = float(x)
-    if x <= 0.0:
-        return _finalize(0.0, Method.EVT)
-    if math.isinf(x):
-        return _finalize(1.0, Method.EVT)
-    r, cr_over_pt = _r_and_cr(x, params)
-    return _finalize(integral(r, cr_over_pt, law), Method.EVT)
-
-
-def outage_evt_ebs(x: float, k: int, M: int, params: SystemParams) -> OutageEstimate:
+@_evaluator(Method.EVT, SchemeSpec, Scheme.EBS)
+def outage_evt_ebs(x: float, spec: SchemeSpec, params: SystemParams) -> float:
     """Asymptotic outage when ranking on harvested energy: the exact EBS
     integral with the rate-1 Gumbel law of the ranked downlink gain."""
-    return _ranked_limit(x, params, _ebs_integral, gumbel_law(M, k, 1.0))
+    return _ebs_integral(*_r_and_cr(x, params), gumbel_law(params.num_devices, spec.k, 1.0))
 
 
-def outage_evt_ibs(x: float, k: int, M: int, params: SystemParams) -> OutageEstimate:
+@_evaluator(Method.EVT, SchemeSpec, Scheme.IBS)
+def outage_evt_ibs(x: float, spec: SchemeSpec, params: SystemParams) -> float:
     """Asymptotic outage when ranking on the uplink gain: the exact IBS
     integral with the rate-1 Gumbel law of the ranked uplink gain."""
-    return _ranked_limit(x, params, _ibs_integral, gumbel_law(M, k, 1.0))
+    return _ibs_integral(*_r_and_cr(x, params), gumbel_law(params.num_devices, spec.k, 1.0))
 
 
-def outage_evt_mms(x: float, k: int, M: int, params: SystemParams) -> OutageEstimate:
+@_evaluator(Method.EVT, SchemeSpec, Scheme.MMS)
+def outage_evt_mms(x: float, spec: SchemeSpec, params: SystemParams) -> float:
     """Asymptotic outage when ranking on the worse of the two links: the
     exact MMS integral with the rate-2 Gumbel law of the ranked worse link."""
-    return _ranked_limit(x, params, _mms_integral, gumbel_law(M, k, 2.0))
+    return _mms_integral(*_r_and_cr(x, params), gumbel_law(params.num_devices, spec.k, 2.0))
 
 
-def outage_evt_pair(
-    x: float, pair: PairSpec, M: int, params: SystemParams
-) -> OutageEstimate:
+@_evaluator(Method.EVT, PairSpec, Scheme.SBS)
+def outage_evt_pair(x: float, pair: PairSpec, params: SystemParams) -> float:
     """Asymptotic pair outage: lower extremes decorrelate, so the joint law
     factorizes into the product of the two finite-M marginal SINR CDFs."""
-    if pair.scheme is not Scheme.SBS:
-        raise ValueError("asymptotic pair independence is stated for ranked (SBS) pairs")
-    if pair.model is not EhModel.NON_LINEAR:
-        raise ValueError("asymptotics are stated for the nonlinear harvester")
-    x = float(x)
-    if not x < 1.0:
-        raise DomainError(
-            "pair outage evaluation requires threshold x < 1: the outer "
-            f"integration limit x/(1-x) diverges at x = {x!r}"
-        )
-    if pair.j > M:
-        raise ValueError(f"order index j={pair.j} exceeds M={M}")
-    if x <= 0.0:
-        return _finalize(0.0, Method.EVT)
+    M = params.num_devices
     stronger = pair_marginal_primary(x, pair.k, pair.j, M, params, Parent.NON_LINEAR)
     weaker = pair_marginal_secondary(x, pair.k, pair.j, M, params, Parent.NON_LINEAR)
     # both factors are probabilities, so an overshoot is an error, not noise
-    return _finalize(stronger * weaker, Method.EVT)
+    return stronger * weaker

@@ -18,31 +18,13 @@ import warnings
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 import numpy as np
 from scipy.optimize import minimize_scalar
 
-from .analytic import (
-    Method,
-    OutageEstimate,
-    PairSpec,
-    Scheme,
-    SchemeSpec,
-    outage_ebs,
-    outage_ebs_high_snr,
-    outage_ibs,
-    outage_ibs_high_snr,
-    outage_mms,
-    outage_mms_high_snr,
-    outage_pair,
-    outage_pair_high_snr,
-    outage_rs,
-    outage_rs_high_snr,
-    outage_sbs,
-    outage_sbs_high_snr,
-)
-from .evt import outage_evt_ebs, outage_evt_ibs, outage_evt_mms, outage_evt_pair, outage_evt_sbs
+from . import analytic, evt
+from .analytic import Method, OutageEstimate, PairSpec, Scheme, SchemeSpec
 from .model import (
     EhModel,
     SystemParams,
@@ -92,6 +74,23 @@ def _package_version() -> str:
 # single-point dispatch
 # ---------------------------------------------------------------------------
 
+#: (method, scheme, or PairSpec for a pair) -> (module, evaluator name).  Every
+#: deterministic evaluator takes (x, spec, params); random selection has no
+#: extreme-value limit, so (EVT, RS) is the one key left out.  The evaluator is
+#: looked up on its module at each call, so a rebound module attribute (a
+#: wrapper, a test double) takes effect here as well.
+_ROUTES = {
+    (method, key): (module, template.format(name))
+    for key, name in [(s, s.value.lower()) for s in Scheme] + [(PairSpec, "pair")]
+    for method, module, template in (
+        (Method.ANALYTIC, analytic, "outage_{}"),
+        (Method.HIGH_SNR, analytic, "outage_{}_high_snr"),
+        (Method.EVT, evt, "outage_evt_{}"),
+    )
+    if (method, key) != (Method.EVT, Scheme.RS)
+}
+
+
 def evaluate_point(
     selection: Selection,
     params: SystemParams,
@@ -107,47 +106,12 @@ def evaluate_point(
         return simulate_outage(cfg)
     if sigma_e2 != 0.0:
         raise ValueError("imperfect CSI is only modeled by the Monte Carlo route")
-    x = threshold_x(params)
-    # every limit, ranked or pair, is stated for the nonlinear harvester
-    if method is Method.EVT and selection.model is not EhModel.NON_LINEAR:
-        raise ValueError("asymptotics are stated for the nonlinear harvester")
-    if isinstance(selection, PairSpec):
-        if method is Method.ANALYTIC:
-            return outage_pair(x, selection, params, selection.model)
-        if method is Method.HIGH_SNR:
-            return outage_pair_high_snr(x, selection, params)
-        return outage_evt_pair(x, selection, params.num_devices, params)
-    scheme = selection.scheme
-    if method is Method.ANALYTIC:
-        if scheme is Scheme.RS:
-            return outage_rs(x, params, selection.model)
-        table = {
-            Scheme.SBS: outage_sbs,
-            Scheme.EBS: outage_ebs,
-            Scheme.IBS: outage_ibs,
-            Scheme.MMS: outage_mms,
-        }
-        return table[scheme](x, selection, params)
-    if method is Method.HIGH_SNR:
-        if scheme is Scheme.RS:
-            return outage_rs_high_snr(x, params)
-        if scheme is Scheme.EBS:
-            return outage_ebs_high_snr(x, params)
-        table = {
-            Scheme.SBS: outage_sbs_high_snr,
-            Scheme.IBS: outage_ibs_high_snr,
-            Scheme.MMS: outage_mms_high_snr,
-        }
-        return table[scheme](x, selection, params)
-    if scheme is Scheme.RS:
+    key = PairSpec if isinstance(selection, PairSpec) else selection.scheme
+    route = _ROUTES.get((method, key))
+    if route is None:
         raise ValueError("random selection has no extreme-value limit")
-    table = {
-        Scheme.SBS: outage_evt_sbs,
-        Scheme.EBS: outage_evt_ebs,
-        Scheme.IBS: outage_evt_ibs,
-        Scheme.MMS: outage_evt_mms,
-    }
-    return table[scheme](x, selection.k, params.num_devices, params)
+    module, name = route
+    return getattr(module, name)(threshold_x(params), selection, params)
 
 
 def make_row(
@@ -307,9 +271,10 @@ def find_optimal_t1(
     scan (quadrature jitter aside) falls back to the grid argmin and warns.
     """
 
+    sel = SchemeSpec(scheme, k=k)
+
     def objective(t1: float) -> float:
         p = params.replace(harvest_fraction=float(t1))
-        sel = SchemeSpec(scheme, k=k)
         return evaluate_point(sel, p, Method.ANALYTIC).value
 
     grid = np.linspace(1e-4, 1.0 - 1e-4, 50)
@@ -332,8 +297,7 @@ def find_optimal_t1(
             options={"xatol": search_tolerance},
         )
         t_star = float(res.x)
-    best = evaluate_point(SchemeSpec(scheme, k=k),
-                          params.replace(harvest_fraction=t_star), Method.ANALYTIC)
+    best = evaluate_point(sel, params.replace(harvest_fraction=t_star), Method.ANALYTIC)
     return OptimalT1(t_star, best)
 
 
@@ -496,112 +460,107 @@ def _params_for_x(params: SystemParams, x: float) -> SystemParams:
     return params.replace(rate_threshold_q=q)
 
 
-def _fig_outage_vs_power(params: SystemParams, k: int, trials: int, seed: int):
-    grid = list(range(-40, 25, 5))
+class _FigurePoint(NamedTuple):
+    """A figure point: its deterministic rows, then one Monte Carlo row per sigma_e2."""
+
+    selection: Selection
+    params: SystemParams
+    methods: tuple = (Method.ANALYTIC,)
+    mc_sigma_e2: tuple = (0.0,)
+
+
+def _figure_rows(points, trials: int, seed: int) -> list:
+    """Every point's rows in order; the n-th Monte Carlo row is seeded seed + n."""
     rows = []
     n = 0
-    for scheme, model, pt in itertools.product(
-        _ALL_SCHEMES, (EhModel.NON_LINEAR, EhModel.LINEAR), grid
-    ):
-        sel = SchemeSpec(scheme, k=k, model=model)
-        p = params.replace(transmit_power=dbm_to_watts(pt))
-        est = evaluate_point(sel, p, Method.ANALYTIC)
-        rows.append(make_row(sel, p, 0.0, Method.ANALYTIC, est))
+    for sel, p, methods, sigmas in points:
+        for method in methods:
+            rows.append(make_row(sel, p, 0.0, method, evaluate_point(sel, p, method)))
         if trials > 0:
-            est = evaluate_point(
-                sel, p, Method.MONTE_CARLO, mc_trials=trials, base_seed=seed + n
-            )
-            rows.append(make_row(sel, p, 0.0, Method.MONTE_CARLO, est))
-        n += 1
-    meta = {"pt_dbm_grid": grid, "k": k, "schemes": [s.value for s in _ALL_SCHEMES],
-            "models": ["nonlinear", "linear"]}
-    return rows, meta
-
-
-def _fig_outage_vs_k(params: SystemParams, M: int, trials: int, seed: int):
-    p0 = params.replace(num_devices=M, transmit_power=dbm_to_watts(-10.0))
-    rows = []
-    n = 0
-    for scheme, k in itertools.product(_RANKED_SCHEMES, range(1, M + 1)):
-        sel = SchemeSpec(scheme, k=k)
-        est = evaluate_point(sel, p0, Method.ANALYTIC)
-        rows.append(make_row(sel, p0, 0.0, Method.ANALYTIC, est))
-        if trials > 0:
-            est = evaluate_point(
-                sel, p0, Method.MONTE_CARLO, mc_trials=trials, base_seed=seed + n
-            )
-            rows.append(make_row(sel, p0, 0.0, Method.MONTE_CARLO, est))
-        n += 1
-    meta = {"M": M, "k_grid": list(range(1, M + 1)), "pt_dbm": -10.0,
-            "schemes": [s.value for s in _RANKED_SCHEMES]}
-    return rows, meta
-
-
-def _fig_pair(params: SystemParams, trials: int, seed: int):
-    p0 = params.replace(
-        transmit_power=dbm_to_watts(-40.0), rate_threshold_q=db_to_linear(-4.0)
-    )
-    rows = []
-    for M in (10, 20, 30):
-        p = p0.replace(num_devices=M)
-        for k in (1, 2):
-            for j in range(3, M + 1):
-                sel = PairSpec(Scheme.SBS, k=k, j=j)
-                est = evaluate_point(sel, p, Method.ANALYTIC)
-                rows.append(make_row(sel, p, 0.0, Method.ANALYTIC, est))
-    meta = {"M_grid": [10, 20, 30], "k_grid": [1, 2], "j": "3..M",
-            "q_db": -4.0, "pt_dbm": -40.0}
-    return rows, meta
-
-
-def _fig_evt(params: SystemParams, trials: int, seed: int):
-    p0 = params.replace(transmit_power=dbm_to_watts(-40.0))
-    x_grid = np.geomspace(0.1, 3.0, 30)
-    rows = []
-    for scheme, k, M in itertools.product(
-        _RANKED_SCHEMES, (1, 2), (10, 20, 50, 100, 200, 500, 1000)
-    ):
-        sel = SchemeSpec(scheme, k=k)
-        p1 = p0.replace(num_devices=M)
-        for x in x_grid:
-            p = _params_for_x(p1, float(x))
-            for method in (Method.ANALYTIC, Method.EVT):
-                rows.append(make_row(sel, p, 0.0, method, evaluate_point(sel, p, method)))
-    meta = {"M_grid": [10, 20, 50, 100, 200, 500, 1000], "k_grid": [1, 2],
-            "x_grid": [float(x) for x in x_grid], "pt_dbm": -40.0,
-            "schemes": [s.value for s in _RANKED_SCHEMES]}
-    return rows, meta
-
-
-def _fig_harvest_time(params: SystemParams, trials: int, seed: int):
-    p0 = params.replace(transmit_power=dbm_to_watts(-10.0))
-    t1_grid = [round(0.05 * i, 2) for i in range(1, 20)]
-    sigma_grid = (0.0, 0.2, 0.5)
-    rows = []
-    n = 0
-    for scheme, t1 in itertools.product(_RANKED_SCHEMES, t1_grid):
-        sel = SchemeSpec(scheme, k=2)
-        p = p0.replace(harvest_fraction=t1)
-        est = evaluate_point(sel, p, Method.ANALYTIC)
-        rows.append(make_row(sel, p, 0.0, Method.ANALYTIC, est))
-        if trials > 0:
-            for sig in sigma_grid:
+            for sig in sigmas:
                 est = evaluate_point(
                     sel, p, Method.MONTE_CARLO,
                     sigma_e2=sig, mc_trials=trials, base_seed=seed + n,
                 )
                 rows.append(make_row(sel, p, sig, Method.MONTE_CARLO, est))
                 n += 1
+    return rows
+
+
+def _fig_outage_vs_power(params: SystemParams, k: int):
+    grid = list(range(-40, 25, 5))
+    points = [
+        _FigurePoint(SchemeSpec(scheme, k=k, model=model),
+                     params.replace(transmit_power=dbm_to_watts(pt)))
+        for scheme, model, pt in itertools.product(
+            _ALL_SCHEMES, (EhModel.NON_LINEAR, EhModel.LINEAR), grid
+        )
+    ]
+    meta = {"pt_dbm_grid": grid, "k": k, "schemes": [s.value for s in _ALL_SCHEMES],
+            "models": ["nonlinear", "linear"]}
+    return points, meta
+
+
+def _fig_outage_vs_k(params: SystemParams, M: int):
+    p0 = params.replace(num_devices=M, transmit_power=dbm_to_watts(-10.0))
+    points = [
+        _FigurePoint(SchemeSpec(scheme, k=k), p0)
+        for scheme, k in itertools.product(_RANKED_SCHEMES, range(1, M + 1))
+    ]
+    meta = {"M": M, "k_grid": list(range(1, M + 1)), "pt_dbm": -10.0,
+            "schemes": [s.value for s in _RANKED_SCHEMES]}
+    return points, meta
+
+
+def _fig_pair(params: SystemParams):
+    p0 = params.replace(
+        transmit_power=dbm_to_watts(-40.0), rate_threshold_q=db_to_linear(-4.0)
+    )
+    points = [
+        _FigurePoint(PairSpec(Scheme.SBS, k=k, j=j), p0.replace(num_devices=M), mc_sigma_e2=())
+        for M in (10, 20, 30) for k in (1, 2) for j in range(3, M + 1)
+    ]
+    meta = {"M_grid": [10, 20, 30], "k_grid": [1, 2], "j": "3..M",
+            "q_db": -4.0, "pt_dbm": -40.0}
+    return points, meta
+
+
+def _fig_evt(params: SystemParams):
+    p0 = params.replace(transmit_power=dbm_to_watts(-40.0))
+    x_grid = np.geomspace(0.1, 3.0, 30)
+    points = [
+        _FigurePoint(SchemeSpec(scheme, k=k), _params_for_x(p0.replace(num_devices=M), float(x)),
+                     (Method.ANALYTIC, Method.EVT), mc_sigma_e2=())
+        for scheme, k, M in itertools.product(
+            _RANKED_SCHEMES, (1, 2), (10, 20, 50, 100, 200, 500, 1000)
+        )
+        for x in x_grid
+    ]
+    meta = {"M_grid": [10, 20, 50, 100, 200, 500, 1000], "k_grid": [1, 2],
+            "x_grid": [float(x) for x in x_grid], "pt_dbm": -40.0,
+            "schemes": [s.value for s in _RANKED_SCHEMES]}
+    return points, meta
+
+
+def _fig_harvest_time(params: SystemParams):
+    p0 = params.replace(transmit_power=dbm_to_watts(-10.0))
+    t1_grid = [round(0.05 * i, 2) for i in range(1, 20)]
+    sigma_grid = (0.0, 0.2, 0.5)
+    points = [
+        _FigurePoint(SchemeSpec(scheme, k=2), p0.replace(harvest_fraction=t1),
+                     mc_sigma_e2=sigma_grid)
+        for scheme, t1 in itertools.product(_RANKED_SCHEMES, t1_grid)
+    ]
     meta = {"t1_grid": t1_grid, "sigma_e2_grid": list(sigma_grid), "k": 2,
             "pt_dbm": -10.0, "schemes": [s.value for s in _RANKED_SCHEMES]}
-    return rows, meta
+    return points, meta
 
 
 _FIGURES = {
-    "fig2a": lambda p, t, s: _fig_outage_vs_power(p, 2, t, s),
-    "fig2b": lambda p, t, s: _fig_outage_vs_power(p, 4, t, s),
-    "fig3a": lambda p, t, s: _fig_outage_vs_k(p, 10, t, s),
-    "fig3b": lambda p, t, s: _fig_outage_vs_k(p, 20, t, s),
+    "fig2a": lambda p: _fig_outage_vs_power(p, 2),
+    "fig2b": lambda p: _fig_outage_vs_power(p, 4),
+    "fig3a": lambda p: _fig_outage_vs_k(p, 10),
+    "fig3b": lambda p: _fig_outage_vs_k(p, 20),
     "fig4": _fig_pair,
     "fig5": _fig_evt,
     "fig6": _fig_harvest_time,
@@ -625,7 +584,8 @@ def reproduce_figure(
         raise ValueError(f"unknown figure {figure_id!r}; pick from {sorted(_FIGURES)}")
     if params is None:
         params = SystemParams()
-    rows, meta = _FIGURES[key](params, trials, seed)
+    points, meta = _FIGURES[key](params)
+    rows = _figure_rows(points, trials, seed)
     meta.update({
         "figure": key,
         "trials": trials,

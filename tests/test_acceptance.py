@@ -183,7 +183,7 @@ def test_criterion_05_ranked_selection_averages_to_random():
     for model in MODELS:
         for x in xs:
             x = float(x)
-            rs = outage_rs(x, DEFAULTS, model).value
+            rs = outage_rs(x, SchemeSpec(Scheme.RS, model=model), DEFAULTS).value
             mean = (
                 sum(
                     outage_sbs(x, SchemeSpec(Scheme.SBS, k=k, model=model), DEFAULTS).value
@@ -220,7 +220,7 @@ def test_criterion_07_extreme_value_limits_converge_with_population():
             pm = p40.replace(num_devices=M)
             spec = SchemeSpec(scheme, k=1)
             sup = max(
-                abs(limit(float(x), 1, M, pm).value - exact(float(x), spec, pm).value)
+                abs(limit(float(x), spec, pm).value - exact(float(x), spec, pm).value)
                 for x in grid
             )
             sups.append(sup)

@@ -156,17 +156,18 @@ def test_parent_cdf_monotone():
 # ---------------------------------------------------------------------------
 
 def test_rs_frozen():
-    assert outage_rs(X, P, EhModel.NON_LINEAR).value == pytest.approx(
+    assert outage_rs(X, SchemeSpec(Scheme.RS), P).value == pytest.approx(
         0.0038044257130998463, rel=1e-12
     )
-    assert outage_rs(X, P, EhModel.LINEAR).value == pytest.approx(
+    linear = SchemeSpec(Scheme.RS, model=EhModel.LINEAR)
+    assert outage_rs(X, linear, P).value == pytest.approx(
         0.0023876146275598753, rel=1e-12
     )
-    assert outage_rs(0.0, P, EhModel.NON_LINEAR).value == 0.0
+    assert outage_rs(0.0, SchemeSpec(Scheme.RS), P).value == 0.0
 
 
 def test_rs_floor_frozen():
-    est = outage_rs_high_snr(X, P)
+    est = outage_rs_high_snr(X, SchemeSpec(Scheme.RS), P)
     assert est.method is Method.HIGH_SNR
     assert est.value == pytest.approx(6.203716028860447e-08, rel=1e-12)
 
@@ -208,7 +209,8 @@ def test_sbs_closure_recovers_rs(model):
             outage_sbs(x, SchemeSpec(Scheme.SBS, k=k, model=model), P).value
             for k in range(1, M + 1)
         ) / M
-        assert mean == pytest.approx(outage_rs(x, P, model).value, abs=1e-9)
+        rs = outage_rs(x, SchemeSpec(Scheme.RS, model=model), P).value
+        assert mean == pytest.approx(rs, abs=1e-9)
 
 
 def test_sbs_floor_frozen():
@@ -316,7 +318,8 @@ def test_ebs_large_population_integral_keeps_relative_digits():
 
 def test_ebs_floor_is_rs_floor_exactly():
     assert (
-        outage_ebs_high_snr(X, P).value == outage_rs_high_snr(X, P).value
+        outage_ebs_high_snr(X, SchemeSpec(Scheme.EBS), P).value
+        == outage_rs_high_snr(X, SchemeSpec(Scheme.RS), P).value
     )
 
 
@@ -532,7 +535,7 @@ def test_scheme_ordering_at_default_point():
     ebs = outage_ebs(X, SchemeSpec(Scheme.EBS, k=k), P).value
     ibs = outage_ibs(X, SchemeSpec(Scheme.IBS, k=k), P).value
     mms = outage_mms(X, SchemeSpec(Scheme.MMS, k=k), P).value
-    rs = outage_rs(X, P, EhModel.NON_LINEAR).value
+    rs = outage_rs(X, SchemeSpec(Scheme.RS), P).value
     assert sbs <= mms <= ibs <= rs
     assert sbs <= ebs <= rs
     # at k = M every ranking is the worst pick, but energy ranking no longer
@@ -547,7 +550,7 @@ def test_scheme_ordering_at_default_point():
 @pytest.mark.parametrize("model", [EhModel.NON_LINEAR, EhModel.LINEAR])
 def test_single_device_reduces_to_rs(model):
     params = default_params(num_devices=1)
-    rs = outage_rs(X, params, model).value
+    rs = outage_rs(X, SchemeSpec(Scheme.RS, model=model), params).value
     for fn, scheme in (
         (outage_sbs, Scheme.SBS),
         (outage_ebs, Scheme.EBS),
@@ -570,7 +573,7 @@ def test_infinite_threshold_is_certain_outage():
     assert outage_ebs(math.inf, SchemeSpec(Scheme.EBS, k=2), P).value == 1.0
     assert outage_ibs(math.inf, SchemeSpec(Scheme.IBS, k=2), P).value == 1.0
     assert outage_mms(math.inf, SchemeSpec(Scheme.MMS, k=2), P).value == 1.0
-    assert outage_rs(math.inf, P, EhModel.NON_LINEAR).value == 1.0
+    assert outage_rs(math.inf, SchemeSpec(Scheme.RS), P).value == 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -578,13 +581,13 @@ def test_infinite_threshold_is_certain_outage():
 # ---------------------------------------------------------------------------
 
 def test_pair_frozen_values():
-    got = outage_pair(X_PAIR, PairSpec(Scheme.SBS, 1, 3), P_PAIR, EhModel.NON_LINEAR)
+    got = outage_pair(X_PAIR, PairSpec(Scheme.SBS, 1, 3), P_PAIR)
     assert got.value == pytest.approx(0.00023501526047497304, rel=1e-8)
-    got = outage_pair(X_PAIR, PairSpec(Scheme.SBS, 2, 5), P_PAIR, EhModel.NON_LINEAR)
+    got = outage_pair(X_PAIR, PairSpec(Scheme.SBS, 2, 5), P_PAIR)
     assert got.value == pytest.approx(0.0011205004527402086, rel=1e-8)
-    got = outage_pair(X_PAIR, PairSpec(Scheme.SBS, 1, 3), P_PAIR, EhModel.LINEAR)
+    got = outage_pair(X_PAIR, PairSpec(Scheme.SBS, 1, 3, model=EhModel.LINEAR), P_PAIR)
     assert got.value == pytest.approx(1.6606152042638465e-05, rel=1e-8)
-    got = outage_pair(X_PAIR, PairSpec(Scheme.RS, 1, 2), P_PAIR, EhModel.NON_LINEAR)
+    got = outage_pair(X_PAIR, PairSpec(Scheme.RS, 1, 2), P_PAIR)
     assert got.value == pytest.approx(0.1207004453993607, rel=1e-8)
 
 
@@ -597,7 +600,7 @@ def test_pair_high_snr_floor():
 def test_pair_monotone_in_threshold():
     pair = PairSpec(Scheme.SBS, 1, 3)
     vals = [
-        outage_pair(x, pair, P_PAIR, EhModel.NON_LINEAR).value
+        outage_pair(x, pair, P_PAIR).value
         for x in (0.2, 0.45, X_PAIR)
     ]
     assert all(lo < hi for lo, hi in zip(vals, vals[1:]))
@@ -605,7 +608,7 @@ def test_pair_monotone_in_threshold():
 
 def test_pair_zero_threshold():
     pair = PairSpec(Scheme.SBS, 1, 3)
-    assert outage_pair(0.0, pair, P_PAIR, EhModel.NON_LINEAR).value == 0.0
+    assert outage_pair(0.0, pair, P_PAIR).value == 0.0
 
 
 def test_pair_threshold_domain():
@@ -613,12 +616,12 @@ def test_pair_threshold_domain():
     pair = PairSpec(Scheme.SBS, 1, 3)
     for bad in (1.0, 1.5):
         with pytest.raises(DomainError):
-            outage_pair(bad, pair, P_PAIR, EhModel.NON_LINEAR)
+            outage_pair(bad, pair, P_PAIR)
 
 
 def test_pair_order_index_bounds():
     with pytest.raises(ValueError):
-        outage_pair(0.5, PairSpec(Scheme.SBS, 1, 11), P_PAIR, EhModel.NON_LINEAR)
+        outage_pair(0.5, PairSpec(Scheme.SBS, 1, 11), P_PAIR)
 
 
 # ---------------------------------------------------------------------------

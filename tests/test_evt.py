@@ -182,7 +182,7 @@ def _series_check_ebs(x, k, M, params, num_terms=60):
 def test_ebs_limit_matches_series_restatement(M, k):
     params = P40.replace(num_devices=M)
     series = _series_check_ebs(3.0, k, M, params)
-    integral = outage_evt_ebs(3.0, k, M, params).value
+    integral = outage_evt_ebs(3.0, SchemeSpec(Scheme.EBS, k=k), params).value
     assert integral == pytest.approx(series, rel=1e-8)
 
 
@@ -190,7 +190,7 @@ def test_ebs_limit_keeps_relative_digits_deep_in_the_tail():
     # 40-digit mpmath quadrature of Q(1, M) + int_0^inf f(t) (1 - e^(-r - cr/(Pt t))) dt;
     # the 1 - e^(-r) int form lost 2e-5 relative here to cancellation
     params = default_params(transmit_power=dbm_to_watts(10.0), num_devices=100)
-    got = outage_evt_ebs(1e-3, 1, 100, params).value
+    got = outage_evt_ebs(1e-3, SchemeSpec(Scheme.EBS), params).value
     assert got == pytest.approx(3.6892661841601692e-10, rel=1e-8)
 
 
@@ -212,37 +212,45 @@ def test_evt_overshoot_raises(monkeypatch, fn, body):
     import wpcn_select.evt as evt
 
     monkeypatch.setattr(evt, body, lambda *a: 1.01)
+    scheme = {outage_evt_ebs: Scheme.EBS, outage_evt_ibs: Scheme.IBS, outage_evt_mms: Scheme.MMS}
     with pytest.raises(AccuracyError):
-        fn(1.0, 1, 20, P40)
+        fn(1.0, SchemeSpec(scheme[fn]), P40.replace(num_devices=20))
 
 
 def test_evt_values_stay_clamped():
     # every limit is a probability under its law, and no clamp makes it one
     for x in (1e-3, 0.5, 10.0, 100.0, 1000.0):
-        for fn in (outage_evt_sbs, outage_evt_ebs, outage_evt_ibs, outage_evt_mms):
-            v = fn(x, 1, 2, P40.replace(num_devices=2)).value
+        for scheme, fn in ((Scheme.SBS, outage_evt_sbs), (Scheme.EBS, outage_evt_ebs),
+                           (Scheme.IBS, outage_evt_ibs), (Scheme.MMS, outage_evt_mms)):
+            v = fn(x, SchemeSpec(scheme), P40.replace(num_devices=2)).value
             assert 0.0 <= v <= 1.0
 
 
 def test_evt_zero_threshold():
-    assert outage_evt_ibs(0.0, 1, 20, P40).value == 0.0
-    assert outage_evt_mms(0.0, 1, 20, P40).value == 0.0
+    p20 = P40.replace(num_devices=20)
+    assert outage_evt_ibs(0.0, SchemeSpec(Scheme.IBS), p20).value == 0.0
+    assert outage_evt_mms(0.0, SchemeSpec(Scheme.MMS), p20).value == 0.0
     # the limit laws keep mass Q(k, M) below a zero gain; a zero threshold is
     # still no outage, on every ranked route alike
-    assert outage_evt_ebs(0.0, 1, 20, P40).value <= 1e-6
+    assert outage_evt_ebs(0.0, SchemeSpec(Scheme.EBS), p20).value <= 1e-6
+    # the Gumbel law of the SBS limit has mass below zero too, and it is no outage
+    assert outage_evt_sbs(0.0, SchemeSpec(Scheme.SBS), p20).value == 0.0
+    zero_q = P40.replace(num_devices=10, rate_threshold_q=0.0)
+    assert evaluate_point(SchemeSpec(Scheme.SBS), zero_q, Method.EVT).value == 0.0
 
 
 def test_evt_infinite_threshold():
-    assert outage_evt_ibs(math.inf, 1, 20, P40).value == 1.0
-    assert outage_evt_mms(math.inf, 1, 20, P40).value == 1.0
-    assert outage_evt_sbs(math.inf, 1, 20, P40).value == 1.0
+    p20 = P40.replace(num_devices=20)
+    assert outage_evt_ibs(math.inf, SchemeSpec(Scheme.IBS), p20).value == 1.0
+    assert outage_evt_mms(math.inf, SchemeSpec(Scheme.MMS), p20).value == 1.0
+    assert outage_evt_sbs(math.inf, SchemeSpec(Scheme.SBS), p20).value == 1.0
 
 
 def test_ebs_limit_single_convergence_point():
     M = 200
     params = P40.replace(num_devices=M)
     exact = outage_ebs(1.0, SchemeSpec(Scheme.EBS, k=1), params).value
-    limit = outage_evt_ebs(1.0, 1, M, params).value
+    limit = outage_evt_ebs(1.0, SchemeSpec(Scheme.EBS, k=1), params).value
     assert exact == pytest.approx(0.029848180684150127, rel=1e-9)
     assert abs(limit - exact) < 1e-4
 
@@ -253,7 +261,7 @@ def test_ibs_limit_tracks_exact_ibs():
     M = 200
     params = P40.replace(num_devices=M)
     exact = outage_ibs(1.0, SchemeSpec(Scheme.IBS, k=1), params).value
-    limit = outage_evt_ibs(1.0, 1, M, params).value
+    limit = outage_evt_ibs(1.0, SchemeSpec(Scheme.IBS, k=1), params).value
     assert abs(limit - exact) < 1e-4
 
 
@@ -263,7 +271,7 @@ def test_sbs_limit_single_convergence_point():
     consts = normalizing_constants(Scheme.SBS, M, params)
     x = consts.eta  # center of the limiting law, outage ~ 1/e
     exact = outage_sbs(x, SchemeSpec(Scheme.SBS, k=1), params).value
-    limit = outage_evt_sbs(x, 1, M, params).value
+    limit = outage_evt_sbs(x, SchemeSpec(Scheme.SBS, k=1), params).value
     assert abs(limit - exact) < 5e-3
 
 
@@ -274,7 +282,7 @@ def test_mms_limit_tracks_exact_in_low_threshold_regime():
     for i in range(10):
         x = 0.1 * (3.0 / 0.1) ** (i / 9.0)
         exact = outage_mms(x, SchemeSpec(Scheme.MMS, k=1), params).value
-        limit = outage_evt_mms(x, 1, M, params).value
+        limit = outage_evt_mms(x, SchemeSpec(Scheme.MMS, k=1), params).value
         sup_gap = max(sup_gap, abs(limit - exact))
     assert sup_gap < 1e-5
 
@@ -284,14 +292,15 @@ def test_mms_limit_tracks_exact_at_high_thresholds(M):
     params = P40.replace(num_devices=M)
     for x in (30.0, 100.0, 300.0):
         exact = outage_mms(x, SchemeSpec(Scheme.MMS, k=1), params).value
-        limit = outage_evt_mms(x, 1, M, params).value
+        limit = outage_evt_mms(x, SchemeSpec(Scheme.MMS, k=1), params).value
         assert abs(limit - exact) < 1e-2, f"x={x}: exact {exact!r}, limit {limit!r}"
 
 
 def test_mms_limit_keeps_deep_tail_mass():
     # ~2e-17: the ranked mass below r must stay a nonnegative probability,
     # not a cancelled sum that the clamp turns into 0
-    assert outage_evt_mms(0.1, 2, 50, P40).value > 0.0
+    spec = SchemeSpec(Scheme.MMS, k=2)
+    assert outage_evt_mms(0.1, spec, P40.replace(num_devices=50)).value > 0.0
 
 
 def test_mms_limit_in_unit_interval_before_clamping():
@@ -311,7 +320,7 @@ def test_mms_limit_in_unit_interval_before_clamping():
 # ---------------------------------------------------------------------------
 
 def test_evt_pair_is_product_of_marginals():
-    prod = outage_evt_pair(X_PAIR, PairSpec(Scheme.SBS, 1, 3), 10, P_PAIR).value
+    prod = outage_evt_pair(X_PAIR, PairSpec(Scheme.SBS, 1, 3), P_PAIR).value
     a = pair_marginal_primary(X_PAIR, 1, 3, 10, P_PAIR, Parent.NON_LINEAR)
     b = pair_marginal_secondary(X_PAIR, 1, 3, 10, P_PAIR, Parent.NON_LINEAR)
     assert prod == pytest.approx(a * b, rel=1e-12)
@@ -325,15 +334,15 @@ def test_evt_pair_never_exceeds_exact_joint():
 
     for M in (10, 30):
         params = P_PAIR.replace(num_devices=M)
-        joint = outage_pair(X_PAIR, PairSpec(Scheme.SBS, 1, 3), params, EhModel.NON_LINEAR).value
-        prod = outage_evt_pair(X_PAIR, PairSpec(Scheme.SBS, 1, 3), M, params).value
+        joint = outage_pair(X_PAIR, PairSpec(Scheme.SBS, 1, 3), params).value
+        prod = outage_evt_pair(X_PAIR, PairSpec(Scheme.SBS, 1, 3), params).value
         assert prod <= joint
         assert prod == pytest.approx(joint, rel=0.15)
 
 
 def test_evt_pair_frozen_large_population():
     params = P_PAIR.replace(num_devices=30)
-    got = outage_evt_pair(X_PAIR, PairSpec(Scheme.SBS, 1, 3), 30, params).value
+    got = outage_evt_pair(X_PAIR, PairSpec(Scheme.SBS, 1, 3), params).value
     assert got == pytest.approx(8.5457771133614e-10, rel=1e-8)
 
 
@@ -343,17 +352,17 @@ def test_evt_pair_refuses_linear_harvester():
     with pytest.raises(ValueError, match="nonlinear harvester"):
         evaluate_point(linear, P_PAIR, Method.EVT)
     with pytest.raises(ValueError, match="nonlinear harvester"):
-        outage_evt_pair(X_PAIR, linear, 10, P_PAIR)
+        outage_evt_pair(X_PAIR, linear, P_PAIR)
 
 
 def test_evt_pair_domain():
     with pytest.raises(ValueError):
-        outage_evt_pair(X_PAIR, PairSpec(Scheme.RS, 1, 3), 10, P_PAIR)
+        outage_evt_pair(X_PAIR, PairSpec(Scheme.RS, 1, 3), P_PAIR)
     with pytest.raises(DomainError):
-        outage_evt_pair(1.1, PairSpec(Scheme.SBS, 1, 3), 10, P_PAIR)
+        outage_evt_pair(1.1, PairSpec(Scheme.SBS, 1, 3), P_PAIR)
     with pytest.raises(ValueError):
-        outage_evt_pair(X_PAIR, PairSpec(Scheme.SBS, 1, 12), 10, P_PAIR)
-    assert outage_evt_pair(0.0, PairSpec(Scheme.SBS, 1, 3), 10, P_PAIR).value == 0.0
+        outage_evt_pair(X_PAIR, PairSpec(Scheme.SBS, 1, 12), P_PAIR)
+    assert outage_evt_pair(0.0, PairSpec(Scheme.SBS, 1, 3), P_PAIR).value == 0.0
 
 
 def test_evt_pair_overshoot_raises(monkeypatch):
@@ -363,7 +372,7 @@ def test_evt_pair_overshoot_raises(monkeypatch):
     monkeypatch.setattr(evt, "pair_marginal_primary", lambda *a: 1.01)
     monkeypatch.setattr(evt, "pair_marginal_secondary", lambda *a: 1.01)
     with pytest.raises(AccuracyError):
-        outage_evt_pair(X_PAIR, PairSpec(Scheme.SBS, 1, 3), 10, P_PAIR)
+        outage_evt_pair(X_PAIR, PairSpec(Scheme.SBS, 1, 3), P_PAIR)
 
 
 @pytest.mark.parametrize("pt_dbm", [-30.0, -20.0])

@@ -10,7 +10,8 @@ import math
 
 import pytest
 
-from wpcn_select.analytic import Method, PairSpec, Scheme, SchemeSpec
+import wpcn_select.experiments as experiments
+from wpcn_select.analytic import Method, OutageEstimate, PairSpec, Scheme, SchemeSpec
 from wpcn_select.cli import main as cli_main
 from wpcn_select.experiments import (
     CSV_COLUMNS,
@@ -31,6 +32,13 @@ from wpcn_select.experiments import (
 from wpcn_select.model import EhModel, db_to_linear, dbm_to_watts, default_params
 
 P = default_params()
+
+# Q = -4 dB keeps the pair threshold below 1, where the pair routes are defined
+P_PAIR = default_params(
+    num_devices=10,
+    transmit_power=dbm_to_watts(-40.0),
+    rate_threshold_q=db_to_linear(-4.0),
+)
 
 
 # ---------------------------------------------------------------------------
@@ -84,6 +92,33 @@ def test_evaluate_point_rejects_impossible_requests():
         evaluate_point(
             SchemeSpec(Scheme.SBS, k=1, model=EhModel.LINEAR), P, Method.EVT
         )
+
+
+# selection name -> (the (M + 1)-th best, its system)
+BEYOND_POPULATION = {
+    **{s.value: (SchemeSpec(s, k=P.num_devices + 1), P) for s in Scheme},
+    "pair": (PairSpec(Scheme.SBS, 1, P_PAIR.num_devices + 1), P_PAIR),
+}
+
+
+@pytest.mark.parametrize("method", list(Method), ids=lambda m: m.value)
+@pytest.mark.parametrize("case", list(BEYOND_POPULATION))
+def test_evaluate_point_rejects_order_index_beyond_population(method, case):
+    # every route refuses the (M + 1)-th best; RS has no extreme-value route at all
+    selection, params = BEYOND_POPULATION[case]
+    with pytest.raises(ValueError, match="exceeds|extreme-value"):
+        evaluate_point(selection, params, method, mc_trials=1_000)
+
+
+@pytest.mark.parametrize("scheme", list(Scheme) + ["pair"], ids=str)
+def test_high_snr_floor_refuses_linear_harvester(scheme):
+    # the linear harvester never saturates, so it has no floor to report
+    if scheme == "pair":
+        selection, params = PairSpec(Scheme.SBS, 1, 3, model=EhModel.LINEAR), P_PAIR
+    else:
+        selection, params = SchemeSpec(scheme, k=2, model=EhModel.LINEAR), P
+    with pytest.raises(ValueError, match="nonlinear harvester"):
+        evaluate_point(selection, params, Method.HIGH_SNR)
 
 
 # ---------------------------------------------------------------------------
@@ -333,6 +368,30 @@ def test_reproduce_figure_is_byte_identical(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+FIGURE_ROWS = {
+    "fig2a": 130, "fig2b": 130, "fig3a": 40, "fig3b": 80, "fig4": 108, "fig5": 3360, "fig6": 76,
+}
+
+
+@pytest.mark.parametrize("figure", sorted(FIGURE_ROWS))
+def test_reproduce_figure_row_counts(tmp_path, figure):
+    csv_path, meta_path = reproduce_figure(figure, out_dir=tmp_path, trials=0)
+    assert len(read_csv(csv_path)) == FIGURE_ROWS[figure]
+    assert json.loads(meta_path.read_text())["figure"] == figure
+
+
+@pytest.mark.parametrize("figure, mc_rows", [("fig2a", 130), ("fig6", 76 * 3)])
+def test_reproduce_figure_seeds_mc_rows_in_row_order(tmp_path, monkeypatch, figure, mc_rows):
+    def fake_simulation(cfg):
+        # the seed comes back as the stderr, so each row names its own seed
+        return OutageEstimate(0.5, Method.MONTE_CARLO, float(cfg.base_seed))
+
+    monkeypatch.setattr(experiments, "simulate_outage", fake_simulation)
+    csv_path, _ = reproduce_figure(figure, out_dir=tmp_path, trials=100, seed=7)
+    seeds = [row["stderr"] for row in read_csv(csv_path) if row["method"] == "mc"]
+    assert seeds == [float(s) for s in range(7, 7 + mc_rows)]
+
+
 def test_reproduce_figure_unknown_id(tmp_path):
     with pytest.raises(ValueError):
         reproduce_figure("fig99", out_dir=tmp_path)
@@ -373,6 +432,12 @@ def test_cli_bad_point_exits_2(capsys):
     rc = cli_main(["compute", "--scheme", "sbs", "--k", "7"])  # k > default M
     assert rc == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_cli_high_snr_linear_exits_2(capsys):
+    rc = cli_main(["compute", "--scheme", "sbs", "--model", "linear", "--method", "highsnr"])
+    assert rc == 2
+    assert "nonlinear harvester" in capsys.readouterr().err
 
 
 def test_cli_sweep_writes_csv(tmp_path, capsys):

@@ -264,7 +264,7 @@ def _within_three_sigma(est, truth):
 
 
 def test_simulate_rs_matches_analytic():
-    truth = outage_rs(3.0, P, EhModel.NON_LINEAR).value
+    truth = outage_rs(3.0, SchemeSpec(Scheme.RS), P).value
     est = simulate_outage(TrialConfig(SchemeSpec(Scheme.RS, k=1), P, num_trials=200_000))
     assert _within_three_sigma(est, truth)
 
@@ -293,7 +293,7 @@ def test_simulate_pair_matches_analytic():
         rate_threshold_q=db_to_linear(-4.0),
     )
     pair = PairSpec(Scheme.SBS, 1, 3)
-    truth = outage_pair(0.7365384334381356, pair, params, EhModel.NON_LINEAR).value
+    truth = outage_pair(0.7365384334381356, pair, params).value
     est = simulate_outage(TrialConfig(pair, params, num_trials=400_000, base_seed=11))
     assert _within_three_sigma(est, truth)
 
