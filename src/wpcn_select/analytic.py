@@ -30,10 +30,10 @@ c r/(Pt (t - lo)) on t > lo.  So one helper evaluates all three:
 (the linear harvester has r = 0 and beta in place of c r/Pt).  The integrals
 take the ranked law (RankedLaw) as an argument: the finite-M order statistic
 on the exact and floor routes, its Gumbel limit on the extreme-value (evt)
-route.  EBS and IBS also have closed alternating sums of K1 terms,
-accumulated with math.fsum under a cancellation monitor; for M > 60, or when
-the monitor trips, they fall back to their integrals, which stay stable at
-any M.
+route.  They run on special.integrate_panels, seeded at the law's scale and
+the gate's, both MMS halves in one call.  For M <= 60, EBS and IBS use closed
+alternating sums of K1 terms instead (math.fsum, under a cancellation
+monitor) and fall back to the integrals when the monitor trips.
 
 Pair selection ranks Y, Z as the k-th and j-th largest parent SNRs (k < j).
 Given one of them, the other is an order statistic of iid draws from the
@@ -57,6 +57,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Optional
 
+import numpy as np
 from scipy.special import k0 as _bessel_k0  # parent PDF needs K0 alongside K1
 
 from .model import EhModel, SystemParams
@@ -66,6 +67,7 @@ from .special import (
     QuadratureSpec,
     bessel_k1,
     integrate_finite,
+    integrate_panels,
     integrate_semi_infinite,
     reg_inc_beta,
     reg_inc_beta_complement,
@@ -129,7 +131,7 @@ class SchemeSpec:
     model: EhModel = EhModel.NON_LINEAR
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.k, int) and self.k >= 1):
+        if not (type(self.k) is int and self.k >= 1):  # not isinstance: True is an int
             raise ValueError("order index k must be an integer >= 1")
 
 
@@ -145,7 +147,7 @@ class PairSpec:
     def __post_init__(self) -> None:
         if self.scheme not in (Scheme.RS, Scheme.SBS):
             raise ValueError("pair selection supports only RS and SBS ranking")
-        if not (isinstance(self.k, int) and isinstance(self.j, int)):
+        if not (type(self.k) is int and type(self.j) is int):  # True is no index either
             raise ValueError("order indices k, j must be integers")
         if not 1 <= self.k < self.j:
             raise ValueError("pair selection requires 1 <= k < j")
@@ -334,12 +336,13 @@ def _order_sum_or_integral(
 
 @dataclass(frozen=True)
 class RankedLaw:
-    """Law of a scheme's ranked gain t: log density (-inf for an exact zero),
-    CDF, and the density's peak."""
+    """Law of a scheme's ranked gain t: array-valued log density (-inf for an
+    exact zero), CDF, the density's peak, and the rate that sets its width."""
 
-    logpdf: Callable[[float], float]
+    logpdf: Callable[[np.ndarray], np.ndarray]
     cdf: Callable[[float], float]
     peak: float
+    rate: float
 
 
 def order_stat_law(M: int, k: int, rate: float) -> RankedLaw:
@@ -352,46 +355,45 @@ def order_stat_law(M: int, k: int, rate: float) -> RankedLaw:
         - math.lgamma(M - k + 1)
     )
 
-    def logpdf(t: float) -> float:
-        if t <= 0.0:
-            return -math.inf
-        e = math.exp(-rate * t)
-        if e >= 1.0:
-            return -math.inf
-        return lc - k * rate * t + (M - k) * math.log1p(-e)
+    def logpdf(t: np.ndarray) -> np.ndarray:
+        q = -np.expm1(-rate * np.maximum(t, 0.0))  # parent CDF, 0 at t <= 0
+        live = q > 0.0
+        return np.where(live, lc - k * rate * t + (M - k) * np.log(np.where(live, q, 1.0)), -np.inf)
 
     def cdf(t: float) -> float:
         return _kth_best_cdf(-math.expm1(-rate * t), M, k) if t > 0.0 else 0.0
 
-    return RankedLaw(logpdf, cdf, math.log(max(M / k, 2.0)) / rate)
+    return RankedLaw(logpdf, cdf, math.log(max(M / k, 2.0)) / rate, rate)
 
 
-def _gated_integral(
-    law: RankedLaw, lo: float, hi: float, cr_over_pt: float,
-    shift: float = 0.0, slope: float = 0.0,
-) -> float:
-    """P(t <= lo) + int_lo^hi f(t) [1 - e^(-E(t))] dt with f the law's density
-    and E(t) = shift - slope t + cr_over_pt/(t - lo): every ranked scheme's
-    outage (module docstring).  The law keeps about e^-40 of its mass or less
-    beyond peak + 40, so the quadrature stops there and stays on the peak
-    however far hi lies past it.
+# seed panels of the gated integral at its two scales: the ranked law's width
+# 1/rate about its peak, and the gate's c r/Pt above lo
+_LAW_STEPS = (-8.0, -4.0, -2.0, -1.0, 0.0, 1.0, 2.0, 4.0, 8.0, 16.0)
+_GATE_STEPS = tuple(4.0 ** j for j in range(-1, 6))
+
+
+def _gated_integral(law: RankedLaw, gates: list[tuple[float, float, float]],
+                    cr_over_pt: float, slope: float = 0.0) -> float:
+    """Sum over gates (lo, hi, shift) of P(t <= lo) + int_lo^hi f(t) [1 -
+    e^(-E(t))] dt in one kernel call, with f the law's density and E(t) =
+    shift - slope t + cr_over_pt/(t - lo): every ranked scheme's outage
+    (module docstring).  The law keeps about e^-40 of its mass or less beyond
+    peak + 40, so each integral stops there, on the peak however far hi is.
     """
-    top = min(hi, law.peak + 40.0)
-    if not top > lo:
-        return law.cdf(lo)
-    logpdf = law.logpdf
+    mass = sum(law.cdf(lo) for lo, _, _ in gates)
+    gates = [(lo, top, shift) for lo, hi, shift in gates if (top := min(hi, law.peak + 40.0)) > lo]
+    if not gates:
+        return mass
+    cuts = [law.peak + step / law.rate for step in _LAW_STEPS]
+    edges = [sorted({lo, top}.union(c for c in cuts + [lo + cr_over_pt * g for g in _GATE_STEPS]
+                                    if lo < c < top)) for lo, top, _ in gates]
+    lo, _, shift = (np.array(column)[:, None] for column in zip(*gates))
 
-    def f(t: float) -> float:
-        u = t - lo
-        if u <= 0.0:
-            return 0.0
-        e = logpdf(t)
-        if e <= -745.0:
-            return 0.0
-        return math.exp(e) * -math.expm1(slope * t - shift - cr_over_pt / u)
+    def f(t: np.ndarray, piece: np.ndarray) -> np.ndarray:
+        e = slope * t - shift[piece] - cr_over_pt / (t - lo[piece])
+        return np.exp(law.logpdf(t)) * -np.expm1(e)
 
-    val, _ = integrate_finite(f, lo, top, points=[law.peak])
-    return law.cdf(lo) + val
+    return mass + integrate_panels(f, edges)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -452,7 +454,7 @@ def _ebs_integral(shift: float, cr_over_pt: float, law: RankedLaw) -> float:
     """EBS outage for a ranked downlink gain y with the given law: the uplink
     fails with probability 1 - e^(-shift - cr_over_pt/y), shift being r under
     the nonlinear harvester and 0 under the linear one."""
-    return _gated_integral(law, 0.0, math.inf, cr_over_pt, shift=shift)
+    return _gated_integral(law, [(0.0, math.inf, shift)], cr_over_pt)
 
 
 @_evaluator(Method.ANALYTIC, SchemeSpec, Scheme.EBS)
@@ -483,7 +485,7 @@ def _ibs_integral(r: float, cr_over_pt: float, law: RankedLaw) -> float:
     """IBS outage for a ranked uplink gain z with the given law: below r it
     fails outright, above r the downlink gate fails with probability
     1 - e^(-c r/(Pt (z - r)))."""
-    return _gated_integral(law, r, math.inf, cr_over_pt)
+    return _gated_integral(law, [(r, math.inf, 0.0)], cr_over_pt)
 
 
 def _ibs_value(x: float, k: int, M: int, params: SystemParams) -> float:
@@ -525,9 +527,7 @@ def _mms_integral(r: float, cr_over_pt: float, law: RankedLaw) -> float:
     Both gates close at s, the root of w(s) = s.
     """
     s = 0.5 * r + math.sqrt(0.25 * r * r + cr_over_pt)
-    min_is_downlink = _gated_integral(law, 0.0, s, cr_over_pt, shift=r, slope=1.0)
-    min_is_uplink = _gated_integral(law, r, s, cr_over_pt, slope=1.0)
-    return 0.5 * (min_is_downlink + min_is_uplink)
+    return 0.5 * _gated_integral(law, [(0.0, s, r), (r, s, 0.0)], cr_over_pt, slope=1.0)
 
 
 @_evaluator(Method.ANALYTIC, SchemeSpec, Scheme.MMS)

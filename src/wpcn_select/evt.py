@@ -17,9 +17,11 @@ log density (k log M - lgamma(k)) so no intermediate overflows.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
+import numpy as np
 from scipy.optimize import brentq
 from scipy.special import gammaincc
 
@@ -91,15 +93,16 @@ def gumbel_law(M: int, k: int, rate: float) -> RankedLaw:
     line, cdf(t) = Q(k, M e^(-rate t)), so cdf(0) = Q(k, M) > 0."""
     lc = math.log(rate) + k * math.log(M) - math.lgamma(k)
 
-    def logpdf(t: float) -> float:
-        return lc - k * rate * t - M * math.exp(-rate * t)
+    def logpdf(t: np.ndarray) -> np.ndarray:
+        return lc - k * rate * t - M * np.exp(-rate * t)
 
     def cdf(t: float) -> float:
         return float(gammaincc(k, M * math.exp(-rate * t)))
 
-    return RankedLaw(logpdf, cdf, math.log(max(M / k, 2.0)) / rate)
+    return RankedLaw(logpdf, cdf, math.log(max(M / k, 2.0)) / rate, rate)
 
 
+@functools.lru_cache(maxsize=512)
 def _parent_quantile(p: float, params: SystemParams) -> float:
     """Inverse of the per-device SNR CDF, bracketed bisection + secant."""
     hi = 1.0
@@ -138,6 +141,7 @@ def normalizing_constants(scheme: Scheme, M: int, params: SystemParams) -> Norma
     if scheme is Scheme.MMS:
         return NormalizingConstants(0.5 * math.log(M), 0.5, scheme)
     if scheme is Scheme.SBS:
+        params = params.replace(rate_threshold_q=0.0)  # the parent SNR law ignores it
         eta = _parent_quantile(1.0 - 1.0 / M, params)
         xi = _parent_quantile(1.0 - 1.0 / (math.e * M), params) - eta
         return NormalizingConstants(eta, xi, scheme)

@@ -27,6 +27,24 @@ def ibs_phi_quadrature(x, params, delta):
     return val
 
 
+def order_stat_logpdf(t, M, k, rate):
+    """Log density of the k-th largest of M iid exponentials at one point,
+    the scalar reference the array-valued RankedLaw.logpdf is checked against."""
+    if t <= 0.0:
+        return -math.inf
+    e = math.exp(-rate * t)
+    if e >= 1.0:
+        return -math.inf
+    lc = math.log(k * rate) + math.lgamma(M + 1) - math.lgamma(k + 1) - math.lgamma(M - k + 1)
+    return lc - k * rate * t + (M - k) * math.log1p(-e)
+
+
+def gumbel_logpdf(t, M, k, rate):
+    """Log density of the Gumbel limit of that order statistic at one point."""
+    lc = math.log(rate) + k * math.log(M) - math.lgamma(k)
+    return lc - k * rate * t - M * math.exp(-rate * t)
+
+
 def eight_normal_gains(M, n, sigma_e2, rng):
     """(true_g, true_h, est_g, est_h), each (n, M), built from eight real
     normals per device: the estimate is CN(0, 1 - sigma_e2), the error an

@@ -483,6 +483,19 @@ def test_mms_frozen():
     ).value == pytest.approx(3.326578592543086e-10, rel=1e-9)
 
 
+@pytest.mark.parametrize("k, model, oracle", [
+    (1, EhModel.NON_LINEAR, 1.6182187801725890e-09),
+    (2, EhModel.NON_LINEAR, 2.2656265969471530e-07),
+    (1, EhModel.LINEAR, 3.3265785925102538e-10),
+])
+def test_mms_matches_mpmath_oracle(k, model, oracle):
+    # 40-digit mpmath quadratures of both MMS halves at the default point.
+    # abs=0 keeps the check relative: approx's default abs=1e-12 alone
+    # would pass any value within 5e-6 relative of 2.3e-7
+    got = outage_mms(X, SchemeSpec(Scheme.MMS, k=k, model=model), P).value
+    assert got == pytest.approx(oracle, rel=1e-11, abs=0.0)
+
+
 @pytest.mark.parametrize("model", [EhModel.NON_LINEAR, EhModel.LINEAR])
 def test_mms_certain_outage_at_huge_threshold(model):
     # the failure gates close at s ~ sqrt(x), far beyond all of the ranked
@@ -633,6 +646,8 @@ def test_scheme_spec_validation():
         SchemeSpec(Scheme.SBS, k=0)
     with pytest.raises(ValueError):
         SchemeSpec(Scheme.SBS, k=1.5)
+    with pytest.raises(ValueError):
+        SchemeSpec(Scheme.SBS, k=True)  # a bool is an int, but no order index
 
 
 def test_pair_spec_validation():
@@ -642,6 +657,8 @@ def test_pair_spec_validation():
         PairSpec(Scheme.SBS, 2, 2)
     with pytest.raises(ValueError):
         PairSpec(Scheme.SBS, 3, 1)
+    with pytest.raises(ValueError):
+        PairSpec(Scheme.SBS, True, 2)  # a bool is an int, but no order index
 
 
 def test_outage_estimate_validation():

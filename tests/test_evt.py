@@ -9,6 +9,7 @@ acceptance suite; here each evaluator gets one mid-size convergence point.
 
 import math
 
+import numpy as np
 import pytest
 from scipy.integrate import quad
 
@@ -20,6 +21,7 @@ from wpcn_select.analytic import (
     Parent,
     order_stat_law,
     outage_ebs,
+    outage_ibs,
     outage_mms,
     outage_pair,
     outage_sbs,
@@ -42,6 +44,8 @@ from wpcn_select.evt import (
 from wpcn_select.experiments import evaluate_point
 from wpcn_select.model import EhModel, db_to_linear, dbm_to_watts, default_params
 from wpcn_select.special import AccuracyError, DomainError, bessel_k1
+
+from oracles import gumbel_logpdf, order_stat_logpdf
 
 # asymptotics are exercised in the low-power regime where the outage is
 # far from its floor
@@ -152,6 +156,22 @@ def test_ranked_law_cdf_and_density_agree(law_of, M, k, rate, lo):
     assert law.cdf(lo) + mass == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("law_of, scalar", [(order_stat_law, order_stat_logpdf),
+                                            (gumbel_law, gumbel_logpdf)])
+@pytest.mark.parametrize("M, k, rate", [(20, 2, 1.0), (5, 1, 2.0), (200, 1, 1.0), (5, 5, 2.0)])
+def test_ranked_law_logpdf_is_the_scalar_formula(law_of, scalar, M, k, rate):
+    # one array call equals the pointwise formula, -inf at t <= 0 included;
+    # numpy's exp and log may round differently from math's in the last ulp
+    t = np.array([[-3.0, -0.5, 0.0, 1e-3, 0.1], [0.7, 1.0, 5.0, 30.0, 200.0]])
+    got = law_of(M, k, rate).logpdf(t)
+    want = np.array([[scalar(float(v), M, k, rate) for v in row] for row in t])
+    assert got.shape == t.shape
+    assert np.array_equal(np.isneginf(got), np.isneginf(want))
+    finite = np.isfinite(want)
+    assert np.all(np.isfinite(got[finite]))
+    np.testing.assert_allclose(got[finite], want[finite], rtol=1e-13)
+
+
 # ---------------------------------------------------------------------------
 # asymptotic evaluators
 # ---------------------------------------------------------------------------
@@ -200,6 +220,23 @@ def test_mms_limit_is_one_at_certain_outage():
     params = default_params(num_devices=5, harvest_fraction=0.9795)
     est = evaluate_point(SchemeSpec(Scheme.MMS, k=1), params, Method.EVT)
     assert est.value == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("fn, scheme, M, k, x, oracle", [
+    (outage_ebs, Scheme.EBS, 200, 1, 0.5808021765376579, 1.7450289301834143e-02),
+    (outage_ibs, Scheme.IBS, 200, 2, 0.5808021765376579, 2.0640015888448469e-02),
+    (outage_mms, Scheme.MMS, 10, 2, 0.5808021765376579, 5.7162868276672611e-04),
+    (outage_evt_ebs, Scheme.EBS, 20, 2, 1.668957111127365, 1.1443065851561866e-01),
+    (outage_evt_ibs, Scheme.IBS, 20, 2, 1.668957111127365, 1.1443062968818407e-01),
+    (outage_evt_mms, Scheme.MMS, 20, 1, 0.20212093289983746, 8.6102809278932771e-08),
+    (outage_evt_mms, Scheme.MMS, 20, 2, 0.17975297148130592, 1.0535361032031219e-06),
+])
+def test_fig5_points_match_mpmath_oracle(fn, scheme, M, k, x, oracle):
+    # fig5 grid points (-40 dBm, x from geomspace(0.1, 3, 30)) against
+    # 40-digit mpmath quadratures of the same integrals to infinity, in
+    # relative terms only
+    got = fn(x, SchemeSpec(scheme, k=k), P40.replace(num_devices=M)).value
+    assert got == pytest.approx(oracle, rel=1e-11, abs=0.0)
 
 
 @pytest.mark.parametrize("fn, body", [

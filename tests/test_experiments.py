@@ -22,6 +22,7 @@ from wpcn_select.experiments import (
     evaluate_point,
     find_optimal_t1,
     format_comparison,
+    make_row,
     read_csv,
     reproduce_figure,
     rows_to_csv,
@@ -316,6 +317,20 @@ def test_csv_rejects_foreign_header(tmp_path):
     path.write_text("a,b,c\n1,2,3\n")
     with pytest.raises(ValueError):
         read_csv(path)
+
+
+def test_bool_order_index_never_reaches_a_csv_cell(tmp_path):
+    # k=True once evaluated as k = 1 and wrote a `True` cell read_csv cannot parse
+    with pytest.raises(ValueError):
+        SchemeSpec(Scheme.SBS, k=True)
+    with pytest.raises(ValueError):
+        PairSpec(Scheme.SBS, k=True, j=2)
+    p = P.replace(rate_threshold_q=db_to_linear(-4.0))  # x < 1, so the pair is defined
+    rows = [make_row(sel, p, 0.0, Method.ANALYTIC, evaluate_point(sel, p, Method.ANALYTIC))
+            for sel in (SchemeSpec(Scheme.SBS, k=1), PairSpec(Scheme.SBS, k=1, j=2))]
+    back = read_csv(write_csv(rows, tmp_path / "k.csv"))
+    assert [(row["k"], row["j"]) for row in back] == [(1, None), (1, 2)]
+    assert back == rows
 
 
 def test_csv_none_and_int_round_trip(tmp_path):

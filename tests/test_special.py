@@ -7,6 +7,7 @@ binomial-tail identity.
 
 import math
 
+import numpy as np
 import pytest
 from scipy.integrate import quad
 
@@ -16,7 +17,9 @@ from wpcn_select.special import (
     DomainError,
     QuadratureSpec,
     bessel_k1,
+    _qk21,
     integrate_finite,
+    integrate_panels,
     integrate_semi_infinite,
     reg_inc_beta,
     reg_inc_beta_complement,
@@ -131,13 +134,6 @@ def test_integrate_finite_degenerate_and_reversed():
         integrate_finite(math.sin, 1.0, 0.0)
 
 
-def test_integrate_finite_points_hint_consistent():
-    f = lambda t: math.exp(-t) * t
-    plain, _ = integrate_finite(f, 0.0, 10.0)
-    hinted, _ = integrate_finite(f, 0.0, 10.0, points=[1.0, 5.0])
-    assert hinted == pytest.approx(plain, rel=1e-12)
-
-
 def test_integrate_semi_infinite_exponential():
     val, _ = integrate_semi_infinite(lambda z: math.exp(-z), 0.0)
     assert val == pytest.approx(1.0, rel=1e-12)
@@ -166,6 +162,92 @@ def test_accuracy_error_carries_estimate():
         integrate_finite(spike, 0.0, 1.0, spec)
     assert info.value.estimate is not None
     assert info.value.error_estimate is not None
+
+
+# ---------------------------------------------------------------------------
+# panel kernel
+# ---------------------------------------------------------------------------
+
+def _one_panel(f, a, b):
+    value, err = _qk21(lambda t, piece: f(t), np.array([a]), np.array([b]), np.zeros(1, int))
+    return float(value[0]), float(err[0])
+
+
+@pytest.mark.parametrize("degree", range(32))
+@pytest.mark.parametrize("a, b", [(-1.0, 1.0), (0.0, 1.0)])
+def test_kronrod_rule_exact_through_degree_31(degree, a, b):
+    exact = (b ** (degree + 1) - a ** (degree + 1)) / (degree + 1)
+    value, _ = _one_panel(lambda t: t ** degree, a, b)
+    assert value == pytest.approx(exact, rel=1e-14, abs=1e-15)
+    if degree <= 19:  # the embedded 10-point Gauss rule is exact too: error is roundoff
+        one = QuadratureSpec(1e-10, 1e-12, max_subdivisions=1)
+        total, _ = integrate_panels(lambda t, piece: t ** degree, [[a, b]], one)
+        assert total == pytest.approx(exact, rel=1e-14, abs=1e-15)
+
+
+def test_kronrod_rule_not_exact_at_degree_32():
+    value, _ = _one_panel(lambda t: t ** 32, -1.0, 1.0)
+    assert abs(value - 2.0 / 33.0) > 1e-13
+
+
+@pytest.mark.parametrize("f, edges, exact", [
+    (np.sin, [[0.0, math.pi]], 2.0),
+    (lambda t: np.exp(-t), [[0.0, 1.0, 2.0, 40.0]], -math.expm1(-40.0)),
+    (lambda t: 1.0 / (1.0 + t * t), [[-10.0, 0.0, 10.0]], 2.0 * math.atan(10.0)),
+    # int_0^inf exp(-2 z - 3/z) dz = 2 sqrt(3/2) K1(2 sqrt 6), frozen; the tail past 30 is e^-60
+    (lambda t: np.exp(-2.0 * t - 3.0 / t), [[0.0, 1.0, 5.0, 30.0]], 0.011087167594360257),
+])
+def test_integrate_panels_known_integrals(f, edges, exact):
+    value, err = integrate_panels(lambda t, piece: f(t), edges)
+    assert value == pytest.approx(exact, rel=1e-13)
+    assert err <= DEFAULT_QUADRATURE.relative_tolerance * abs(exact)
+
+
+def test_integrate_panels_sums_pieces_with_their_own_integrands():
+    # piece 0 integrates t on [0, 1], piece 1 t^2 on [2, 3]
+    f = lambda t, piece: np.where(piece[:, None] == 0, t, t * t)
+    value, _ = integrate_panels(f, [[0.0, 0.5, 1.0], [2.0, 3.0]])
+    assert value == pytest.approx(0.5 + 19.0 / 3.0, rel=1e-14)
+
+
+@pytest.mark.parametrize("f, a, b, exact", [
+    (np.exp, 0.0, 4.0, math.expm1(4.0)),
+    (lambda t: np.cos(12.0 * t), 0.0, 2.0, math.sin(24.0) / 12.0),
+    (lambda t: 1.0 / (1.0 + 25.0 * t * t), -1.0, 1.0, 0.4 * math.atan(5.0)),
+    (lambda t: np.sqrt(t), 0.0, 1.0, 2.0 / 3.0),
+])
+def test_panel_error_estimate_bounds_true_error(f, a, b, exact):
+    # the estimate must cover the true error both for a lone panel and for a
+    # loose adaptive result that stopped after few bisections
+    value, err = _one_panel(f, a, b)
+    assert abs(value - exact) <= err
+    loose = QuadratureSpec(relative_tolerance=1e-5, absolute_tolerance=1e-300)
+    value, err = integrate_panels(lambda t, piece: f(t), [[a, b]], loose)
+    assert abs(value - exact) <= err
+
+
+def test_integrate_panels_spike_raises_with_estimate():
+    spike = lambda t, piece: np.exp(-1e4 * (t - 0.3) ** 2)
+    small = QuadratureSpec(relative_tolerance=1e-10, absolute_tolerance=1e-12, max_subdivisions=4)
+    with pytest.raises(AccuracyError) as info:
+        integrate_panels(spike, [[0.0, 1.0]], small)
+    assert math.isfinite(info.value.estimate)
+    assert info.value.error_estimate > 1e-12
+    # the default budget resolves it
+    value, _ = integrate_panels(spike, [[0.0, 1.0]])
+    assert value == pytest.approx(math.sqrt(math.pi) / 100.0, rel=1e-12)
+
+
+def test_integrate_panels_nan_integrand_raises():
+    # a nan gives no panel to bisect; the kernel must stop, not loop
+    f = lambda t, piece: np.where(t > 0.5, np.nan, t)
+    with pytest.raises(AccuracyError):
+        integrate_panels(f, [[0.0, 1.0]])
+
+
+def test_integrate_panels_rejects_unordered_edges():
+    with pytest.raises(DomainError):
+        integrate_panels(lambda t, piece: t, [[0.0, 1.0, 1.0]])
 
 
 def test_quadrature_spec_validation():
