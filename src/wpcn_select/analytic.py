@@ -36,16 +36,21 @@ alternating sums of K1 terms instead (math.fsum, under a cancellation
 monitor) and fall back to the integrals when the monitor trips.
 
 Pair selection ranks Y, Z as the k-th and j-th largest parent SNRs (k < j).
-Given one of them, the other is an order statistic of iid draws from the
-truncated parent, so its CDF is an incomplete beta function I and each
-marginal is one quadrature (David & Nagaraja, Order Statistics, 2003, 2.2):
+Given Z = z, the j-1 stronger devices are iid with survival S(.)/S(z), so
+the stronger member's place among them is a binomial tail, an incomplete
+beta function I, and each marginal is one quadrature over the j-th best
+density f_Z (David & Nagaraja, Order Statistics, 2003, 2.2).  With
+z* = x/(1-x):
 
-    primary    P(Y <= x (Z+1)) = int_0^{x/(1-x)} f_Z(z) [1 - I_{S(x(z+1))/S(z)}(k, j-k)] dz
-    secondary  P(Z <= x (Y+1)) = 1 - int_{x/(1-x)}^inf f_Y(y) [1 - I_{F(x(y+1))/F(y)}(M-j+1, j-k)] dy
+    primary    P(Y <= x (Z+1)) = int_0^z* f_Z(z) I_{1-S(x(z+1))/S(z)}(j-k, k) dz
+    secondary  P(Z <= x (Y+1)) = F_Z(z*) + int_z*^inf f_Z(z) I_{S(z/x-1)/S(z)}(k, j-k) dz
 
-where f_Y and f_Z are the k-th and j-th best densities.  Both integrate
-1 - I (scipy betaincc, accurate where I is near 1), and the secondary, written
-as 1 minus a quadrature, cannot exceed 1 by that quadrature's relative error.
+Every term is positive, so both keep their relative digits far into the
+tail.  They run on special.integrate_panels in amplitude w = sqrt(z), with
+every parent survival written as S(t) = e^(-rho t) z K1(z), z = 2 sqrt(a t)
+(_parent_rates).  The stronger member failing implies the weaker one
+fails, so a pair's outage is its primary marginal; a random pair is the
+best and second best of two devices.
 """
 
 from __future__ import annotations
@@ -58,7 +63,7 @@ from enum import Enum
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.special import k0 as _bessel_k0  # parent PDF needs K0 alongside K1
+from scipy.special import betainc, k0e, k1e, xlogy
 
 from .model import EhModel, SystemParams
 from .special import (
@@ -66,11 +71,8 @@ from .special import (
     DomainError,
     QuadratureSpec,
     bessel_k1,
-    integrate_finite,
     integrate_panels,
-    integrate_semi_infinite,
     reg_inc_beta,
-    reg_inc_beta_complement,
 )
 
 __all__ = [
@@ -99,8 +101,8 @@ __all__ = [
 MAX_SUM_DEVICES = 60
 _CANCELLATION_LIMIT = 1e-8
 
-# the one quadrature left in each pair marginal, over the outer order statistic
-_PAIR_OUTER = QuadratureSpec(1e-8, 1e-13, 400)
+# the pair quadratures: no absolute floor above any value they can return
+_PAIR_QUADRATURE = QuadratureSpec(1e-8, 1e-300, 400)
 
 
 class Scheme(Enum):
@@ -282,23 +284,29 @@ def parent_cdf(x: float, params: SystemParams, parent: Parent) -> float:
     return -math.expm1(parent_log_sf(x, params, parent))
 
 
-def parent_pdf(x: float, params: SystemParams, parent: Parent) -> float:
-    """Density of a single device's SNR under the given parent law."""
-    if x <= 0.0 or math.isinf(x):
-        return 0.0
-    if parent is Parent.SATURATION:
-        rho = r_scale(1.0, params)
-        return rho * math.exp(-rho * x)
+def _parent_rates(params: SystemParams, parent: Parent) -> tuple[float, float]:
+    """(rho, a) such that every parent survival reads S(t) = e^(-rho t) z K1(z)
+    with z = 2 sqrt(a t), z K1(z) being 1 at a = 0."""
+    rho = r_scale(1.0, params)
     if parent is Parent.NON_LINEAR:
-        rho = r_scale(1.0, params)
-        c_over_pt = params.rectenna.c * rho / params.transmit_power
-        z = 2.0 * math.sqrt(c_over_pt * x)
-        return math.exp(-rho * x) * (
-            rho * z * bessel_k1(z) + 2.0 * c_over_pt * float(_bessel_k0(z))
-        )
-    beta1 = _linear_beta(1.0, params)
-    u = 2.0 * math.sqrt(beta1 * x)
-    return 2.0 * beta1 * float(_bessel_k0(u))
+        return rho, params.rectenna.c * rho / params.transmit_power
+    if parent is Parent.SATURATION:
+        return rho, 0.0
+    return 0.0, _linear_beta(1.0, params)
+
+
+def _parent_logs(t: np.ndarray, rho: float, a: float) -> tuple[np.ndarray, np.ndarray]:
+    """(log S(t), log f(t)) of a single device's SNR at t > 0, array-valued,
+    for the parent with rates (rho, a): f = -S' = e^(-rho t) (rho z K1(z) +
+    2 a K0(z)).  The Bessel factors enter scaled by e^z, so neither
+    underflows in the far tail."""
+    if a == 0.0:
+        return -rho * t, math.log(rho) - rho * t
+    z = 2.0 * np.sqrt(a * t)
+    zk1 = z * k1e(z)
+    e = -rho * t - z
+    # z K1(z) = 1 - O(z^2 log z) rounds above 1 at tiny z; S cannot
+    return np.minimum(e + np.log(zk1), 0.0), e + np.log(rho * zk1 + 2.0 * a * k0e(z))
 
 
 def _kth_best_cdf(psi: float, M: int, k: int) -> float:
@@ -348,12 +356,9 @@ class RankedLaw:
 def order_stat_law(M: int, k: int, rate: float) -> RankedLaw:
     """The k-th largest of M iid exponentials with the given rate:
     cdf(t) = I_{1 - e^(-rate t)}(M - k + 1, k)."""
-    lc = (
-        math.log(k * rate)
-        + math.lgamma(M + 1)
-        - math.lgamma(k + 1)
-        - math.lgamma(M - k + 1)
-    )
+    # log of the exact integer C(M, k) keeps an ulp; a difference of lgammas
+    # near M log M does not
+    lc = math.log(k * rate) + math.log(math.comb(M, k))
 
     def logpdf(t: np.ndarray) -> np.ndarray:
         q = -np.expm1(-rate * np.maximum(t, 0.0))  # parent CDF, 0 at t <= 0
@@ -553,118 +558,86 @@ def outage_mms_high_snr(x: float, spec: SchemeSpec, params: SystemParams) -> flo
 # pair selection: k-th and j-th best transmit together, single-user detection
 # ---------------------------------------------------------------------------
 
-def _kth_best_parent_density(
-    y: float, log_sf: float, k: int, M: int, params: SystemParams, parent: Parent
-) -> float:
-    """Density k C(M,k) F^(M-k) S^(k-1) f of the k-th largest parent SNR at y,
-    given log S(y); summed in logs so no factor under- or overflows alone."""
-    f = parent_pdf(y, params, parent)
-    cdf = -math.expm1(log_sf)
-    if f == 0.0 or log_sf == -math.inf or (cdf == 0.0 and M > k):
-        return 0.0
-    log_d = (
-        math.lgamma(M + 1) - math.lgamma(k) - math.lgamma(M - k + 1)
-        + math.log(f) + (k - 1) * log_sf
-    )
-    if M > k:
-        log_d += (M - k) * math.log(cdf)
-    return math.exp(log_d) if log_d > -745.0 else 0.0
+def _pair_quadrature(inner, lo: float, hi: float, j: int, M: int,
+                     rates: tuple[float, float]) -> float:
+    """int_lo^hi f_Z(w^2) inner(z, log S(z)) 2w dw in one kernel call: f_Z is
+    the density j C(M,j) F^(M-j) S^(j-1) f of the j-th largest of M parent
+    SNRs, summed in logs, and inner maps the nodes z = w^2 and their log
+    survival to the conditional factor (module docstring).
+
+    The parent survival reaches j/M near w = loc, where its log falls like
+    rho w^2 + 2 sqrt(a) w, by one per width.  The panels are seeded about
+    loc at that width and graded toward both ends: to 4^-8 widths at lo,
+    where the density's log singularity at z = 0 leaves w log w when j = M,
+    and to 4^-6 at hi, where the primary's factor closes under a steep
+    F^(M-j).  A semi-infinite range stops 40 widths past the later of lo and
+    loc, where S has fallen by about e^-40 more and f_Z by about e^-40j.
+    """
+    rho, a = rates
+    spread = math.log(max(M / j, 2.0))
+    loc = spread / (math.sqrt(a) + math.sqrt(a + rho * spread))
+    width = 0.5 / (math.sqrt(a) + rho * loc)
+    hi = min(hi, max(lo, loc) + 40.0 * width)
+    cuts = [loc + step * width for step in _LAW_STEPS]
+    cuts += [lo + width * 4.0 ** i for i in range(-8, 2)]
+    cuts += [hi - width * 4.0 ** i for i in range(-6, 2)]
+    edges = [sorted({lo, hi}.union(c for c in cuts if lo < c < hi))]
+    lc = math.log(2 * j) + math.log(math.comb(M, j))
+
+    def f(w: np.ndarray, piece: np.ndarray) -> np.ndarray:
+        z = w * w
+        log_sf, log_pdf = _parent_logs(z, rho, a)
+        log_fz = lc + np.log(w) + log_pdf + (j - 1) * log_sf + xlogy(M - j, -np.expm1(log_sf))
+        return np.exp(log_fz) * inner(z, log_sf)
+
+    return integrate_panels(f, edges, _PAIR_QUADRATURE)[0]
 
 
 def pair_marginal_primary(
     x: float, k: int, j: int, M: int, params: SystemParams, parent: Parent
 ) -> float:
-    """P(Y <= x (Z + 1)) for Y, Z the k-th and j-th largest parent SNRs.
+    """P(Y <= x (Z + 1)) for Y, Z the k-th and j-th largest parent SNRs, at
+    0 < x < 1: the stronger member's SINR outage under single-user
+    detection, with the weaker member as interference.  Given Z = z below
+    x/(1-x), fewer than k of the j-1 stronger devices exceed x (z+1)."""
+    rates = _parent_rates(params, parent)
 
-    This is the stronger pair member's SINR outage under single-user
-    detection, with the weaker member as interference.  Given Z = z, the j-1
-    stronger devices are iid with survival S(.)/S(z), so Y <= x (z + 1) has
-    the binomial probability 1 - I_{S(x (z+1))/S(z)}(k, j-k) in closed form;
-    one quadrature over the j-th best density remains.  It runs in amplitude
-    coordinates (z = wz^2) because the parent density has an integrable log
-    singularity at the origin.  The event needs Z <= x/(1-x).
-    """
-    if x <= 0.0:
-        return 0.0
-    z_max = x / (1.0 - x)
+    def inner(z: np.ndarray, log_sf: np.ndarray) -> np.ndarray:
+        # 1 - S(x(z+1))/S(z) as expm1 of the log gap keeps its digits where
+        # the ratio is near 1, and its betainc is accurate where betaincc at
+        # the ratio is noise; the gap is < 0 but for rounding
+        gap = np.minimum(_parent_logs(x * (z + 1.0), *rates)[0] - log_sf, 0.0)
+        return betainc(j - k, k, -np.expm1(gap))
 
-    def f(wz: float) -> float:
-        z = wz * wz
-        log_sf_z = parent_log_sf(z, params, parent)
-        density = _kth_best_parent_density(z, log_sf_z, j, M, params, parent)
-        if density == 0.0:
-            return 0.0
-        # z <= x/(1-x) keeps x (z + 1) >= z, so the ratio is at most 1
-        ratio = math.exp(parent_log_sf(x * (z + 1.0), params, parent) - log_sf_z)
-        return density * 2.0 * wz * reg_inc_beta_complement(min(1.0, ratio), k, j - k)
-
-    val, _ = integrate_finite(f, 0.0, math.sqrt(z_max), _PAIR_OUTER)
-    return val
+    return _pair_quadrature(inner, 0.0, math.sqrt(x / (1.0 - x)), j, M, rates)
 
 
 def pair_marginal_secondary(
     x: float, k: int, j: int, M: int, params: SystemParams, parent: Parent
 ) -> float:
-    """P(Z <= x (Y + 1)) for Y, Z the k-th and j-th largest parent SNRs.
-
-    The weaker member's SINR outage, for the nonlinear parent.  For Y below
-    x/(1-x) the whole conditional support Z <= Y is in outage.  Above it,
-    given Y = y the M-k weaker devices are iid with CDF F(.)/F(y), so
-    Z > x (y + 1) has probability 1 - I_{F(x (y+1))/F(y)}(M-j+1, j-k), and
-    the marginal is 1 minus one quadrature of it over the k-th best density.
-    That keeps it at most 1, but its error is absolute: a value far below
-    the quadrature's tolerance (a low threshold) keeps no relative digits.
-    """
+    """P(Z <= x (Y + 1)) for Y, Z the k-th and j-th largest parent SNRs, at
+    0 < x < 1: the weaker member's SINR outage, for the nonlinear parent.
+    It is certain for Z below z* = x/(1-x), since Y > Z.  Given Z = z above
+    z*, at least k of the j-1 stronger devices must exceed z/x - 1."""
     if parent is not Parent.NON_LINEAR:
         raise ValueError("the secondary pair marginal is stated for the nonlinear parent")
-    if x <= 0.0:
-        return 0.0
-    y_star = x / (1.0 - x)
-    # the quadrature runs in s = a wy, where the survival falls like e^(-a wy)
-    # with a = 2 sqrt(c rho/Pt): the integrand falls like e^(-k a wy), so the
-    # semi-infinite map u = e^-(s - s*) leaves it regular at u = 0, where a
-    # unit-rate map in wy is singular like u^(k a - 1) for k a < 1
-    rate = 2.0 * math.sqrt(params.rectenna.c * r_scale(1.0, params) / params.transmit_power)
+    rates = _parent_rates(params, parent)
+    z_star = x / (1.0 - x)
 
-    def f(s: float) -> float:
-        wy = s / rate
-        y = wy * wy
-        log_sf_y = parent_log_sf(y, params, parent)
-        density = _kth_best_parent_density(y, log_sf_y, k, M, params, parent)
-        if density == 0.0:
-            return 0.0
-        q = parent_cdf(x * (y + 1.0), params, parent) / -math.expm1(log_sf_y)
-        miss = reg_inc_beta_complement(min(1.0, q), M - j + 1, j - k)
-        return density * 2.0 * wy / rate * miss
+    def inner(z: np.ndarray, log_sf: np.ndarray) -> np.ndarray:
+        gap = np.minimum(_parent_logs(z / x - 1.0, *rates)[0] - log_sf, 0.0)
+        return betainc(k, j - k, np.exp(gap))
 
-    misses, _ = integrate_semi_infinite(f, rate * math.sqrt(y_star), _PAIR_OUTER)
-    return 1.0 - misses
-
-
-def _pair_rs_value(x: float, params: SystemParams, parent: Parent) -> float:
-    """Random unordered pair: product parent density over the printed region,
-    which requires both members' SINRs to fall below the threshold."""
-    z_max = x / (1.0 - x)
-
-    def outer(wz: float) -> float:
-        z = wz * wz
-        f_z = parent_pdf(z, params, parent)
-        if f_z == 0.0:
-            return 0.0
-        lo = max(0.0, (z - x) / x)
-        hi = x * (z + 1.0)
-        if hi <= lo:
-            return 0.0
-        mass = parent_cdf(hi, params, parent) - parent_cdf(lo, params, parent)
-        return f_z * mass * 2.0 * wz
-
-    val, _ = integrate_finite(outer, 0.0, math.sqrt(z_max), _PAIR_OUTER)
-    return val
+    below = _kth_best_cdf(parent_cdf(z_star, params, parent), M, j)
+    return below + _pair_quadrature(inner, math.sqrt(z_star), math.inf, j, M, rates)
 
 
 def _pair_value(x: float, pair: PairSpec, params: SystemParams, parent: Parent) -> float:
+    # the stronger member failing implies the weaker one fails, so the pair's
+    # outage is the primary marginal; a random pair is the best and second
+    # best of two iid devices
     if pair.scheme is Scheme.RS:
-        return _pair_rs_value(x, params, parent)
+        return pair_marginal_primary(x, 1, 2, 2, params, parent)
     return pair_marginal_primary(x, pair.k, pair.j, params.num_devices, params, parent)
 
 

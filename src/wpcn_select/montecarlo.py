@@ -36,10 +36,7 @@ from .analytic import Method, OutageEstimate, PairSpec, Scheme, SchemeSpec
 from .model import SystemParams, harvested_energy, snr, threshold_x
 
 __all__ = [
-    "ChannelDraw",
     "TrialConfig",
-    "draw_channels",
-    "select_device",
     "simulate_outage",
 ]
 
@@ -79,25 +76,6 @@ class TrialConfig:
             )
 
 
-@dataclass(frozen=True)
-class ChannelDraw:
-    """Squared gains for one slot; estimated gains present only under
-    imperfect CSI (selection ranks on estimates, outage uses the truth)."""
-
-    gains_g: np.ndarray
-    gains_h: np.ndarray
-    est_g: np.ndarray | None = None
-    est_h: np.ndarray | None = None
-
-    @property
-    def ranking_g(self) -> np.ndarray:
-        return self.gains_g if self.est_g is None else self.est_g
-
-    @property
-    def ranking_h(self) -> np.ndarray:
-        return self.gains_h if self.est_h is None else self.est_h
-
-
 def _stream_at(base_seed: int, block: int, offset: int) -> np.random.Generator:
     """Generator whose next double is double number `offset` of a block's
     stream: Philox yields four 64-bit outputs per counter step, and each
@@ -125,32 +103,13 @@ def _draw_block(M: int, n: int, sigma_e2: float, rng: np.random.Generator, rng_h
     return g, h
 
 
-def _true_gains(est: np.ndarray, sigma_e2: float, z) -> np.ndarray:
+def _true_gains(est: np.ndarray, sigma_e2: float, z: np.ndarray) -> np.ndarray:
     """True squared gains given their estimates.  The error is CN(0, sigma_e2)
     and circularly symmetric, so turning the estimate onto the real axis
     leaves |estimate + error|^2 unchanged in law.  z holds two standard
-    normals per estimate, shaped (2, *est.shape), or is the Generator to
-    draw them from."""
-    if isinstance(z, np.random.Generator):
-        z = z.standard_normal((2, *est.shape))
+    normals per estimate, shaped (2, *est.shape)."""
     s = math.sqrt(sigma_e2 / 2.0)
     return (np.sqrt(est) + s * z[0]) ** 2 + (s * z[1]) ** 2
-
-
-def draw_channels(M: int, sigma_e2: float, rng: np.random.Generator) -> ChannelDraw:
-    """One slot of i.i.d. unit-mean squared gains for M devices.
-
-    Under imperfect CSI the estimate carries variance 1 - sigma_e2 and the
-    independent error carries sigma_e2, so the true gain keeps unit mean.
-    """
-    if not (isinstance(M, int) and M >= 1):
-        raise ValueError(f"population size must be a positive integer, got {M!r}")
-    if not 0.0 <= sigma_e2 < 1.0:
-        raise ValueError(f"estimation error variance must lie in [0, 1), got {sigma_e2!r}")
-    g, h = (a[0] for a in _draw_block(M, 1, sigma_e2, rng))
-    if sigma_e2 == 0.0:
-        return ChannelDraw(g, h)
-    return ChannelDraw(_true_gains(g, sigma_e2, rng), _true_gains(h, sigma_e2, rng), g, h)
 
 
 def _ranking_stat(
@@ -201,19 +160,6 @@ def _select(spec: SchemeSpec | PairSpec, g, h, params: SystemParams, rng) -> np.
     stat = _ranking_stat(spec.scheme, g, h, params, spec.model)
     ranks = (spec.k, spec.j) if pair else (spec.k,)
     return np.stack([_kth_index(stat, r) for r in ranks], axis=1)
-
-
-def select_device(
-    spec: SchemeSpec | PairSpec,
-    draw: ChannelDraw,
-    params: SystemParams,
-    rng: np.random.Generator | None = None,
-):
-    """Index (or index pair) picked on one draw, the n = 1 case of the block
-    selection.  Ranking uses estimated gains when present, ties break to the
-    lowest index, and random selection consumes rng."""
-    sel = _select(spec, draw.ranking_g[None, :], draw.ranking_h[None, :], params, rng)[0]
-    return (int(sel[0]), int(sel[1])) if isinstance(spec, PairSpec) else int(sel[0])
 
 
 class _BlockTail:

@@ -1,14 +1,14 @@
 """Special-function and quadrature kernel shared by all evaluators.
 
 Wraps scipy's K1 / incomplete beta behind explicit domain
-checks, and provides one-dimensional adaptive quadrature with an error
-contract: results that cannot meet the requested tolerance raise
+checks, and provides the one adaptive quadrature every evaluator uses, with
+an error contract: results that cannot meet the requested tolerance raise
 AccuracyError carrying the best available estimate instead of returning
-silently degraded numbers.  integrate_finite wraps scipy quad.
-integrate_panels gives all seed panels of a vectorized integrand QUADPACK's
-qk21 value and error in one call; while the summed error exceeds max(absolute,
-relative |total|), one more call evaluates the halves of every panel whose
-error exceeds that over the panel count.
+silently degraded numbers.  integrate_panels gives all seed panels of a
+vectorized integrand QUADPACK's qk21 value and error in one call; while the
+summed error exceeds max(absolute, relative |total|), one more call
+evaluates the halves of every panel whose error exceeds that over the panel
+count.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import integrate as _integrate
 from scipy import special as _special
 
 __all__ = [
@@ -27,9 +26,7 @@ __all__ = [
     "DomainError",
     "QuadratureSpec",
     "bessel_k1",
-    "integrate_finite",
     "integrate_panels",
-    "integrate_semi_infinite",
     "reg_inc_beta",
     "reg_inc_beta_complement",
 ]
@@ -111,59 +108,6 @@ def reg_inc_beta_complement(psi: float, p: float, q: float) -> float:
 # ---------------------------------------------------------------------------
 # adaptive quadrature
 # ---------------------------------------------------------------------------
-
-def integrate_finite(
-    f: Callable[[float], float],
-    a: float,
-    b: float,
-    spec: QuadratureSpec = DEFAULT_QUADRATURE,
-) -> tuple[float, float]:
-    """Adaptive quadrature of f on [a, b].
-
-    Returns (value, error_estimate).  Raises AccuracyError, carrying the best
-    estimate, when the integrator cannot converge within the subdivision
-    budget.
-    """
-    a, b = float(a), float(b)
-    if not a <= b:
-        raise DomainError(f"integrate_finite requires a <= b, got a={a!r}, b={b!r}")
-    if a == b:
-        return 0.0, 0.0
-    out = _integrate.quad(
-        f, a, b,
-        epsabs=spec.absolute_tolerance,
-        epsrel=spec.relative_tolerance,
-        limit=spec.max_subdivisions,
-        full_output=True,
-    )
-    value, error_estimate = float(out[0]), float(out[1])
-    if len(out) > 3:  # quadpack ier != 0: subdivision budget or roundoff failure
-        raise AccuracyError(
-            f"quadrature did not converge on [{a}, {b}]: {out[3]}",
-            estimate=value, error_estimate=error_estimate,
-        )
-    return value, error_estimate
-
-
-def integrate_semi_infinite(
-    f: Callable[[float], float],
-    lower: float,
-    spec: QuadratureSpec = DEFAULT_QUADRATURE,
-) -> tuple[float, float]:
-    """Adaptive quadrature of f on [lower, inf) for exponentially decaying f.
-
-    Substitutes u = exp(-(z - lower)), mapping the half line to (0, 1], and
-    delegates to integrate_finite.
-    """
-    lower = float(lower)
-
-    def g(u: float) -> float:
-        if u <= 0.0:
-            return 0.0
-        return f(lower - math.log(u)) / u
-
-    return integrate_finite(g, 0.0, 1.0, spec)
-
 
 # QUADPACK qk21 on [-1, 1] as doubles: Kronrod nodes from the right end to 0
 # (every other one from the second is a Gauss node), their weights, Gauss weights

@@ -3,11 +3,11 @@
 import math
 
 import numpy as np
+from scipy.integrate import quad
 
 from wpcn_select.analytic import PairSpec, Scheme, SchemeSpec, r_scale
 from wpcn_select.model import harvested_energy, snr, threshold_x
 from wpcn_select.montecarlo import _draw_block, _ranking_stat, _select, _true_gains
-from wpcn_select.special import integrate_semi_infinite
 
 
 def ibs_phi_quadrature(x, params, delta):
@@ -23,7 +23,7 @@ def ibs_phi_quadrature(x, params, delta):
         e = -delta * z - cr_over_pt / u
         return math.exp(e) if e > -745.0 else 0.0
 
-    val, _ = integrate_semi_infinite(f, r)
+    val, _ = quad(f, r, math.inf, epsabs=1e-12, epsrel=1e-10, limit=2000)
     return val
 
 
@@ -101,7 +101,8 @@ def whole_block_count(config, x, block, n):
     sel = _select(spec, g, h, params, rng)
     g, h = np.take_along_axis(g, sel, axis=1), np.take_along_axis(h, sel, axis=1)
     if sigma_e2 > 0.0:
-        g, h = _true_gains(g, sigma_e2, rng), _true_gains(h, sigma_e2, rng)
+        g = _true_gains(g, sigma_e2, rng.standard_normal((2, *g.shape)))
+        h = _true_gains(h, sigma_e2, rng.standard_normal((2, *h.shape)))
     x_sel = snr(h, harvested_energy(g, params, spec.model), params)
     if isinstance(spec, PairSpec):
         return int((x_sel[:, 0] / (x_sel[:, 1] + 1.0) <= x).sum())

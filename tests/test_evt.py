@@ -230,13 +230,15 @@ def test_mms_limit_is_one_at_certain_outage():
     (outage_evt_ibs, Scheme.IBS, 20, 2, 1.668957111127365, 1.1443062968818407e-01),
     (outage_evt_mms, Scheme.MMS, 20, 1, 0.20212093289983746, 8.6102809278932771e-08),
     (outage_evt_mms, Scheme.MMS, 20, 2, 0.17975297148130592, 1.0535361032031219e-06),
+    # the order statistic's normalizer as a difference of lgammas was 1.3e-12 off
+    (outage_ibs, Scheme.IBS, 1000, 2, 0.5808021765376579, 1.5398848013057224e-02),
 ])
 def test_fig5_points_match_mpmath_oracle(fn, scheme, M, k, x, oracle):
     # fig5 grid points (-40 dBm, x from geomspace(0.1, 3, 30)) against
     # 40-digit mpmath quadratures of the same integrals to infinity, in
     # relative terms only
     got = fn(x, SchemeSpec(scheme, k=k), P40.replace(num_devices=M)).value
-    assert got == pytest.approx(oracle, rel=1e-11, abs=0.0)
+    assert got == pytest.approx(oracle, rel=1e-13, abs=0.0)
 
 
 @pytest.mark.parametrize("fn, body", [
@@ -380,7 +382,7 @@ def test_evt_pair_never_exceeds_exact_joint():
 def test_evt_pair_frozen_large_population():
     params = P_PAIR.replace(num_devices=30)
     got = outage_evt_pair(X_PAIR, PairSpec(Scheme.SBS, 1, 3), params).value
-    assert got == pytest.approx(8.5457771133614e-10, rel=1e-8)
+    assert got == pytest.approx(8.5457771133614e-10, rel=1e-8, abs=0.0)
 
 
 def test_evt_pair_refuses_linear_harvester():
@@ -453,6 +455,10 @@ PAIR_ORACLE = [
     # quadpack gave up here (-30 dBm), or returned 1.07e-13 (-10 dBm)
     ("secondary", -30.0, 10, 1, 2, 0.68645145190272591),
     ("secondary", -10.0, 10, 1, 2, 0.67944056632044839),
+    # fig4 points with j = M; scipy quad under a 1e-13 absolute floor was
+    # 1.6e-6 and 6.5e-5 off
+    ("primary", -40.0, 20, 2, 20, 2.7095599729395283e-10),
+    ("primary", -40.0, 30, 1, 30, 9.5800388839987953e-18),
 ]
 
 
@@ -461,7 +467,26 @@ def test_pair_marginals_match_tight_oracle(which, pt_dbm, M, k, j, want):
     marginal = pair_marginal_primary if which == "primary" else pair_marginal_secondary
     params = P_PAIR.replace(num_devices=M, transmit_power=dbm_to_watts(pt_dbm))
     got = marginal(X_PAIR, k, j, M, params, Parent.NON_LINEAR)
-    assert got == pytest.approx(want, rel=1e-8)
+    assert got == pytest.approx(want, rel=1e-8, abs=0.0)
+
+
+# (M, k, j, x) -> secondary at -40 dBm and thresholds far below X_PAIR,
+# frozen from a 35-digit mpmath quadrature of the form conditioned on Z.
+# One minus a quadrature over Y raised AccuracyError at the second point and
+# returned -2.1e-11 at the third.  A table of its own, since an x column in
+# PAIR_ORACLE would rename every case of that test
+PAIR_SECONDARY_LOW_X = [
+    (10, 1, 3, 0.02, 6.3300929778373598e-04),
+    (30, 1, 3, 0.02, 6.6191639594744077e-07),
+    (30, 1, 2, 0.001, 1.1458207939606836e-22),
+]
+
+
+@pytest.mark.parametrize("M, k, j, x, want", PAIR_SECONDARY_LOW_X)
+def test_pair_secondary_keeps_relative_digits_at_low_threshold(M, k, j, x, want):
+    params = P_PAIR.replace(num_devices=M)
+    got = pair_marginal_secondary(x, k, j, M, params, Parent.NON_LINEAR)
+    assert got == pytest.approx(want, rel=1e-8, abs=0.0)
 
 
 def test_pair_secondary_is_stated_for_nonlinear_parent():
@@ -471,17 +496,21 @@ def test_pair_secondary_is_stated_for_nonlinear_parent():
 
 
 def test_pair_marginals_are_one_quadrature_each(monkeypatch):
-    import wpcn_select.special as special
+    import wpcn_select.analytic as analytic
 
     calls = []
-    quad = special._integrate.quad
+    kernel = analytic.integrate_panels
 
     def counted(*args, **kwargs):
-        calls.append(args[1:3])
-        return quad(*args, **kwargs)
+        calls.append(args[1])
+        return kernel(*args, **kwargs)
 
-    monkeypatch.setattr(special._integrate, "quad", counted)
+    monkeypatch.setattr(analytic, "integrate_panels", counted)
     for marginal in (pair_marginal_primary, pair_marginal_secondary):
         calls.clear()
         marginal(X_PAIR, 2, 5, 10, P_PAIR, Parent.NON_LINEAR)
         assert len(calls) == 1, f"{marginal.__name__}: {calls}"
+    for pair in (PairSpec(Scheme.SBS, 2, 5), PairSpec(Scheme.RS, 1, 2)):
+        calls.clear()
+        outage_pair(X_PAIR, pair, P_PAIR)
+        assert len(calls) == 1, f"{pair}: {calls}"

@@ -7,6 +7,9 @@ the harvest-fraction optimizer must land on the known interior optimum.
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -522,3 +525,15 @@ def test_cli_config_file_precedence(tmp_path, capsys):
     assert row["scheme"] == "EBS"
     assert row["k"] == 1
     assert row["pt_dbm"] == -20.0
+
+
+def test_cli_import_leaves_scipy_integrate_out():
+    # every quadrature runs on the package's own panel kernel, so the
+    # command line never pays for importing scipy's integrators
+    src = os.path.dirname(os.path.dirname(os.path.abspath(experiments.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    probe = "import sys, wpcn_select, wpcn_select.cli; print('scipy.integrate' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, timeout=120, check=True)
+    assert out.stdout.strip() == "False"

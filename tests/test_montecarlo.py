@@ -37,17 +37,16 @@ from wpcn_select.montecarlo import (
     _BLOCK,
     _ELEMENT_BUDGET,
     THREADS_ENV,
-    ChannelDraw,
     TrialConfig,
+    _BlockTail,
     _count_block,
     _draw_block,
     _kth_index,
     _ranking_stat,
+    _select,
     _stream_at,
     _true_gains,
     _worker_count,
-    draw_channels,
-    select_device,
     simulate_outage,
 )
 
@@ -61,63 +60,67 @@ P = default_params()
 # ---------------------------------------------------------------------------
 
 def test_draws_have_unit_mean():
-    rng = np.random.default_rng(1)
-    acc_g, acc_h = [], []
-    for _ in range(4000):
-        d = draw_channels(8, 0.0, rng)
-        acc_g.append(d.gains_g)
-        acc_h.append(d.gains_h)
-    assert float(np.mean(acc_g)) == pytest.approx(1.0, abs=0.02)
-    assert float(np.mean(acc_h)) == pytest.approx(1.0, abs=0.02)
+    g, h = _draw_block(8, 4000, 0.0, np.random.default_rng(1))
+    assert float(np.mean(g)) == pytest.approx(1.0, abs=0.02)
+    assert float(np.mean(h)) == pytest.approx(1.0, abs=0.02)
 
 
 def test_imperfect_csi_split_preserves_truth_mean():
     # estimate carries 1 - sigma_e2 of the power, the error the rest
     rng = np.random.default_rng(2)
-    est, true = [], []
-    for _ in range(6000):
-        d = draw_channels(8, 0.3, rng)
-        est.append(d.est_g)
-        true.append(d.gains_g)
+    est, _ = _draw_block(8, 6000, 0.3, rng)
+    true = _true_gains(est, 0.3, rng.standard_normal((2, *est.shape)))
     assert float(np.mean(est)) == pytest.approx(0.7, abs=0.02)
     assert float(np.mean(true)) == pytest.approx(1.0, abs=0.02)
 
 
+def _tail_rows(sigma_e2):
+    config = TrialConfig(SchemeSpec(Scheme.SBS), P, num_trials=4, estimation_error_var=sigma_e2)
+    return _BlockTail(config, 0, 4).rows(0, 4)
+
+
 def test_perfect_csi_has_no_estimate_arrays():
-    d = draw_channels(4, 0.0, np.random.default_rng(0))
-    assert d.est_g is None and d.est_h is None
-    assert d.ranking_g is d.gains_g
-    assert d.ranking_h is d.gains_h
+    # selection ranks on the drawn gains and the outage reads the same ones:
+    # no true-gain normals are drawn, and the gains are the unit-mean ones
+    _, normals = _tail_rows(0.0)
+    assert normals is None
+    g, h = _draw_block(4, 1, 0.0, np.random.default_rng(0))
+    u = np.random.default_rng(0).random((2, 1, 4))
+    assert np.array_equal(g, -np.log1p(-u[0])) and np.array_equal(h, -np.log1p(-u[1]))
 
 
 def test_imperfect_csi_ranks_on_estimates():
-    d = draw_channels(4, 0.4, np.random.default_rng(0))
-    assert d.est_g is not None
-    assert d.ranking_g is d.est_g
+    # the ranked gains are estimates with power 1 - sigma_e2, and the chosen
+    # devices' true gains come from normals drawn after them
+    _, normals = _tail_rows(0.4)
+    assert normals is not None
+    est = _draw_block(4, 1, 0.4, np.random.default_rng(0))
+    gains = _draw_block(4, 1, 0.0, np.random.default_rng(0))
+    for e, g in zip(est, gains):
+        assert np.allclose(e, 0.6 * g, rtol=1e-15, atol=0.0)
 
 
 def test_draw_channels_deterministic():
-    a = draw_channels(5, 0.0, np.random.default_rng(42))
-    b = draw_channels(5, 0.0, np.random.default_rng(42))
-    assert np.array_equal(a.gains_g, b.gains_g)
-    assert np.array_equal(a.gains_h, b.gains_h)
+    a = _draw_block(5, 1, 0.0, np.random.default_rng(42))
+    b = _draw_block(5, 1, 0.0, np.random.default_rng(42))
+    assert np.array_equal(a[0], b[0])
+    assert np.array_equal(a[1], b[1])
 
 
 def test_draw_channels_validation():
-    rng = np.random.default_rng(0)
+    # the population and the error variance are checked where a run is set up
     with pytest.raises(ValueError):
-        draw_channels(0, 0.0, rng)
-    with pytest.raises(ValueError):
-        draw_channels(4, 1.0, rng)
-    with pytest.raises(ValueError):
-        draw_channels(4, -0.1, rng)
+        default_params(num_devices=0)
+    for bad in (1.0, -0.1):
+        with pytest.raises(ValueError):
+            TrialConfig(SchemeSpec(Scheme.SBS), P, estimation_error_var=bad)
 
 
 def test_conditional_true_gain_is_unit_exponential():
     # the true gain given its (1 - sigma_e2)-power estimate must be Exp(1)
     # again: mean 1, second moment 2; a million draws put both within 5 sigma
     est, _ = _draw_block(10, 100_000, 0.3, np.random.default_rng(12))
-    true = _true_gains(est, 0.3, np.random.default_rng(13))
+    true = _true_gains(est, 0.3, np.random.default_rng(13).standard_normal((2, *est.shape)))
     assert float(est.mean()) == pytest.approx(0.7, abs=5e-3)
     assert float(true.mean()) == pytest.approx(1.0, abs=5e-3)
     assert float((true**2).mean()) == pytest.approx(2.0, abs=2.5e-2)
@@ -187,10 +190,14 @@ def test_sbs_count_path_matches_select_path(k):
 # selection on crafted draws
 # ---------------------------------------------------------------------------
 
-CRAFTED = ChannelDraw(
-    gains_g=np.array([0.1, 5.0, 2.0]),
-    gains_h=np.array([4.0, 0.1, 3.0]),
-)
+CRAFTED = (np.array([0.1, 5.0, 2.0]), np.array([4.0, 0.1, 3.0]))  # (g, h)
+
+
+def select_device(spec, draw, params, rng=None):
+    """The index, or index pair, _select picks on a one-row block."""
+    g, h = draw
+    sel = _select(spec, g[None, :], h[None, :], params, rng)[0]
+    return (int(sel[0]), int(sel[1])) if isinstance(spec, PairSpec) else int(sel[0])
 
 
 def test_select_crafted_ranks():
@@ -208,10 +215,7 @@ def test_select_crafted_ranks():
 
 
 def test_select_tie_breaks_to_lowest_index():
-    draw = ChannelDraw(
-        gains_g=np.array([2.0, 2.0, 1.0]),
-        gains_h=np.array([1.0, 1.0, 1.0]),
-    )
+    draw = (np.array([2.0, 2.0, 1.0]), np.array([1.0, 1.0, 1.0]))
     assert select_device(SchemeSpec(Scheme.EBS, k=1), draw, P) == 0
     assert select_device(SchemeSpec(Scheme.EBS, k=2), draw, P) == 1
 
@@ -219,13 +223,11 @@ def test_select_tie_breaks_to_lowest_index():
 def test_select_matches_brute_force_energy_ranking():
     rng = np.random.default_rng(9)
     for _ in range(200):
-        draw = draw_channels(6, 0.0, rng)
-        energies = [
-            harvested_energy(float(g), P, EhModel.NON_LINEAR) for g in draw.gains_g
-        ]
+        g, h = (a[0] for a in _draw_block(6, 1, 0.0, rng))
+        energies = [harvested_energy(float(v), P, EhModel.NON_LINEAR) for v in g]
         ranked = sorted(range(6), key=lambda i: (-energies[i], i))
         for k in (1, 3, 6):
-            assert select_device(SchemeSpec(Scheme.EBS, k=k), draw, P) == ranked[k - 1]
+            assert select_device(SchemeSpec(Scheme.EBS, k=k), (g, h), P) == ranked[k - 1]
 
 
 def test_select_pair_returns_both_ranks():

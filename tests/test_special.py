@@ -18,9 +18,7 @@ from wpcn_select.special import (
     QuadratureSpec,
     bessel_k1,
     _qk21,
-    integrate_finite,
     integrate_panels,
-    integrate_semi_infinite,
     reg_inc_beta,
     reg_inc_beta_complement,
 )
@@ -111,57 +109,6 @@ def test_reg_inc_beta_domain():
         reg_inc_beta(0.5, 0.0, 3)
     with pytest.raises(DomainError):
         reg_inc_beta(0.5, 2, -1.0)
-
-
-# ---------------------------------------------------------------------------
-# quadrature
-# ---------------------------------------------------------------------------
-
-def test_integrate_finite_polynomial():
-    val, err = integrate_finite(lambda t: t * t, 0.0, 1.0)
-    assert val == pytest.approx(1.0 / 3.0, rel=1e-12)
-    assert err < 1e-8
-
-
-def test_integrate_finite_sine():
-    val, _ = integrate_finite(math.sin, 0.0, math.pi)
-    assert val == pytest.approx(2.0, rel=1e-12)
-
-
-def test_integrate_finite_degenerate_and_reversed():
-    assert integrate_finite(math.sin, 1.0, 1.0) == (0.0, 0.0)
-    with pytest.raises(DomainError):
-        integrate_finite(math.sin, 1.0, 0.0)
-
-
-def test_integrate_semi_infinite_exponential():
-    val, _ = integrate_semi_infinite(lambda z: math.exp(-z), 0.0)
-    assert val == pytest.approx(1.0, rel=1e-12)
-
-
-def test_integrate_semi_infinite_shifted_lower():
-    r = 0.7
-    val, _ = integrate_semi_infinite(lambda z: math.exp(-z), r)
-    assert val == pytest.approx(math.exp(-r), rel=1e-12)
-
-
-def test_integrate_semi_infinite_bessel_identity():
-    # int_0^inf exp(-a z - b/z) dz = 2 sqrt(b/a) K1(2 sqrt(a b)); frozen at a=2, b=3
-    val, _ = integrate_semi_infinite(lambda z: math.exp(-2.0 * z - 3.0 / z) if z > 0 else 0.0, 0.0)
-    assert val == pytest.approx(0.011087167594360257, rel=1e-11)
-    closed = 2.0 * math.sqrt(3.0 / 2.0) * bessel_k1(2.0 * math.sqrt(6.0))
-    assert val == pytest.approx(closed, rel=1e-9)
-
-
-def test_accuracy_error_carries_estimate():
-    # one subdivision cannot resolve a narrow spike
-    spec = QuadratureSpec(relative_tolerance=1e-10, absolute_tolerance=1e-12,
-                          max_subdivisions=1)
-    spike = lambda t: math.exp(-1e6 * (t - 0.123456) ** 2)
-    with pytest.raises(AccuracyError) as info:
-        integrate_finite(spike, 0.0, 1.0, spec)
-    assert info.value.estimate is not None
-    assert info.value.error_estimate is not None
 
 
 # ---------------------------------------------------------------------------
