@@ -31,9 +31,13 @@ c r/(Pt (t - lo)) on t > lo.  So one helper evaluates all three:
 take the ranked law (RankedLaw) as an argument: the finite-M order statistic
 on the exact and floor routes, its Gumbel limit on the extreme-value (evt)
 route.  They run on special.integrate_panels, seeded at the law's scale and
-the gate's, both MMS halves in one call.  For M <= 60, EBS and IBS use closed
-alternating sums of K1 terms instead (math.fsum, under a cancellation
-monitor) and fall back to the integrals when the monitor trips.
+the gate's, both MMS halves in one call.  Both laws are pure and memoized
+per (M, k, rate), each with its own seed cuts.  The integrand takes a lone
+gate's lo and shift as scalars and works in place, rounding exactly as
+e^(log f(t)) (-expm1(slope t - shift - cr/(t - lo))) does.  For M <= 60,
+EBS and IBS use closed alternating sums of K1 terms instead (math.fsum,
+under a cancellation monitor) and fall back to the integrals when the
+monitor trips.
 
 Pair selection ranks Y, Z as the k-th and j-th largest parent SNRs (k < j).
 Given Z = z, the j-1 stronger devices are iid with survival S(.)/S(z), so
@@ -180,6 +184,14 @@ def _finalize(value: float, method: Method, stderr: Optional[float] = None) -> O
     return OutageEstimate(min(1.0, max(0.0, value)), method, stderr)
 
 
+def _check_order_index(spec: SchemeSpec | PairSpec, num_devices: int) -> None:
+    """Reject a spec that ranks past the population: k, or j for a pair,
+    above num_devices."""
+    top = spec.j if isinstance(spec, PairSpec) else spec.k
+    if top > num_devices:
+        raise ValueError(f"order index {top} exceeds num_devices={num_devices}")
+
+
 def _evaluator(method: Method, spec_type: type, *schemes: Scheme):
     """Decorator: the contract every deterministic outage evaluator shares.
 
@@ -199,9 +211,7 @@ def _evaluator(method: Method, spec_type: type, *schemes: Scheme):
         def evaluator(x: float, spec, params: SystemParams) -> OutageEstimate:
             if type(spec) is not spec_type or spec.scheme not in schemes:
                 raise ValueError(f"{body.__name__} cannot evaluate {spec!r}")
-            top = spec.j if pair else spec.k
-            if top > params.num_devices:
-                raise ValueError(f"order index {top} exceeds num_devices={params.num_devices}")
+            _check_order_index(spec, params.num_devices)
             if nonlinear_only and spec.model is not EhModel.NON_LINEAR:
                 raise ValueError(f"the {method.value} route is stated for the nonlinear harvester")
             x = float(x)
@@ -295,18 +305,22 @@ def _parent_rates(params: SystemParams, parent: Parent) -> tuple[float, float]:
     return 0.0, _linear_beta(1.0, params)
 
 
-def _parent_logs(t: np.ndarray, rho: float, a: float) -> tuple[np.ndarray, np.ndarray]:
+def _parent_logs(t: np.ndarray, rho: float, a: float, density: bool = True):
     """(log S(t), log f(t)) of a single device's SNR at t > 0, array-valued,
     for the parent with rates (rho, a): f = -S' = e^(-rho t) (rho z K1(z) +
     2 a K0(z)).  The Bessel factors enter scaled by e^z, so neither
-    underflows in the far tail."""
+    underflows in the far tail.  Without density, log S(t) alone, which
+    spares the K0 the pair factors do not need."""
     if a == 0.0:
-        return -rho * t, math.log(rho) - rho * t
+        return (-rho * t, math.log(rho) - rho * t) if density else -rho * t
     z = 2.0 * np.sqrt(a * t)
     zk1 = z * k1e(z)
     e = -rho * t - z
     # z K1(z) = 1 - O(z^2 log z) rounds above 1 at tiny z; S cannot
-    return np.minimum(e + np.log(zk1), 0.0), e + np.log(rho * zk1 + 2.0 * a * k0e(z))
+    log_sf = np.minimum(e + np.log(zk1), 0.0)
+    if not density:
+        return log_sf
+    return log_sf, e + np.log(rho * zk1 + 2.0 * a * k0e(z))
 
 
 def _kth_best_cdf(psi: float, M: int, k: int) -> float:
@@ -352,7 +366,13 @@ class RankedLaw:
     peak: float
     rate: float
 
+    @functools.cached_property
+    def cuts(self) -> tuple[float, ...]:
+        """The gated integral's seed edges at the law's own scale."""
+        return tuple(self.peak + step / self.rate for step in _LAW_STEPS)
 
+
+@functools.lru_cache(maxsize=256)
 def order_stat_law(M: int, k: int, rate: float) -> RankedLaw:
     """The k-th largest of M iid exponentials with the given rate:
     cdf(t) = I_{1 - e^(-rate t)}(M - k + 1, k)."""
@@ -362,6 +382,8 @@ def order_stat_law(M: int, k: int, rate: float) -> RankedLaw:
 
     def logpdf(t: np.ndarray) -> np.ndarray:
         q = -np.expm1(-rate * np.maximum(t, 0.0))  # parent CDF, 0 at t <= 0
+        if q.min() > 0.0:  # all live, as at the nodes of a gated integral, above 0
+            return lc - k * rate * t + (M - k) * np.log(q)
         live = q > 0.0
         return np.where(live, lc - k * rate * t + (M - k) * np.log(np.where(live, q, 1.0)), -np.inf)
 
@@ -381,22 +403,33 @@ def _gated_integral(law: RankedLaw, gates: list[tuple[float, float, float]],
                     cr_over_pt: float, slope: float = 0.0) -> float:
     """Sum over gates (lo, hi, shift) of P(t <= lo) + int_lo^hi f(t) [1 -
     e^(-E(t))] dt in one kernel call, with f the law's density and E(t) =
-    shift - slope t + cr_over_pt/(t - lo): every ranked scheme's outage
-    (module docstring).  The law keeps about e^-40 of its mass or less beyond
-    peak + 40, so each integral stops there, on the peak however far hi is.
+    shift - slope t + cr_over_pt/(t - lo), 0 <= lo and slope 0 or 1: every
+    ranked scheme's outage (module docstring).  The law keeps about e^-40 of
+    its mass or less beyond peak + 40, so each integral stops there, on the
+    peak however far hi is.
     """
     mass = sum(law.cdf(lo) for lo, _, _ in gates)
     gates = [(lo, top, shift) for lo, hi, shift in gates if (top := min(hi, law.peak + 40.0)) > lo]
     if not gates:
         return mass
-    cuts = [law.peak + step / law.rate for step in _LAW_STEPS]
-    edges = [sorted({lo, top}.union(c for c in cuts + [lo + cr_over_pt * g for g in _GATE_STEPS]
-                                    if lo < c < top)) for lo, top, _ in gates]
-    lo, _, shift = (np.array(column)[:, None] for column in zip(*gates))
+    edges = [sorted({lo, top, *(c for c in law.cuts if lo < c < top),
+                     *(c for g in _GATE_STEPS if lo < (c := lo + cr_over_pt * g) < top)})
+             for lo, top, _ in gates]
+    if len(gates) == 1:
+        (lo, _, shift), = gates
+    else:
+        lo, _, shift = (np.array(column)[:, None] for column in zip(*gates))
 
     def f(t: np.ndarray, piece: np.ndarray) -> np.ndarray:
-        e = slope * t - shift[piece] - cr_over_pt / (t - lo[piece])
-        return np.exp(law.logpdf(t)) * -np.expm1(e)
+        # the nodes lie above lo >= 0, so slope t - shift is the scalar
+        # 0 - shift at slope 0 and t - shift at slope 1, bit for bit
+        lo_t, shift_t = (lo, shift) if len(gates) == 1 else (lo[piece], shift[piece])
+        e = t - lo_t
+        np.divide(cr_over_pt, e, out=e)
+        np.subtract(t - shift_t if slope else 0.0 - shift_t, e, out=e)
+        np.negative(np.expm1(e, out=e), out=e)
+        density = law.logpdf(t)
+        return np.multiply(np.exp(density, out=density), e, out=density)
 
     return mass + integrate_panels(f, edges)[0]
 
@@ -606,7 +639,7 @@ def pair_marginal_primary(
         # 1 - S(x(z+1))/S(z) as expm1 of the log gap keeps its digits where
         # the ratio is near 1, and its betainc is accurate where betaincc at
         # the ratio is noise; the gap is < 0 but for rounding
-        gap = np.minimum(_parent_logs(x * (z + 1.0), *rates)[0] - log_sf, 0.0)
+        gap = np.minimum(_parent_logs(x * (z + 1.0), *rates, density=False) - log_sf, 0.0)
         return betainc(j - k, k, -np.expm1(gap))
 
     return _pair_quadrature(inner, 0.0, math.sqrt(x / (1.0 - x)), j, M, rates)
@@ -625,7 +658,7 @@ def pair_marginal_secondary(
     z_star = x / (1.0 - x)
 
     def inner(z: np.ndarray, log_sf: np.ndarray) -> np.ndarray:
-        gap = np.minimum(_parent_logs(z / x - 1.0, *rates)[0] - log_sf, 0.0)
+        gap = np.minimum(_parent_logs(z / x - 1.0, *rates, density=False) - log_sf, 0.0)
         return betainc(k, j - k, np.exp(gap))
 
     below = _kth_best_cdf(parent_cdf(z_star, params, parent), M, j)

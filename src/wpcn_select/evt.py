@@ -87,6 +87,7 @@ def gumbel_kth_cdf(z: float, k: int) -> float:
     return float(gammaincc(k, math.exp(-z)))
 
 
+@functools.lru_cache(maxsize=256)
 def gumbel_law(M: int, k: int, rate: float) -> RankedLaw:
     """Gumbel limit of the k-th largest of M iid exponentials with the given
     rate: density rate M^k/Gamma(k) e^(-k rate t - M e^(-rate t)) on the whole

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic import Method, OutageEstimate, PairSpec, Scheme, SchemeSpec
+from .analytic import Method, OutageEstimate, PairSpec, Scheme, SchemeSpec, _check_order_index
 from .model import SystemParams, harvested_energy, snr, threshold_x
 
 __all__ = [
@@ -69,11 +69,7 @@ class TrialConfig:
             raise ValueError(
                 f"estimation error variance must lie in [0, 1), got {self.estimation_error_var!r}"
             )
-        top = self.spec.j if isinstance(self.spec, PairSpec) else self.spec.k
-        if top > self.params.num_devices:
-            raise ValueError(
-                f"order index {top} exceeds the population size {self.params.num_devices}"
-            )
+        _check_order_index(self.spec, self.params.num_devices)
 
 
 def _stream_at(base_seed: int, block: int, offset: int) -> np.random.Generator:

@@ -3,11 +3,55 @@
 import math
 
 import numpy as np
+from scipy import special as sp
 from scipy.integrate import quad
 
 from wpcn_select.analytic import PairSpec, Scheme, SchemeSpec, r_scale
 from wpcn_select.model import harvested_energy, snr, threshold_x
 from wpcn_select.montecarlo import _draw_block, _ranking_stat, _select, _true_gains
+from wpcn_select.special import _EPS, _NODES, _RULES, _TINY, _beta_args
+
+
+def qk21_reference(f, a, b, piece):
+    """Kronrod value and QUADPACK error estimate of each panel [a, b] in plain
+    expressions, with no scratch arrays: the arithmetic special._qk21 must
+    match bit for bit."""
+    h = 0.5 * (b - a)
+    fx = f(a[:, None] + h[:, None] * _NODES, piece)
+    resk, resg = (fx @ _RULES).T
+    resasc = np.abs(fx - 0.5 * resk[:, None]) @ _RULES[:, 0]
+    err = 200.0 * np.abs(resk - resg)
+    err = resasc * (err / np.maximum(resasc, err + _TINY)) ** 1.5
+    return resk * h, np.maximum(err, 50.0 * _EPS * (np.abs(fx) @ _RULES[:, 0])) * h
+
+
+def order_stat_logpdf_array(t, M, k, rate):
+    """Log density of the k-th largest of M iid exponentials, array-valued,
+    with both where-guards: the arithmetic analytic.order_stat_law's logpdf
+    must match bit for bit, -inf at t <= 0 included."""
+    lc = math.log(k * rate) + math.log(math.comb(M, k))
+    q = -np.expm1(-rate * np.maximum(t, 0.0))
+    live = q > 0.0
+    return np.where(live, lc - k * rate * t + (M - k) * np.log(np.where(live, q, 1.0)), -np.inf)
+
+
+def gated_integrand_reference(logpdf, gates, cr_over_pt, slope=0.0):
+    """f(t, piece) = e^logpdf(t) [1 - e^(-E(t))], E(t) = shift - slope t +
+    cr_over_pt/(t - lo), for gates (lo, hi, shift) indexed by piece, in one
+    expression: the arithmetic of analytic._gated_integral's integrand."""
+    lo, _, shift = (np.array(column)[:, None] for column in zip(*gates))
+
+    def f(t, piece):
+        e = slope * t - shift[piece] - cr_over_pt / (t - lo[piece])
+        return np.exp(logpdf(t)) * -np.expm1(e)
+
+    return f
+
+
+def reg_inc_beta_complement(psi, p, q):
+    """1 - I_psi(p, q), computed directly so it keeps its digits near 0."""
+    psi, p, q = _beta_args("reg_inc_beta_complement", psi, p, q)
+    return float(sp.betaincc(p, q, psi))
 
 
 def ibs_phi_quadrature(x, params, delta):

@@ -10,6 +10,7 @@ asserted here.
 
 import math
 
+import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.special import k1 as scipy_k1
@@ -142,6 +143,14 @@ def test_parent_survival_keeps_far_tail():
 
 
 @pytest.mark.parametrize("parent", list(Parent))
+def test_parent_log_sf_alone_is_the_first_of_the_logs(parent):
+    # the pair factors' survival-only call is the same arithmetic, bit for bit
+    rates = _parent_rates(P, parent)
+    t = np.exp(np.random.default_rng(5).uniform(-20.0, 8.0, (40, 21)))
+    assert np.array_equal(_parent_logs(t, *rates, density=False), _parent_logs(t, *rates)[0])
+
+
+@pytest.mark.parametrize("parent", list(Parent))
 @pytest.mark.parametrize("x", [1.0, 3.0])
 def test_parent_pdf_integrates_to_cdf(parent, x):
     rates = _parent_rates(P, parent)
@@ -220,7 +229,7 @@ def test_sbs_closure_recovers_rs(model):
 
 def test_sbs_floor_frozen():
     got = outage_sbs_high_snr(X, SchemeSpec(Scheme.SBS, k=2), P).value
-    assert got == pytest.approx(7.405896237725776e-29, rel=1e-10)
+    assert got == pytest.approx(7.405896237725776e-29, rel=1e-10, abs=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +327,7 @@ def test_ebs_large_population_integral_keeps_relative_digits():
     )
     spec = SchemeSpec(Scheme.EBS, k=1, model=EhModel.LINEAR)
     got = outage_ebs(threshold_x(params), spec, params).value
-    assert got == pytest.approx(2.260159406029079e-09, rel=1e-9)
+    assert got == pytest.approx(2.260159406029079e-09, rel=1e-9, abs=0.0)
 
 
 def test_ebs_floor_is_rs_floor_exactly():
@@ -384,7 +393,7 @@ def test_ibs_linear_equals_ebs_linear(k, pt_dbm):
 def test_ibs_floor_equals_sbs_floor():
     a = outage_ibs_high_snr(X, SchemeSpec(Scheme.IBS, k=2), P).value
     b = outage_sbs_high_snr(X, SchemeSpec(Scheme.SBS, k=2), P).value
-    assert a == pytest.approx(7.405896237725776e-29, rel=1e-10)
+    assert a == pytest.approx(7.405896237725776e-29, rel=1e-10, abs=0.0)
     assert a == pytest.approx(b, rel=1e-10)
 
 
@@ -485,7 +494,7 @@ def test_mms_frozen():
     )
     assert outage_mms(
         X, SchemeSpec(Scheme.MMS, k=1, model=EhModel.LINEAR), P
-    ).value == pytest.approx(3.326578592543086e-10, rel=1e-9)
+    ).value == pytest.approx(3.326578592543086e-10, rel=1e-9, abs=0.0)
 
 
 @pytest.mark.parametrize("k, model, oracle", [
@@ -514,7 +523,7 @@ def test_mms_certain_outage_at_huge_threshold(model):
 
 def test_mms_floor_frozen_and_below_value():
     floor = outage_mms_high_snr(X, SchemeSpec(Scheme.MMS, k=2), P).value
-    assert floor == pytest.approx(5.924716034731971e-28, rel=1e-10)
+    assert floor == pytest.approx(5.924716034731971e-28, rel=1e-10, abs=0.0)
     params = P.replace(transmit_power=dbm_to_watts(80.0))
     assert outage_mms(X, SchemeSpec(Scheme.MMS, k=2), params).value > floor
 
@@ -604,7 +613,7 @@ def test_pair_frozen_values():
     got = outage_pair(X_PAIR, PairSpec(Scheme.SBS, 2, 5), P_PAIR)
     assert got.value == pytest.approx(0.0011205004527402086, rel=1e-8)
     got = outage_pair(X_PAIR, PairSpec(Scheme.SBS, 1, 3, model=EhModel.LINEAR), P_PAIR)
-    assert got.value == pytest.approx(1.6606152042638465e-05, rel=1e-8)
+    assert got.value == pytest.approx(1.6606152042638465e-05, rel=1e-8, abs=0.0)
     got = outage_pair(X_PAIR, PairSpec(Scheme.RS, 1, 2), P_PAIR)
     assert got.value == pytest.approx(0.1207004453993607, rel=1e-8)
 

@@ -45,7 +45,12 @@ from wpcn_select.experiments import evaluate_point
 from wpcn_select.model import EhModel, db_to_linear, dbm_to_watts, default_params
 from wpcn_select.special import AccuracyError, DomainError, bessel_k1
 
-from oracles import gumbel_logpdf, order_stat_logpdf
+from oracles import (
+    gated_integrand_reference,
+    gumbel_logpdf,
+    order_stat_logpdf,
+    order_stat_logpdf_array,
+)
 
 # asymptotics are exercised in the low-power regime where the outage is
 # far from its floor
@@ -143,6 +148,56 @@ def test_constants_domain():
 # ranked laws
 # ---------------------------------------------------------------------------
 
+
+@pytest.mark.parametrize("M, k, rate", [(20, 2, 1.0), (5, 5, 2.0), (1000, 1, 1.0)])
+def test_order_stat_logpdf_is_the_guarded_array_formula(M, k, rate):
+    # bit for bit, on nodes that all lie above 0 and on a mix with t <= 0
+    rng = np.random.default_rng(M + k)
+    t = np.exp(rng.uniform(-12.0, 5.0, (30, 21)))
+    mixed = t - 3.0
+    law = order_stat_law(M, k, rate)
+    for nodes in (t, mixed):
+        assert np.array_equal(law.logpdf(nodes), order_stat_logpdf_array(nodes, M, k, rate))
+
+
+# route -> (integral, its r or shift argument, c r/Pt, the gates it passes, slope)
+GATED_ROUTES = {
+    "ebs": ("_ebs_integral", 0.8, 0.35, [(0.0, math.inf, 0.8)], 0.0),
+    "ebs-linear": ("_ebs_integral", 0.0, 0.35, [(0.0, math.inf, 0.0)], 0.0),
+    "ibs": ("_ibs_integral", 0.8, 0.35, [(0.8, math.inf, 0.0)], 0.0),
+    "ibs-floor": ("_ibs_integral", 0.8, 0.0, [(0.8, math.inf, 0.0)], 0.0),
+    "mms": ("_mms_integral", 0.8, 0.35, [(0.0, 1.0, 0.8), (0.8, 1.0, 0.0)], 1.0),
+    # at the floor both gates close at s = r, so the uplink half is empty
+    "mms-floor": ("_mms_integral", 0.8, 0.0, [(0.0, 1.0, 0.8)], 1.0),
+}
+
+
+@pytest.mark.parametrize("route", list(GATED_ROUTES))
+@pytest.mark.parametrize("law_of", [order_stat_law, gumbel_law])
+def test_gated_integrand_is_the_indexed_expression(monkeypatch, route, law_of):
+    # the integrand the kernel sees equals the one-expression form with gate
+    # columns indexed per panel, bit for bit, at random nodes above each lo
+    import wpcn_select.analytic as analytic
+
+    name, first, cr_over_pt, gates, slope = GATED_ROUTES[route]
+    rate = 2.0 if route.startswith("mms") else 1.0
+    law = law_of(100, 2, rate)
+    calls = []
+    monkeypatch.setattr(analytic, "integrate_panels",
+                        lambda f, edges, spec=None: calls.append((f, edges)) or (0.0, 0.0))
+    getattr(analytic, name)(first, cr_over_pt, law)
+    (f, edges), = calls
+    assert len(edges) == len(gates)
+    logpdf = law.logpdf if law_of is gumbel_law else (
+        lambda t: order_stat_logpdf_array(t, 100, 2, rate))
+    want = gated_integrand_reference(logpdf, gates, cr_over_pt, slope)
+    rng = np.random.default_rng(7)
+    piece = rng.integers(0, len(gates), 40)
+    lo = np.array([gate[0] for gate in gates])[piece, None]
+    t = lo + np.exp(rng.uniform(-14.0, 3.5, (40, 21)))
+    assert np.array_equal(f(t, piece), want(t, piece))
+
+
 @pytest.mark.parametrize("law_of", [order_stat_law, gumbel_law])
 @pytest.mark.parametrize("M, k, rate", [(20, 2, 1.0), (5, 1, 2.0), (200, 1, 1.0)])
 @pytest.mark.parametrize("lo", [0.0, 0.7])
@@ -211,7 +266,7 @@ def test_ebs_limit_keeps_relative_digits_deep_in_the_tail():
     # the 1 - e^(-r) int form lost 2e-5 relative here to cancellation
     params = default_params(transmit_power=dbm_to_watts(10.0), num_devices=100)
     got = outage_evt_ebs(1e-3, SchemeSpec(Scheme.EBS), params).value
-    assert got == pytest.approx(3.6892661841601692e-10, rel=1e-8)
+    assert got == pytest.approx(3.6892661841601692e-10, rel=1e-8, abs=0.0)
 
 
 def test_mms_limit_is_one_at_certain_outage():

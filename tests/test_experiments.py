@@ -14,8 +14,16 @@ import sys
 import pytest
 
 import wpcn_select.experiments as experiments
-from wpcn_select.analytic import Method, OutageEstimate, PairSpec, Scheme, SchemeSpec
+from wpcn_select.analytic import (
+    Method,
+    OutageEstimate,
+    PairSpec,
+    Scheme,
+    SchemeSpec,
+    order_stat_law,
+)
 from wpcn_select.cli import main as cli_main
+from wpcn_select.evt import gumbel_law
 from wpcn_select.experiments import (
     CSV_COLUMNS,
     ComparisonConfig,
@@ -384,6 +392,19 @@ def test_reproduce_figure_is_byte_identical(tmp_path):
     a, _ = reproduce_figure("fig3a", out_dir=tmp_path / "one", trials=0)
     b, _ = reproduce_figure("fig3a", out_dir=tmp_path / "two", trials=0)
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_fig5_bytes_do_not_depend_on_the_law_caches(tmp_path):
+    # the ranked laws are memoized and pure: two runs in one process and a
+    # third after clearing both caches write the same bytes
+    runs = []
+    for name in ("one", "two", "cleared"):
+        if name == "cleared":
+            order_stat_law.cache_clear()
+            gumbel_law.cache_clear()
+        csv_path, meta_path = reproduce_figure("fig5", out_dir=tmp_path / name, trials=0)
+        runs.append((csv_path.read_bytes(), meta_path.read_bytes()))
+    assert runs[0] == runs[1] == runs[2]
 
 
 FIGURE_ROWS = {
