@@ -384,8 +384,8 @@ def order_stat_law(M: int, k: int, rate: float) -> RankedLaw:
         q = -np.expm1(-rate * np.maximum(t, 0.0))  # parent CDF, 0 at t <= 0
         if q.min() > 0.0:  # all live, as at the nodes of a gated integral, above 0
             return lc - k * rate * t + (M - k) * np.log(q)
-        live = q > 0.0
-        return np.where(live, lc - k * rate * t + (M - k) * np.log(np.where(live, q, 1.0)), -np.inf)
+        dead = q <= 0.0  # t <= 0; a nan t stays nan
+        return np.where(dead, -np.inf, lc - k * rate * t + (M - k) * np.log(np.where(dead, 1.0, q)))
 
     def cdf(t: float) -> float:
         return _kth_best_cdf(-math.expm1(-rate * t), M, k) if t > 0.0 else 0.0
@@ -418,7 +418,7 @@ def _gated_integral(law: RankedLaw, gates: list[tuple[float, float, float]],
     if len(gates) == 1:
         (lo, _, shift), = gates
     else:
-        lo, _, shift = (np.array(column)[:, None] for column in zip(*gates))
+        lo, shift = (np.array([gate[i] for gate in gates])[:, None] for i in (0, 2))
 
     def f(t: np.ndarray, piece: np.ndarray) -> np.ndarray:
         # the nodes lie above lo >= 0, so slope t - shift is the scalar
@@ -602,18 +602,21 @@ def _pair_quadrature(inner, lo: float, hi: float, j: int, M: int,
     rho w^2 + 2 sqrt(a) w, by one per width.  The panels are seeded about
     loc at that width and graded toward both ends: to 4^-8 widths at lo,
     where the density's log singularity at z = 0 leaves w log w when j = M,
-    and to 4^-6 at hi, where the primary's factor closes under a steep
-    F^(M-j).  A semi-infinite range stops 40 widths past the later of lo and
-    loc, where S has fallen by about e^-40 more and f_Z by about e^-40j.
+    and to 4^-6 at a finite hi, where the primary's factor closes under a
+    steep F^(M-j).  A semi-infinite range stops 40 widths past the later of
+    lo and loc, where S has fallen by about e^-40 more and f_Z by about
+    e^-40j; nothing closes there, so that end is not graded.
     """
     rho, a = rates
     spread = math.log(max(M / j, 2.0))
     loc = spread / (math.sqrt(a) + math.sqrt(a + rho * spread))
     width = 0.5 / (math.sqrt(a) + rho * loc)
+    closes = math.isfinite(hi)
     hi = min(hi, max(lo, loc) + 40.0 * width)
     cuts = [loc + step * width for step in _LAW_STEPS]
     cuts += [lo + width * 4.0 ** i for i in range(-8, 2)]
-    cuts += [hi - width * 4.0 ** i for i in range(-6, 2)]
+    if closes:
+        cuts += [hi - width * 4.0 ** i for i in range(-6, 2)]
     edges = [sorted({lo, hi}.union(c for c in cuts if lo < c < hi))]
     lc = math.log(2 * j) + math.log(math.comb(M, j))
 

@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 from scipy.special import gammaincc
 
 from .analytic import (
@@ -106,6 +105,8 @@ def gumbel_law(M: int, k: int, rate: float) -> RankedLaw:
 @functools.lru_cache(maxsize=512)
 def _parent_quantile(p: float, params: SystemParams) -> float:
     """Inverse of the per-device SNR CDF, bracketed bisection + secant."""
+    from scipy.optimize import brentq  # deferred: only the SBS constants root-find
+
     hi = 1.0
     for _ in range(200):
         if parent_cdf(hi, params, Parent.NON_LINEAR) > p:

@@ -21,7 +21,6 @@ from pathlib import Path
 from typing import NamedTuple, Optional, Union
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from . import analytic, evt
 from .analytic import Method, OutageEstimate, PairSpec, Scheme, SchemeSpec
@@ -290,6 +289,8 @@ def find_optimal_t1(
         )
         t_star = float(grid[i0])
     else:
+        from scipy.optimize import minimize_scalar  # deferred: only this search needs it
+
         lo = float(grid[max(i0 - 1, 0)])
         hi = float(grid[min(i0 + 1, len(grid) - 1)])
         res = minimize_scalar(

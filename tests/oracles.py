@@ -28,11 +28,11 @@ def qk21_reference(f, a, b, piece):
 def order_stat_logpdf_array(t, M, k, rate):
     """Log density of the k-th largest of M iid exponentials, array-valued,
     with both where-guards: the arithmetic analytic.order_stat_law's logpdf
-    must match bit for bit, -inf at t <= 0 included."""
+    must match bit for bit, -inf at t <= 0 and nan at a nan t included."""
     lc = math.log(k * rate) + math.log(math.comb(M, k))
     q = -np.expm1(-rate * np.maximum(t, 0.0))
-    live = q > 0.0
-    return np.where(live, lc - k * rate * t + (M - k) * np.log(np.where(live, q, 1.0)), -np.inf)
+    dead = q <= 0.0
+    return np.where(dead, -np.inf, lc - k * rate * t + (M - k) * np.log(np.where(dead, 1.0, q)))
 
 
 def gated_integrand_reference(logpdf, gates, cr_over_pt, slope=0.0):

@@ -227,6 +227,17 @@ def test_ranked_law_logpdf_is_the_scalar_formula(law_of, scalar, M, k, rate):
     np.testing.assert_allclose(got[finite], want[finite], rtol=1e-13)
 
 
+@pytest.mark.parametrize("law_of", [order_stat_law, gumbel_law])
+def test_ranked_law_logpdf_propagates_nan(law_of):
+    # a nan gain is no gain at or below 0: its log density is nan, not the
+    # -inf of a zero density, and the live node beside it keeps its bits
+    law = law_of(20, 2, 1.0)
+    got = law.logpdf(np.array([math.nan, 1.0]))
+    assert math.isnan(got[0])
+    assert got[1] == law.logpdf(np.array([1.0]))[0]
+    assert math.isfinite(got[1])
+
+
 # ---------------------------------------------------------------------------
 # asymptotic evaluators
 # ---------------------------------------------------------------------------

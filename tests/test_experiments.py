@@ -548,13 +548,48 @@ def test_cli_config_file_precedence(tmp_path, capsys):
     assert row["pt_dbm"] == -20.0
 
 
+# a fresh interpreter evaluates one point on every route that needs no root
+# finder, then the two that do: the SBS extreme-value constants and the t1 search
+COLD_PROBE = """
+import json, sys
+import wpcn_select, wpcn_select.cli
+def loaded():
+    return sorted(m for m in ("scipy.integrate", "scipy.optimize") if m in sys.modules)
+after_import = loaded()
+from wpcn_select.analytic import Method, PairSpec, Scheme, SchemeSpec
+from wpcn_select.experiments import evaluate_point, find_optimal_t1
+from wpcn_select.model import db_to_linear, dbm_to_watts, default_params
+p = default_params(num_devices=10, transmit_power=dbm_to_watts(-40.0),
+                   rate_threshold_q=db_to_linear(-4.0))
+ranked = [Scheme.SBS, Scheme.EBS, Scheme.IBS, Scheme.MMS]
+for scheme in [Scheme.RS] + ranked:
+    evaluate_point(SchemeSpec(scheme), p, Method.ANALYTIC)
+    evaluate_point(SchemeSpec(scheme), p, Method.HIGH_SNR)
+for scheme in ranked[1:]:
+    evaluate_point(SchemeSpec(scheme), p, Method.EVT)
+evaluate_point(PairSpec(Scheme.SBS, 1, 2), p, Method.ANALYTIC)
+evaluate_point(SchemeSpec(Scheme.RS), p, Method.MONTE_CARLO, mc_trials=1000)
+after_points = loaded()
+evt_sbs = evaluate_point(SchemeSpec(Scheme.SBS, k=2), p, Method.EVT).value
+t1 = find_optimal_t1(Scheme.MMS, 1, default_params())
+print(json.dumps([after_import, after_points, evt_sbs, t1.t1, t1.outage.value]))
+"""
+
+
 def test_cli_import_leaves_scipy_integrate_out():
-    # every quadrature runs on the package's own panel kernel, so the
-    # command line never pays for importing scipy's integrators
+    # every quadrature runs on the package's own panel kernel and the root
+    # finder and the t1 minimizer are imported where they are called, so
+    # neither the command line nor any root-free route pays for scipy's
+    # integrators or optimizers; the two routes that do import them give
+    # the in-process values exactly
     src = os.path.dirname(os.path.dirname(os.path.abspath(experiments.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    probe = "import sys, wpcn_select, wpcn_select.cli; print('scipy.integrate' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+    out = subprocess.run([sys.executable, "-c", COLD_PROBE], env=env, capture_output=True,
                          text=True, timeout=120, check=True)
-    assert out.stdout.strip() == "False"
+    after_import, after_points, evt_sbs, t1, t1_outage = json.loads(out.stdout)
+    assert after_import == []
+    assert after_points == []
+    assert evt_sbs == evaluate_point(SchemeSpec(Scheme.SBS, k=2), P_PAIR, Method.EVT).value
+    best = find_optimal_t1(Scheme.MMS, 1, P)
+    assert (t1, t1_outage) == (best.t1, best.outage.value)
