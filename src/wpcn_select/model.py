@@ -116,14 +116,23 @@ def harvested_energy(gain_g: float, params: SystemParams, model: EhModel) -> flo
     """Energy collected during the harvesting phase for squared gain |g|^2 >= 0.
 
     NonLinear saturates at t1*(a - b/c) as the gain grows; Linear is the
-    unbounded benchmark t1*Pt*|g|^2.
+    unbounded benchmark t1*Pt*|g|^2.  Takes a float or an array of gains;
+    an array is left as it is.
     """
     t1 = params.harvest_fraction
     if model is EhModel.LINEAR:
         return t1 * params.transmit_power * gain_g
     rc = params.rectenna
     p_in = params.transmit_power * gain_g
-    return t1 * ((rc.a * p_in + rc.b) / (p_in + rc.c) - rc.b / rc.c)
+    # t1 * ((a p + b)/(p + c) - b/c), updating its own two arrays in place:
+    # a Monte Carlo chunk passes a megabyte of gains per call
+    e = rc.a * p_in
+    e += rc.b
+    p_in += rc.c
+    e /= p_in
+    e -= rc.b / rc.c
+    e *= t1
+    return e
 
 
 def snr(gain_h: float, energy: float, params: SystemParams) -> float:

@@ -10,16 +10,32 @@ Chunks are the unit of work.  Philox is counter-based, so a chunk of rows
 draws its g and h rows from generators positioned inside its block's
 stream; the draws after the fading rows take a variable number of raw
 outputs, so they are drawn once per block, in sequence, and each chunk
-takes its slice.  A chunk holds about 2^17 doubles per array, which bounds
-the memory of a worker at any M.  Failure counts are integers summed in any
-order, so the estimate is bit-identical for a given config no matter how
-many worker threads run the chunks, or how the blocks are cut into chunks.
+takes its slice.  A chunk holds about 2^17 doubles (1 MiB) per array,
+which bounds the memory of a worker at any M.  Failure counts are integers
+summed in any order, so the estimate is bit-identical for a given config no
+matter how many worker threads run the chunks, or how the blocks are cut
+into chunks.
 
-A chunk needs only the chosen device of each trial.  SBS with perfect CSI
-counts the trials in which fewer than k SNRs exceed the threshold; the other
-ranked picks take the k-th index by argmax (k = 1) or a partition, ties to
-the lowest index.  Under imperfect CSI the estimates are (1 - sigma_e2) Exp(1)
-and only the chosen devices draw a true gain, |sqrt(est) + CN(0, sigma_e2)|^2.
+A chunk does only what its count needs.  It draws uniforms u, and a gain is
+-log1p(-u).  That map, the (1 - sigma_e2) scale of an estimate and the
+harvester map all increase strictly, so ranking the uniforms ranks the gains
+and the energies: EBS ranks on u_g, IBS on u_h and MMS on min(u_g, u_h),
+ties to the lowest index, and only the picked entries are turned into
+gains; RS transforms only its random picks.  The uniforms stay as drawn
+throughout.  SBS needs every SNR and builds them from the whole chunk; with
+perfect CSI it counts the trials in which fewer than k SNRs exceed the
+threshold.  For the two ranks at either end of the order the k-th index
+is an argmax (or argmin), after one knock-out round for the second; other
+ranks take a partition.  Under imperfect CSI the estimates are
+(1 - sigma_e2) Exp(1) and only the chosen devices draw a true gain,
+|sqrt(est) + CN(0, sigma_e2)|^2.
+
+The uniform ranking is the exact-arithmetic order of the energies.  The
+energies in doubles can differ from it: at low transmit power (-40 dBm)
+t1 ((a P g + b)/(P g + c) - b/c) loses a P g to cancellation against b and
+c, so gains within about 1e-9 of each other can round to one energy, or to
+energies in the reverse order, where an energy ranking would pick another
+device.
 """
 
 from __future__ import annotations
@@ -83,20 +99,23 @@ def _stream_at(base_seed: int, block: int, offset: int) -> np.random.Generator:
     return rng
 
 
-def _draw_block(M: int, n: int, sigma_e2: float, rng: np.random.Generator, rng_h=None):
-    """(rank_g, rank_h), each shaped (n, M): the squared gains selection
-    ranks on.  Under imperfect CSI these are the estimates, whose power is
-    1 - sigma_e2; the true gains are drawn later, for the chosen devices only.
-    The h rows continue rng's stream after the g rows unless rng_h is given."""
-    g = rng.random((n, M))
-    h = (rng if rng_h is None else rng_h).random((n, M))
-    for a in (g, h):  # -log1p(-u), in place
-        np.negative(a, out=a)
-        np.log1p(a, out=a)
-        np.negative(a, out=a)
-        if sigma_e2 != 0.0:
-            a *= 1.0 - sigma_e2
-    return g, h
+def _draw_block(M: int, n: int, rng: np.random.Generator, rng_h=None):
+    """(u_g, u_h), each shaped (n, M): the uniforms on [0, 1) that the g and
+    h gains are made from.  The h rows continue rng's stream after the g rows
+    unless rng_h is given."""
+    return rng.random((n, M)), (rng if rng_h is None else rng_h).random((n, M))
+
+
+def _gains(u: np.ndarray, sigma_e2: float) -> np.ndarray:
+    """The squared gains -log1p(-u), Exp(1) draws, scaled by 1 - sigma_e2 to
+    the power of an estimate; a new array, the uniforms u are left as they
+    are."""
+    g = np.negative(u)
+    np.log1p(g, out=g)
+    np.negative(g, out=g)
+    if sigma_e2 != 0.0:
+        g *= 1.0 - sigma_e2
+    return g
 
 
 def _true_gains(est: np.ndarray, sigma_e2: float, z: np.ndarray) -> np.ndarray:
@@ -109,25 +128,52 @@ def _true_gains(est: np.ndarray, sigma_e2: float, z: np.ndarray) -> np.ndarray:
 
 
 def _ranking_stat(
-    scheme: Scheme, g: np.ndarray, h: np.ndarray, params: SystemParams, model
+    scheme: Scheme, ug: np.ndarray, uh: np.ndarray, params: SystemParams, model,
+    sigma_e2: float = 0.0,
 ) -> np.ndarray:
-    if scheme is Scheme.SBS:
-        return snr(h, harvested_energy(g, params, model), params)
+    """What each row is ranked on, given the drawn uniforms.  The maps from
+    u to the gain, to the estimate and to the harvested energy all increase
+    strictly, so EBS ranks as u_g does, IBS as u_h and MMS as min(u_g, u_h)
+    (the exact-arithmetic order; see the module notes on rounding).  SBS
+    ranks on every SNR, made from the gains of the whole chunk.  ug and uh
+    are left as drawn."""
     if scheme is Scheme.EBS:
-        return harvested_energy(g, params, model)
+        return ug
     if scheme is Scheme.IBS:
-        return h
+        return uh
     if scheme is Scheme.MMS:
-        return np.minimum(g, h)
-    raise ValueError(f"no ranking statistic for {scheme!r}")
+        return np.minimum(ug, uh)
+    if scheme is not Scheme.SBS:
+        raise ValueError(f"no ranking statistic for {scheme!r}")
+    # in this order the g gains are freed before the h gains are made
+    e = harvested_energy(_gains(ug, sigma_e2), params, model)
+    return snr(_gains(uh, sigma_e2), e, params)
 
 
 def _kth_index(stat: np.ndarray, k: int) -> np.ndarray:
     """Column of each row's k-th largest entry, ties to the lowest index:
-    position k - 1 of a stable descending sort."""
-    if k == 1:
+    position k - 1 of a stable descending sort.  The entries must be finite.
+
+    The two ranks at either end take an argmax, after knocking out the
+    largest entry for k = 2 (argmax takes the first of equal maxima, which
+    is the stable order), or the mirror walk up from the smallest with
+    argmin over reversed columns; deeper ranks take a partition and repair
+    its ties."""
+    n, M = stat.shape
+    # one knock-out round costs about one argmax: at 2^17 doubles 0.7 ms at
+    # M = 5 and 0.04-0.08 ms at M = 100, a partition 0.8-1.7 ms at either
+    if k <= 2 and k <= M - 1:
+        if k == 2:
+            stat = stat.copy()
+            stat[np.arange(n), np.argmax(stat, axis=1)] = -np.inf
         return np.argmax(stat, axis=1)
-    M = stat.shape[1]
+    if k >= M - 1:
+        # reversed, equal values run from the highest index: stable ascending
+        rev = stat[:, ::-1]
+        if k == M - 1:
+            rev = rev.copy()
+            rev[np.arange(n), np.argmin(rev, axis=1)] = np.inf
+        return M - 1 - np.argmin(rev, axis=1)
     idx = np.argpartition(stat, M - k, axis=1)[:, M - k]
     v = np.take_along_axis(stat, idx[:, None], axis=1)
     eq = stat == v
@@ -144,16 +190,17 @@ def _random_pick(M: int, n: int, pair: bool, rng: np.random.Generator) -> np.nda
     return np.stack([a, (a + rng.integers(1, M, size=n)) % M], axis=1) if pair else a[:, None]
 
 
-def _select(spec: SchemeSpec | PairSpec, g, h, params: SystemParams, rng) -> np.ndarray:
-    """(n, 1) indices, or (n, 2) for a pair, picked in each row of (n, M)
-    ranking gains.  Random selection consumes rng."""
-    n, M = g.shape
+def _select(spec: SchemeSpec | PairSpec, ug, uh, params: SystemParams, rng,
+            sigma_e2: float = 0.0) -> np.ndarray:
+    """(n, 1) indices, or (n, 2) for a pair, picked in each row of the (n, M)
+    uniforms.  Random selection consumes rng."""
+    n, M = ug.shape
     pair = isinstance(spec, PairSpec)
     if spec.scheme is Scheme.RS:
         if rng is None:
             raise ValueError("random selection needs an rng")
         return _random_pick(M, n, pair, rng)
-    stat = _ranking_stat(spec.scheme, g, h, params, spec.model)
+    stat = _ranking_stat(spec.scheme, ug, uh, params, spec.model, sigma_e2)
     ranks = (spec.k, spec.j) if pair else (spec.k,)
     return np.stack([_kth_index(stat, r) for r in ranks], axis=1)
 
@@ -207,14 +254,17 @@ def _count_block(
         tail = _BlockTail(config, block, n)
     rng_g = _stream_at(config.base_seed, block, start * M)
     rng_h = _stream_at(config.base_seed, block, (tail.size + start) * M)
-    g, h = _draw_block(M, n, sigma_e2, rng_g, rng_h)
+    ug, uh = _draw_block(M, n, rng_g, rng_h)
     if spec.scheme is Scheme.SBS and sigma_e2 == 0.0 and isinstance(spec, SchemeSpec):
-        # the k-th best SNR is <= x exactly when fewer than k devices exceed x
-        stat = _ranking_stat(spec.scheme, g, h, params, spec.model)
-        return int(((stat > x).sum(axis=1) < spec.k).sum())
+        # the k-th best SNR is <= x exactly when fewer than k devices exceed x;
+        # rows are counted without a matmul, whose OpenBLAS gemv would start
+        # its own threads beside the pool's
+        stat = _ranking_stat(spec.scheme, ug, uh, params, spec.model)
+        return int((np.count_nonzero(stat > x, axis=1) < spec.k).sum())
     picks, normals = tail.rows(start, n)
-    sel = _select(spec, g, h, params, None) if picks is None else picks
-    g, h = np.take_along_axis(g, sel, axis=1), np.take_along_axis(h, sel, axis=1)
+    sel = _select(spec, ug, uh, params, None, sigma_e2) if picks is None else picks
+    flat = sel + M * np.arange(n)[:, None]  # into the flattened rows
+    g, h = _gains(ug.take(flat), sigma_e2), _gains(uh.take(flat), sigma_e2)
     if normals is not None:
         g, h = _true_gains(g, sigma_e2, normals[0]), _true_gains(h, sigma_e2, normals[1])
     x_sel = snr(h, harvested_energy(g, params, spec.model), params)

@@ -6,9 +6,9 @@ import numpy as np
 from scipy import special as sp
 from scipy.integrate import quad
 
-from wpcn_select.analytic import PairSpec, Scheme, SchemeSpec, r_scale
+from wpcn_select.analytic import PairSpec, Scheme, r_scale
 from wpcn_select.model import harvested_energy, snr, threshold_x
-from wpcn_select.montecarlo import _draw_block, _ranking_stat, _select, _true_gains
+from wpcn_select.montecarlo import _random_pick, _true_gains
 from wpcn_select.special import _EPS, _NODES, _RULES, _TINY, _beta_args
 
 
@@ -129,20 +129,36 @@ def imperfect_csi_outage(spec, params, sigma_e2, num_trials, seed, chunk=10_000)
 
 
 def whole_block_count(config, x, block, n):
-    """Failures among the n trials of one block (exact integer), drawing the
-    whole (n, M) block from one sequential generator: the reference the
-    chunked simulator must match count for count."""
+    """Failures among the n trials of one block (exact integer), by the
+    definition: draw the whole (n, M) block from one sequential generator,
+    make every gain, rank each row on the scheme's own statistic (harvested
+    energy, uplink gain, min gain or e2e SNR) by a stable descending sort and
+    test the picks.  The reference the chunked simulator, which ranks on the
+    uniforms and transforms only its picks, must match count for count."""
     spec, params, sigma_e2 = config.spec, config.params, config.estimation_error_var
+    M = params.num_devices
     seq = np.random.SeedSequence(entropy=config.base_seed, spawn_key=(block,))
     rng = np.random.Generator(np.random.Philox(seq))
-    g, h = _draw_block(params.num_devices, n, sigma_e2, rng)
-    if spec.scheme is Scheme.SBS and sigma_e2 == 0.0 and isinstance(spec, SchemeSpec):
-        # the k-th best SNR is <= x exactly when fewer than k devices exceed x
-        stat = _ranking_stat(spec.scheme, g, h, params, spec.model)
-        return int(((stat > x).sum(axis=1) < spec.k).sum())
-    # selection indices are drawn after the fading block so the gain stream
-    # is identical across schemes under one seed
-    sel = _select(spec, g, h, params, rng)
+    g = -np.log1p(-rng.random((n, M)))
+    h = -np.log1p(-rng.random((n, M)))
+    if sigma_e2 != 0.0:  # the estimates selection ranks on
+        g, h = (1.0 - sigma_e2) * g, (1.0 - sigma_e2) * h
+    pair = isinstance(spec, PairSpec)
+    if spec.scheme is Scheme.RS:
+        # drawn after the fading block, so the gain stream is the same
+        # across schemes under one seed
+        sel = _random_pick(M, n, pair, rng)
+    else:
+        if spec.scheme is Scheme.SBS:
+            stat = snr(h, harvested_energy(g, params, spec.model), params)
+        elif spec.scheme is Scheme.EBS:
+            stat = harvested_energy(g, params, spec.model)
+        elif spec.scheme is Scheme.IBS:
+            stat = h
+        else:
+            stat = np.minimum(g, h)
+        ranks = [spec.k - 1, spec.j - 1] if pair else [spec.k - 1]
+        sel = np.argsort(-stat, axis=1, kind="stable")[:, ranks]
     g, h = np.take_along_axis(g, sel, axis=1), np.take_along_axis(h, sel, axis=1)
     if sigma_e2 > 0.0:
         g = _true_gains(g, sigma_e2, rng.standard_normal((2, *g.shape)))

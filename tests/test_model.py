@@ -7,6 +7,7 @@ evaluation of the default rectenna fit.
 
 import math
 
+import numpy as np
 import pytest
 
 from wpcn_select.model import (
@@ -103,6 +104,19 @@ def test_harvested_energy_zero_gain():
     p = default_params()
     assert harvested_energy(0.0, p, EhModel.NON_LINEAR) == pytest.approx(0.0, abs=1e-18)
     assert harvested_energy(0.0, p, EhModel.LINEAR) == 0.0
+
+
+def test_harvested_energy_on_array_matches_scalars_and_leaves_it():
+    # the array form updates its own temporaries in place, never the gains
+    p = default_params(transmit_power=dbm_to_watts(-40.0))
+    gains = np.array([0.0, 1e-9, 0.37, 1.0, 5.5, 1e6])
+    before = gains.copy()
+    for model in EhModel:
+        energies = harvested_energy(gains, p, model)
+        assert np.array_equal(gains, before)
+        assert [float(e) for e in energies] == [
+            harvested_energy(float(g), p, model) for g in gains
+        ]
 
 
 def test_harvester_saturates():

@@ -41,6 +41,7 @@ from wpcn_select.montecarlo import (
     _BlockTail,
     _count_block,
     _draw_block,
+    _gains,
     _kth_index,
     _ranking_stat,
     _select,
@@ -60,7 +61,7 @@ P = default_params()
 # ---------------------------------------------------------------------------
 
 def test_draws_have_unit_mean():
-    g, h = _draw_block(8, 4000, 0.0, np.random.default_rng(1))
+    g, h = (_gains(u, 0.0) for u in _draw_block(8, 4000, np.random.default_rng(1)))
     assert float(np.mean(g)) == pytest.approx(1.0, abs=0.02)
     assert float(np.mean(h)) == pytest.approx(1.0, abs=0.02)
 
@@ -68,7 +69,7 @@ def test_draws_have_unit_mean():
 def test_imperfect_csi_split_preserves_truth_mean():
     # estimate carries 1 - sigma_e2 of the power, the error the rest
     rng = np.random.default_rng(2)
-    est, _ = _draw_block(8, 6000, 0.3, rng)
+    est = _gains(_draw_block(8, 6000, rng)[0], 0.3)
     true = _true_gains(est, 0.3, rng.standard_normal((2, *est.shape)))
     assert float(np.mean(est)) == pytest.approx(0.7, abs=0.02)
     assert float(np.mean(true)) == pytest.approx(1.0, abs=0.02)
@@ -84,8 +85,10 @@ def test_perfect_csi_has_no_estimate_arrays():
     # no true-gain normals are drawn, and the gains are the unit-mean ones
     _, normals = _tail_rows(0.0)
     assert normals is None
-    g, h = _draw_block(4, 1, 0.0, np.random.default_rng(0))
+    ug, uh = _draw_block(4, 1, np.random.default_rng(0))
     u = np.random.default_rng(0).random((2, 1, 4))
+    assert np.array_equal(ug, u[0]) and np.array_equal(uh, u[1])
+    g, h = _gains(ug, 0.0), _gains(uh, 0.0)
     assert np.array_equal(g, -np.log1p(-u[0])) and np.array_equal(h, -np.log1p(-u[1]))
 
 
@@ -94,15 +97,15 @@ def test_imperfect_csi_ranks_on_estimates():
     # devices' true gains come from normals drawn after them
     _, normals = _tail_rows(0.4)
     assert normals is not None
-    est = _draw_block(4, 1, 0.4, np.random.default_rng(0))
-    gains = _draw_block(4, 1, 0.0, np.random.default_rng(0))
+    est = [_gains(u, 0.4) for u in _draw_block(4, 1, np.random.default_rng(0))]
+    gains = [_gains(u, 0.0) for u in _draw_block(4, 1, np.random.default_rng(0))]
     for e, g in zip(est, gains):
         assert np.allclose(e, 0.6 * g, rtol=1e-15, atol=0.0)
 
 
 def test_draw_channels_deterministic():
-    a = _draw_block(5, 1, 0.0, np.random.default_rng(42))
-    b = _draw_block(5, 1, 0.0, np.random.default_rng(42))
+    a = _draw_block(5, 1, np.random.default_rng(42))
+    b = _draw_block(5, 1, np.random.default_rng(42))
     assert np.array_equal(a[0], b[0])
     assert np.array_equal(a[1], b[1])
 
@@ -119,7 +122,7 @@ def test_draw_channels_validation():
 def test_conditional_true_gain_is_unit_exponential():
     # the true gain given its (1 - sigma_e2)-power estimate must be Exp(1)
     # again: mean 1, second moment 2; a million draws put both within 5 sigma
-    est, _ = _draw_block(10, 100_000, 0.3, np.random.default_rng(12))
+    est = _gains(_draw_block(10, 100_000, np.random.default_rng(12))[0], 0.3)
     true = _true_gains(est, 0.3, np.random.default_rng(13).standard_normal((2, *est.shape)))
     assert float(est.mean()) == pytest.approx(0.7, abs=5e-3)
     assert float(true.mean()) == pytest.approx(1.0, abs=5e-3)
@@ -147,14 +150,16 @@ def _stable_kth(stat, k):
     return np.argsort(-stat, axis=1, kind="stable")[:, k - 1]
 
 
-@pytest.mark.parametrize("M", [2, 5, 100])
+# every k at small M; at M = 100 both knock-out walks and the partition
+@pytest.mark.parametrize("M", [2, 5, 7, 100])
 def test_kth_index_matches_stable_sort(M):
     rng = np.random.default_rng(M)
     smooth = rng.random((3000, M))
     tied = rng.integers(0, 3, size=(3000, M)).astype(float)  # ties in most rows
+    ranks = (1, 2, 3, 49, 50, 98, 99, 100) if M == 100 else range(1, M + 1)
     for stat in (smooth, tied):
-        for k in sorted({1, 2, M}):
-            assert np.array_equal(_kth_index(stat, k), _stable_kth(stat, k))
+        for k in ranks:
+            assert np.array_equal(_kth_index(stat, k), _stable_kth(stat, k)), k
 
 
 def test_kth_index_on_crafted_ties():
@@ -178,8 +183,9 @@ def test_sbs_count_path_matches_select_path(k):
     counted = _count_block(cfg, x, 2, 50_000)
     # the same block, recomputed through the k-th index and the gathered SNR
     seq = np.random.SeedSequence(entropy=6, spawn_key=(2,))
-    g, h = _draw_block(5, 50_000, 0.0, np.random.Generator(np.random.Philox(seq)))
-    sel = _kth_index(_ranking_stat(Scheme.SBS, g, h, params, EhModel.NON_LINEAR), k)
+    ug, uh = _draw_block(5, 50_000, np.random.Generator(np.random.Philox(seq)))
+    sel = _kth_index(_ranking_stat(Scheme.SBS, ug, uh, params, EhModel.NON_LINEAR), k)
+    g, h = _gains(ug, 0.0), _gains(uh, 0.0)
     rows = np.arange(50_000)
     x_sel = snr(h[rows, sel], harvested_energy(g[rows, sel], params, EhModel.NON_LINEAR), params)
     assert 1_000 < counted < 49_000
@@ -194,9 +200,10 @@ CRAFTED = (np.array([0.1, 5.0, 2.0]), np.array([4.0, 0.1, 3.0]))  # (g, h)
 
 
 def select_device(spec, draw, params, rng=None):
-    """The index, or index pair, _select picks on a one-row block."""
-    g, h = draw
-    sel = _select(spec, g[None, :], h[None, :], params, rng)[0]
+    """The index, or index pair, _select picks on a one-row block of the
+    given gains, passed as the uniforms they are made from."""
+    ug, uh = (-np.expm1(-a[None, :]) for a in draw)
+    sel = _select(spec, ug, uh, params, rng)[0]
     return (int(sel[0]), int(sel[1])) if isinstance(spec, PairSpec) else int(sel[0])
 
 
@@ -223,7 +230,7 @@ def test_select_tie_breaks_to_lowest_index():
 def test_select_matches_brute_force_energy_ranking():
     rng = np.random.default_rng(9)
     for _ in range(200):
-        g, h = (a[0] for a in _draw_block(6, 1, 0.0, rng))
+        g, h = (_gains(u, 0.0)[0] for u in _draw_block(6, 1, rng))
         energies = [harvested_energy(float(v), P, EhModel.NON_LINEAR) for v in g]
         ranked = sorted(range(6), key=lambda i: (-energies[i], i))
         for k in (1, 3, 6):
@@ -446,8 +453,8 @@ def test_worker_count_sizes_the_pool_by_chunks(monkeypatch):
     monkeypatch.setattr(montecarlo, "_worker_count", lambda n: seen.append(n) or real(n))
     params = default_params(num_devices=100)
     simulate_outage(TrialConfig(SchemeSpec(Scheme.SBS, k=1), params, num_trials=20_000))
-    # one block of 20,000 x 100 doubles, cut into chunks of at most 2^17
-    assert seen == [16]
+    # one block of 20,000 x 100 doubles, cut into ceil(doubles / _CHUNK_ELEMENTS) chunks
+    assert seen == [-(-20_000 * 100 // montecarlo._CHUNK_ELEMENTS)]
 
 
 def test_worker_count_defaults_to_usable_cpus(monkeypatch):
