@@ -14,7 +14,7 @@ its digits in the far tail where 1 - F formed from F is 0:
 
     NonLinear    S(x) = e^(-r) z K1(z),  z = 2 sqrt(c r / Pt)
     Linear       S(x) = u K1(u),         u = 2 sqrt(beta), beta = sigma^2 t2 x/(Pt t1)
-    Saturation   S(x) = e^(-r)           (Pt -> inf limit of NonLinear)
+    Pt = inf     S(x) = e^(-r)           NonLinear at z = 0: every floor (outage_high_snr)
 
 "k-th best" always means the k-th largest order statistic.  EBS, IBS and MMS
 outage is the law of the ranked gain t integrated against the scheme's
@@ -37,7 +37,8 @@ gate's lo and shift as scalars and works in place, rounding exactly as
 e^(log f(t)) (-expm1(slope t - shift - cr/(t - lo))) does.  For M <= 60,
 EBS and IBS use closed alternating sums of K1 terms instead (math.fsum,
 under a cancellation monitor) and fall back to the integrals when the
-monitor trips.
+monitor trips or at Pt = inf, where the gates are constant and the
+integrals closed.
 
 Pair selection ranks Y, Z as the k-th and j-th largest parent SNRs (k < j).
 Given Z = z, the j-1 stronger devices are iid with survival S(.)/S(z), so
@@ -83,21 +84,15 @@ __all__ = [
     "Method",
     "OutageEstimate",
     "PairSpec",
-    "Parent",
     "Scheme",
     "SchemeSpec",
     "outage_ebs",
-    "outage_ebs_high_snr",
+    "outage_high_snr",
     "outage_ibs",
-    "outage_ibs_high_snr",
     "outage_mms",
-    "outage_mms_high_snr",
     "outage_pair",
-    "outage_pair_high_snr",
     "outage_rs",
-    "outage_rs_high_snr",
     "outage_sbs",
-    "outage_sbs_high_snr",
 ]
 
 # sums over (-1)^m C(M-k, m) lose all double precision well before M = 100;
@@ -196,12 +191,13 @@ def _evaluator(method: Method, spec_type: type, *schemes: Scheme):
     """Decorator: the contract every deterministic outage evaluator shares.
 
     The evaluator takes (x, spec, params).  spec must be a spec_type naming
-    one of schemes, with its order indices within the population; the floor
-    and extreme-value routes take only the nonlinear harvester, since the
-    linear one neither saturates nor is covered by the limits.  x <= 0 is no
-    outage and x = inf certain outage; a pair also needs x < 1, where its
-    integration limit x/(1-x) is finite.  The body computes the value at any
-    other x, and it leaves through _finalize.
+    one of schemes, with its order indices within the population; the
+    extreme-value route takes only the nonlinear harvester, which its limits
+    cover.  x <= 0 is no outage and x = inf certain outage; a pair also needs
+    x < 1, where its integration limit x/(1-x) is finite.  The body computes
+    the value at any other x, at any Pt up to inf, and it leaves through
+    _finalize.  The floor route (outage_high_snr) is the exact evaluator at
+    Pt = inf.
     """
     nonlinear_only = method is not Method.ANALYTIC
     pair = spec_type is PairSpec
@@ -233,18 +229,6 @@ def _evaluator(method: Method, spec_type: type, *schemes: Scheme):
 # scaled threshold quantities and parent laws
 # ---------------------------------------------------------------------------
 
-class Parent(Enum):
-    """Which per-device SNR law underlies an evaluation."""
-
-    NON_LINEAR = "nonlinear"
-    LINEAR = "linear"
-    SATURATION = "saturation"
-
-
-def parent_from_model(model: EhModel) -> Parent:
-    return Parent.LINEAR if model is EhModel.LINEAR else Parent.NON_LINEAR
-
-
 def r_scale(x: float, params: SystemParams) -> float:
     """r = sigma_n^2 c t2 x / (t1 (a c - b))."""
     rc = params.rectenna
@@ -264,45 +248,43 @@ def _linear_beta(x: float, params: SystemParams) -> float:
     return params.noise_variance * (1.0 - t1) * x / (params.transmit_power * t1)
 
 
-def parent_log_sf(x: float, params: SystemParams, parent: Parent) -> float:
-    """log(1 - F(x)) of a single device's SNR, formed from the survival itself.
+def parent_log_sf(x: float, params: SystemParams, model: EhModel) -> float:
+    """log(1 - F(x)) of a single device's SNR under the given harvester,
+    formed from the survival itself.
 
-    The survival e^(-r) z K1(z), u K1(u) or e^(-r) keeps its relative
-    precision far into the tail, where 1 - F computed from F is 0.  Returns
-    -inf where K1 underflows (certain outage).
+    The survival e^(-r) z K1(z) or u K1(u) keeps its relative precision far
+    into the tail, where 1 - F computed from F is 0; at Pt = inf the
+    nonlinear one is e^(-r).  Returns -inf where K1 underflows (certain
+    outage).
     """
     if x <= 0.0:
         return 0.0
     if math.isinf(x):  # t2 -> 0 pushes the threshold to inf; outage is certain
         return -math.inf
-    if parent is Parent.SATURATION:
-        return -r_scale(x, params)
-    if parent is Parent.NON_LINEAR:
-        r = r_scale(x, params)
-        z = 2.0 * math.sqrt(params.rectenna.c * r / params.transmit_power)
-        t = z * bessel_k1(z)
-        return -r + math.log(t) if t > 0.0 else -math.inf
-    u = 2.0 * math.sqrt(_linear_beta(x, params))
-    t = u * bessel_k1(u)
-    return math.log(t) if t > 0.0 else -math.inf
+    if model is EhModel.LINEAR:
+        r, z = 0.0, 2.0 * math.sqrt(_linear_beta(x, params))
+    else:
+        r, cr_over_pt = _r_and_cr(x, params)
+        z = 2.0 * math.sqrt(cr_over_pt)
+    t = z * bessel_k1(z) if z != 0.0 else 1.0  # z K1(z) -> 1 as z -> 0 (Pt = inf)
+    return -r + math.log(t) if t > 0.0 else -math.inf
 
 
-def parent_cdf(x: float, params: SystemParams, parent: Parent) -> float:
-    """CDF of a single device's SNR under the given parent law."""
+def parent_cdf(x: float, params: SystemParams, model: EhModel) -> float:
+    """CDF of a single device's SNR under the given harvester."""
     if x <= 0.0:
         return 0.0
-    return -math.expm1(parent_log_sf(x, params, parent))
+    return -math.expm1(parent_log_sf(x, params, model))
 
 
-def _parent_rates(params: SystemParams, parent: Parent) -> tuple[float, float]:
+def _parent_rates(params: SystemParams, model: EhModel) -> tuple[float, float]:
     """(rho, a) such that every parent survival reads S(t) = e^(-rho t) z K1(z)
-    with z = 2 sqrt(a t), z K1(z) being 1 at a = 0."""
+    with z = 2 sqrt(a t), z K1(z) being 1 at a = 0 (the nonlinear harvester
+    at Pt = inf)."""
+    if model is EhModel.LINEAR:
+        return 0.0, _linear_beta(1.0, params)
     rho = r_scale(1.0, params)
-    if parent is Parent.NON_LINEAR:
-        return rho, params.rectenna.c * rho / params.transmit_power
-    if parent is Parent.SATURATION:
-        return rho, 0.0
-    return 0.0, _linear_beta(1.0, params)
+    return rho, params.rectenna.c * rho / params.transmit_power
 
 
 def _parent_logs(t: np.ndarray, rho: float, a: float, density: bool = True):
@@ -332,17 +314,17 @@ def _kth_best_cdf(psi: float, M: int, k: int) -> float:
 # alternating binomial sums with cancellation guard
 # ---------------------------------------------------------------------------
 
-def _order_sum_or_integral(
-    M: int, k: int, term: Callable[[int], float], integral: Callable[[], float]
-) -> float:
+def _order_sum_or_integral(M: int, k: int, cr_over_pt: float,
+                           term: Callable[[int], float], integral: Callable[[], float]) -> float:
     """1 - k C(M,k) sum_m (-1)^m C(M-k, m) term(k+m), cancellation-monitored;
-    integral() instead for M > MAX_SUM_DEVICES or when the monitor trips.
+    integral() instead for M > MAX_SUM_DEVICES, at c r/Pt = 0 (Pt = inf),
+    where the K1 terms have no argument, or when the monitor trips.
 
     The leading 1 is part of the monitored total, so losing the answer to the
     final subtraction trips the fallback too, not just losing it inside the
     alternating sum.
     """
-    if M > MAX_SUM_DEVICES:
+    if M > MAX_SUM_DEVICES or cr_over_pt == 0.0:
         return integral()
     prefactor = k * math.comb(M, k)
     terms = [1.0]
@@ -406,9 +388,12 @@ def _gated_integral(law: RankedLaw, gates: list[tuple[float, float, float]],
     shift - slope t + cr_over_pt/(t - lo), 0 <= lo and slope 0 or 1: every
     ranked scheme's outage (module docstring).  The law keeps about e^-40 of
     its mass or less beyond peak + 40, so each integral stops there, on the
-    peak however far hi is.
+    peak however far hi is.  A constant gate (cr_over_pt = 0 at slope 0,
+    where hi = inf: EBS and IBS at Pt = inf) needs no integral.
     """
     mass = sum(law.cdf(lo) for lo, _, _ in gates)
+    if cr_over_pt == 0.0 and not slope:
+        return mass + sum((1.0 - law.cdf(lo)) * -math.expm1(-shift) for lo, _, shift in gates)
     gates = [(lo, top, shift) for lo, hi, shift in gates if (top := min(hi, law.peak + 40.0)) > lo]
     if not gates:
         return mass
@@ -441,26 +426,13 @@ def _gated_integral(law: RankedLaw, gates: list[tuple[float, float, float]],
 @_evaluator(Method.ANALYTIC, SchemeSpec, Scheme.RS)
 def outage_rs(x: float, spec: SchemeSpec, params: SystemParams) -> float:
     """Outage of a uniformly selected device: the parent CDF itself."""
-    return parent_cdf(x, params, parent_from_model(spec.model))
-
-
-@_evaluator(Method.HIGH_SNR, SchemeSpec, Scheme.RS)
-def outage_rs_high_snr(x: float, spec: SchemeSpec, params: SystemParams) -> float:
-    """Transmit-power-independent outage floor 1 - e^(-r)."""
-    return parent_cdf(x, params, Parent.SATURATION)
+    return parent_cdf(x, params, spec.model)
 
 
 @_evaluator(Method.ANALYTIC, SchemeSpec, Scheme.SBS)
 def outage_sbs(x: float, spec: SchemeSpec, params: SystemParams) -> float:
     """Outage of the device with the k-th best end-to-end SNR."""
-    psi = parent_cdf(x, params, parent_from_model(spec.model))
-    return _kth_best_cdf(psi, params.num_devices, spec.k)
-
-
-@_evaluator(Method.HIGH_SNR, SchemeSpec, Scheme.SBS)
-def outage_sbs_high_snr(x: float, spec: SchemeSpec, params: SystemParams) -> float:
-    """SBS floor: the k-th best order statistic of the saturation parent."""
-    psi = parent_cdf(x, params, Parent.SATURATION)
+    psi = parent_cdf(x, params, spec.model)
     return _kth_best_cdf(psi, params.num_devices, spec.k)
 
 
@@ -468,15 +440,15 @@ def outage_sbs_high_snr(x: float, spec: SchemeSpec, params: SystemParams) -> flo
 # EBS: rank on harvested energy (equivalently on the downlink gain)
 # ---------------------------------------------------------------------------
 
-def _ebs_value(x: float, k: int, M: int, params: SystemParams, parent: Parent) -> float:
-    if parent is Parent.NON_LINEAR:
-        r, cr_over_pt = _r_and_cr(x, params)
-        scale = math.exp(-r)
-        shift = r
-    else:
+def _ebs_value(x: float, k: int, M: int, params: SystemParams, model: EhModel) -> float:
+    if model is EhModel.LINEAR:
         cr_over_pt = _linear_beta(x, params)
         scale = 1.0
         shift = 0.0
+    else:
+        r, cr_over_pt = _r_and_cr(x, params)
+        scale = math.exp(-r)
+        shift = r
 
     def term(delta: int) -> float:
         arg = 2.0 * math.sqrt(cr_over_pt * delta)
@@ -485,7 +457,7 @@ def _ebs_value(x: float, k: int, M: int, params: SystemParams, parent: Parent) -
     def integral() -> float:
         return _ebs_integral(shift, cr_over_pt, order_stat_law(M, k, 1.0))
 
-    return _order_sum_or_integral(M, k, term, integral)
+    return _order_sum_or_integral(M, k, cr_over_pt, term, integral)
 
 
 def _ebs_integral(shift: float, cr_over_pt: float, law: RankedLaw) -> float:
@@ -498,14 +470,7 @@ def _ebs_integral(shift: float, cr_over_pt: float, law: RankedLaw) -> float:
 @_evaluator(Method.ANALYTIC, SchemeSpec, Scheme.EBS)
 def outage_ebs(x: float, spec: SchemeSpec, params: SystemParams) -> float:
     """Outage of the device harvesting the k-th most energy."""
-    return _ebs_value(x, spec.k, params.num_devices, params, parent_from_model(spec.model))
-
-
-@_evaluator(Method.HIGH_SNR, SchemeSpec, Scheme.EBS)
-def outage_ebs_high_snr(x: float, spec: SchemeSpec, params: SystemParams) -> float:
-    """EBS floor.  Saturation erases the harvested-energy ranking, so this is
-    the RS floor evaluated through the same saturation parent."""
-    return parent_cdf(x, params, Parent.SATURATION)
+    return _ebs_value(x, spec.k, params.num_devices, params, spec.model)
 
 
 # ---------------------------------------------------------------------------
@@ -527,10 +492,13 @@ def _ibs_integral(r: float, cr_over_pt: float, law: RankedLaw) -> float:
 
 
 def _ibs_value(x: float, k: int, M: int, params: SystemParams) -> float:
-    def integral() -> float:
-        return _ibs_integral(*_r_and_cr(x, params), order_stat_law(M, k, 1.0))
+    r, cr_over_pt = _r_and_cr(x, params)
 
-    return _order_sum_or_integral(M, k, lambda d: ibs_phi_closed(x, params, d), integral)
+    def integral() -> float:
+        return _ibs_integral(r, cr_over_pt, order_stat_law(M, k, 1.0))
+
+    term = functools.partial(ibs_phi_closed, x, params)
+    return _order_sum_or_integral(M, k, cr_over_pt, term, integral)
 
 
 @_evaluator(Method.ANALYTIC, SchemeSpec, Scheme.IBS)
@@ -539,16 +507,8 @@ def outage_ibs(x: float, spec: SchemeSpec, params: SystemParams) -> float:
     if spec.model is EhModel.LINEAR:
         # under the linear harvester the SNR is symmetric in the two gains,
         # so ranking the uplink gain performs exactly like ranking energy
-        return _ebs_value(x, spec.k, params.num_devices, params, Parent.LINEAR)
+        return _ebs_value(x, spec.k, params.num_devices, params, EhModel.LINEAR)
     return _ibs_value(x, spec.k, params.num_devices, params)
-
-
-@_evaluator(Method.HIGH_SNR, SchemeSpec, Scheme.IBS)
-def outage_ibs_high_snr(x: float, spec: SchemeSpec, params: SystemParams) -> float:
-    """IBS floor: the k-th best uplink order statistic against the threshold r."""
-    # Pt -> inf closes the downlink gate: only the ranked mass below r fails
-    law = order_stat_law(params.num_devices, spec.k, 1.0)
-    return _ibs_integral(r_scale(x, params), 0.0, law)
 
 
 # ---------------------------------------------------------------------------
@@ -577,14 +537,6 @@ def outage_mms(x: float, spec: SchemeSpec, params: SystemParams) -> float:
     else:
         r, cr_over_pt = _r_and_cr(x, params)
     return _mms_integral(r, cr_over_pt, order_stat_law(params.num_devices, spec.k, 2.0))
-
-
-@_evaluator(Method.HIGH_SNR, SchemeSpec, Scheme.MMS)
-def outage_mms_high_snr(x: float, spec: SchemeSpec, params: SystemParams) -> float:
-    """MMS floor: the saturation limit of the min-link selection outage."""
-    # Pt -> inf drops the c r/Pt terms from both failure gates
-    law = order_stat_law(params.num_devices, spec.k, 2.0)
-    return _mms_integral(r_scale(x, params), 0.0, law)
 
 
 # ---------------------------------------------------------------------------
@@ -630,13 +582,13 @@ def _pair_quadrature(inner, lo: float, hi: float, j: int, M: int,
 
 
 def pair_marginal_primary(
-    x: float, k: int, j: int, M: int, params: SystemParams, parent: Parent
+    x: float, k: int, j: int, M: int, params: SystemParams, model: EhModel
 ) -> float:
     """P(Y <= x (Z + 1)) for Y, Z the k-th and j-th largest parent SNRs, at
     0 < x < 1: the stronger member's SINR outage under single-user
     detection, with the weaker member as interference.  Given Z = z below
     x/(1-x), fewer than k of the j-1 stronger devices exceed x (z+1)."""
-    rates = _parent_rates(params, parent)
+    rates = _parent_rates(params, model)
 
     def inner(z: np.ndarray, log_sf: np.ndarray) -> np.ndarray:
         # 1 - S(x(z+1))/S(z) as expm1 of the log gap keeps its digits where
@@ -649,41 +601,52 @@ def pair_marginal_primary(
 
 
 def pair_marginal_secondary(
-    x: float, k: int, j: int, M: int, params: SystemParams, parent: Parent
+    x: float, k: int, j: int, M: int, params: SystemParams, model: EhModel
 ) -> float:
     """P(Z <= x (Y + 1)) for Y, Z the k-th and j-th largest parent SNRs, at
     0 < x < 1: the weaker member's SINR outage, for the nonlinear parent.
     It is certain for Z below z* = x/(1-x), since Y > Z.  Given Z = z above
     z*, at least k of the j-1 stronger devices must exceed z/x - 1."""
-    if parent is not Parent.NON_LINEAR:
-        raise ValueError("the secondary pair marginal is stated for the nonlinear parent")
-    rates = _parent_rates(params, parent)
+    if model is not EhModel.NON_LINEAR:
+        raise ValueError("the secondary pair marginal is stated for the nonlinear harvester")
+    rates = _parent_rates(params, model)
     z_star = x / (1.0 - x)
 
     def inner(z: np.ndarray, log_sf: np.ndarray) -> np.ndarray:
         gap = np.minimum(_parent_logs(z / x - 1.0, *rates, density=False) - log_sf, 0.0)
         return betainc(k, j - k, np.exp(gap))
 
-    below = _kth_best_cdf(parent_cdf(z_star, params, parent), M, j)
+    below = _kth_best_cdf(parent_cdf(z_star, params, model), M, j)
     return below + _pair_quadrature(inner, math.sqrt(z_star), math.inf, j, M, rates)
-
-
-def _pair_value(x: float, pair: PairSpec, params: SystemParams, parent: Parent) -> float:
-    # the stronger member failing implies the weaker one fails, so the pair's
-    # outage is the primary marginal; a random pair is the best and second
-    # best of two iid devices
-    if pair.scheme is Scheme.RS:
-        return pair_marginal_primary(x, 1, 2, 2, params, parent)
-    return pair_marginal_primary(x, pair.k, pair.j, params.num_devices, params, parent)
 
 
 @_evaluator(Method.ANALYTIC, PairSpec, Scheme.RS, Scheme.SBS)
 def outage_pair(x: float, pair: PairSpec, params: SystemParams) -> float:
     """Outage of a two-device transmission under single-user detection."""
-    return _pair_value(x, pair, params, parent_from_model(pair.model))
+    # the stronger member failing implies the weaker one fails, so the pair's
+    # outage is the primary marginal; a random pair is the best and second
+    # best of two iid devices
+    if pair.scheme is Scheme.RS:
+        return pair_marginal_primary(x, 1, 2, 2, params, pair.model)
+    return pair_marginal_primary(x, pair.k, pair.j, params.num_devices, params, pair.model)
 
 
-@_evaluator(Method.HIGH_SNR, PairSpec, Scheme.RS, Scheme.SBS)
-def outage_pair_high_snr(x: float, pair: PairSpec, params: SystemParams) -> float:
-    """Pair outage floor through the saturation parent."""
-    return _pair_value(x, pair, params, Parent.SATURATION)
+# ---------------------------------------------------------------------------
+# high-SNR floor: the exact outage at Pt = inf
+# ---------------------------------------------------------------------------
+
+_EXACT = {Scheme.RS: outage_rs, Scheme.SBS: outage_sbs, Scheme.EBS: outage_ebs,
+          Scheme.IBS: outage_ibs, Scheme.MMS: outage_mms}
+
+
+def outage_high_snr(x: float, spec: SchemeSpec | PairSpec, params: SystemParams) -> OutageEstimate:
+    """Transmit-power-independent outage floor of any selection.  The
+    nonlinear harvester saturates, so the floor is the exact outage at
+    Pt = inf; the linear one never saturates and has none."""
+    if type(spec) not in (SchemeSpec, PairSpec):
+        raise ValueError(f"outage_high_snr cannot evaluate {spec!r}")
+    if spec.model is not EhModel.NON_LINEAR:
+        raise ValueError("the highsnr route is stated for the nonlinear harvester")
+    exact = outage_pair if type(spec) is PairSpec else _EXACT[spec.scheme]
+    floor = exact(x, spec, params.replace(transmit_power=math.inf))
+    return OutageEstimate(floor.value, Method.HIGH_SNR)

@@ -27,7 +27,6 @@ from scipy.special import gammaincc
 from .analytic import (
     Method,
     PairSpec,
-    Parent,
     RankedLaw,
     Scheme,
     SchemeSpec,
@@ -40,7 +39,7 @@ from .analytic import (
     pair_marginal_secondary,
     parent_cdf,
 )
-from .model import SystemParams
+from .model import EhModel, SystemParams
 from .special import AccuracyError, DomainError
 
 __all__ = [
@@ -109,16 +108,16 @@ def _parent_quantile(p: float, params: SystemParams) -> float:
 
     hi = 1.0
     for _ in range(200):
-        if parent_cdf(hi, params, Parent.NON_LINEAR) > p:
+        if parent_cdf(hi, params, EhModel.NON_LINEAR) > p:
             break
         hi *= 2.0
     else:
         raise AccuracyError(f"could not bracket the parent quantile at p={p!r}")
     root = brentq(
-        lambda x: parent_cdf(x, params, Parent.NON_LINEAR) - p,
+        lambda x: parent_cdf(x, params, EhModel.NON_LINEAR) - p,
         0.0, hi, xtol=1e-300, rtol=8.9e-16, maxiter=400,
     )
-    achieved = parent_cdf(root, params, Parent.NON_LINEAR)
+    achieved = parent_cdf(root, params, EhModel.NON_LINEAR)
     if abs(achieved - p) > 1e-12:
         raise AccuracyError(
             f"quantile root off by {abs(achieved - p):.3e} in probability",
@@ -184,10 +183,13 @@ def outage_evt_mms(x: float, spec: SchemeSpec, params: SystemParams) -> float:
 
 @_evaluator(Method.EVT, PairSpec, Scheme.SBS)
 def outage_evt_pair(x: float, pair: PairSpec, params: SystemParams) -> float:
-    """Asymptotic pair outage: lower extremes decorrelate, so the joint law
-    factorizes into the product of the two finite-M marginal SINR CDFs."""
+    """Product of the two finite-M marginal SINR CDFs; no Gumbel law enters.
+    The weaker member's SINR never exceeds the stronger's (Z (Z+1) <= Y (Y+1)),
+    so the exact joint outage is the primary marginal alone (outage_pair) and
+    this returns exact times P(weaker fails).  At fig4's x = 0.7365, -40 dBm,
+    EVT/exact for (1, 2) is 0.75, 0.47 and 0.31 at M = 10, 100 and 1000."""
     M = params.num_devices
-    stronger = pair_marginal_primary(x, pair.k, pair.j, M, params, Parent.NON_LINEAR)
-    weaker = pair_marginal_secondary(x, pair.k, pair.j, M, params, Parent.NON_LINEAR)
+    stronger = pair_marginal_primary(x, pair.k, pair.j, M, params, EhModel.NON_LINEAR)
+    weaker = pair_marginal_secondary(x, pair.k, pair.j, M, params, EhModel.NON_LINEAR)
     # both factors are probabilities, so an overshoot is an error, not noise
     return stronger * weaker

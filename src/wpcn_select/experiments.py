@@ -83,7 +83,7 @@ _ROUTES = {
     for key, name in [(s, s.value.lower()) for s in Scheme] + [(PairSpec, "pair")]
     for method, module, template in (
         (Method.ANALYTIC, analytic, "outage_{}"),
-        (Method.HIGH_SNR, analytic, "outage_{}_high_snr"),
+        (Method.HIGH_SNR, analytic, "outage_high_snr"),
         (Method.EVT, evt, "outage_evt_{}"),
     )
     if (method, key) != (Method.EVT, Scheme.RS)

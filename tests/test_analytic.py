@@ -8,6 +8,7 @@ Frozen constants were produced by those oracles at tighter tolerances than
 asserted here.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -20,7 +21,6 @@ from wpcn_select.analytic import (
     Method,
     OutageEstimate,
     PairSpec,
-    Parent,
     Scheme,
     SchemeSpec,
     _finalize,
@@ -28,17 +28,12 @@ from wpcn_select.analytic import (
     _parent_rates,
     ibs_phi_closed,
     outage_ebs,
-    outage_ebs_high_snr,
+    outage_high_snr,
     outage_ibs,
-    outage_ibs_high_snr,
     outage_mms,
-    outage_mms_high_snr,
     outage_pair,
-    outage_pair_high_snr,
     outage_rs,
-    outage_rs_high_snr,
     outage_sbs,
-    outage_sbs_high_snr,
     parent_cdf,
     parent_log_sf,
     r_scale,
@@ -50,7 +45,7 @@ from wpcn_select.model import (
     default_params,
     threshold_x,
 )
-from wpcn_select.special import AccuracyError, DomainError
+from wpcn_select.special import AccuracyError, DomainError, reg_inc_beta
 
 from oracles import ibs_phi_quadrature
 
@@ -64,6 +59,14 @@ P_PAIR = default_params(
     rate_threshold_q=db_to_linear(-4.0),
 )
 X_PAIR = 0.7365384334381356
+
+# (harvester, params) of each per-device parent law; the saturation law is
+# the nonlinear harvester at Pt = inf, where S(x) = e^(-r)
+PARENTS = {
+    "Parent.NON_LINEAR": (EhModel.NON_LINEAR, P),
+    "Parent.LINEAR": (EhModel.LINEAR, P),
+    "Parent.SATURATION": (EhModel.NON_LINEAR, P.replace(transmit_power=math.inf)),
+}
 
 
 def _beta_scale(x, params):
@@ -92,35 +95,34 @@ def test_parent_cdf_nonlinear_literal():
     r = r_scale(X, P)
     z = 2.0 * math.sqrt(P.rectenna.c * r / P.transmit_power)
     literal = 1.0 - math.exp(-r) * z * float(scipy_k1(z))
-    assert parent_cdf(X, P, Parent.NON_LINEAR) == pytest.approx(literal, rel=1e-12)
+    assert parent_cdf(X, P, EhModel.NON_LINEAR) == pytest.approx(literal, rel=1e-12)
 
 
 def test_parent_cdf_linear_literal():
     u = 2.0 * math.sqrt(_beta_scale(X, P))
     literal = 1.0 - u * float(scipy_k1(u))
-    assert parent_cdf(X, P, Parent.LINEAR) == pytest.approx(literal, rel=1e-12)
+    assert parent_cdf(X, P, EhModel.LINEAR) == pytest.approx(literal, rel=1e-12)
 
 
 def test_parent_cdf_saturation_literal():
     r = r_scale(X, P)
-    assert parent_cdf(X, P, Parent.SATURATION) == pytest.approx(
-        -math.expm1(-r), rel=1e-15
-    )
+    model, saturated = PARENTS["Parent.SATURATION"]
+    assert parent_cdf(X, saturated, model) == pytest.approx(-math.expm1(-r), rel=1e-15)
 
 
 def test_parent_cdf_edges():
-    for parent in Parent:
-        assert parent_cdf(0.0, P, parent) == 0.0
-        assert parent_cdf(-1.0, P, parent) == 0.0
-        assert parent_cdf(math.inf, P, parent) == 1.0
+    for model, params in PARENTS.values():
+        assert parent_cdf(0.0, params, model) == 0.0
+        assert parent_cdf(-1.0, params, model) == 0.0
+        assert parent_cdf(math.inf, params, model) == 1.0
 
 
 def test_parent_survival_keeps_far_tail():
-    for parent in Parent:
-        sf = math.exp(parent_log_sf(X, P, parent))
-        assert sf == pytest.approx(1.0 - parent_cdf(X, P, parent), rel=1e-12)
-        assert parent_log_sf(0.0, P, parent) == 0.0
-        assert parent_log_sf(math.inf, P, parent) == -math.inf
+    for model, params in PARENTS.values():
+        sf = math.exp(parent_log_sf(X, params, model))
+        assert sf == pytest.approx(1.0 - parent_cdf(X, params, model), rel=1e-12)
+        assert parent_log_sf(0.0, params, model) == 0.0
+        assert parent_log_sf(math.inf, params, model) == -math.inf
     # at x = 1e7 the survival is ~1e-35 (nonlinear) and ~1e-27 (linear):
     # 1 - F is 0 there, the direct survival matches a scaled-K1 restatement
     x = 1e7
@@ -128,40 +130,43 @@ def test_parent_survival_keeps_far_tail():
     z = 2.0 * math.sqrt(P.rectenna.c * r / P.transmit_power)
     u = 2.0 * math.sqrt(_beta_scale(x, P))
     literal = {
-        Parent.NON_LINEAR: -r + math.log(z * float(scipy_k1e(z))) - z,
-        Parent.LINEAR: math.log(u * float(scipy_k1e(u))) - u,
+        EhModel.NON_LINEAR: -r + math.log(z * float(scipy_k1e(z))) - z,
+        EhModel.LINEAR: math.log(u * float(scipy_k1e(u))) - u,
     }
-    for parent, want in literal.items():
-        assert parent_cdf(x, P, parent) == 1.0
-        assert parent_log_sf(x, P, parent) == pytest.approx(want, rel=1e-12)
-    assert parent_log_sf(x, P, Parent.SATURATION) == -r
+    for model, want in literal.items():
+        assert parent_cdf(x, P, model) == 1.0
+        assert parent_log_sf(x, P, model) == pytest.approx(want, rel=1e-12)
+    model, saturated = PARENTS["Parent.SATURATION"]
+    assert parent_log_sf(x, saturated, model) == -r
     # the array-valued survival the pair quadratures use agrees, there and at X
-    for parent in Parent:
+    for model, params in PARENTS.values():
         for t in (X, x):
-            log_sf, _ = _parent_logs(t, *_parent_rates(P, parent))
-            assert float(log_sf) == pytest.approx(parent_log_sf(t, P, parent), rel=1e-12)
+            log_sf, _ = _parent_logs(t, *_parent_rates(params, model))
+            assert float(log_sf) == pytest.approx(parent_log_sf(t, params, model), rel=1e-12)
 
 
-@pytest.mark.parametrize("parent", list(Parent))
+@pytest.mark.parametrize("parent", list(PARENTS))
 def test_parent_log_sf_alone_is_the_first_of_the_logs(parent):
     # the pair factors' survival-only call is the same arithmetic, bit for bit
-    rates = _parent_rates(P, parent)
+    model, params = PARENTS[parent]
+    rates = _parent_rates(params, model)
     t = np.exp(np.random.default_rng(5).uniform(-20.0, 8.0, (40, 21)))
     assert np.array_equal(_parent_logs(t, *rates, density=False), _parent_logs(t, *rates)[0])
 
 
-@pytest.mark.parametrize("parent", list(Parent))
+@pytest.mark.parametrize("parent", list(PARENTS))
 @pytest.mark.parametrize("x", [1.0, 3.0])
 def test_parent_pdf_integrates_to_cdf(parent, x):
-    rates = _parent_rates(P, parent)
+    model, params = PARENTS[parent]
+    rates = _parent_rates(params, model)
     val, _ = quad(lambda t: math.exp(_parent_logs(t, *rates)[1]), 0.0, x, limit=300)
-    assert val == pytest.approx(parent_cdf(x, P, parent), rel=1e-9)
+    assert val == pytest.approx(parent_cdf(x, params, model), rel=1e-9)
 
 
 def test_parent_cdf_monotone():
     grid = [0.1 * i for i in range(1, 80)]
-    for parent in (Parent.NON_LINEAR, Parent.LINEAR):
-        vals = [parent_cdf(x, P, parent) for x in grid]
+    for model in (EhModel.NON_LINEAR, EhModel.LINEAR):
+        vals = [parent_cdf(x, P, model) for x in grid]
         assert all(lo < hi for lo, hi in zip(vals, vals[1:]))
 
 
@@ -181,7 +186,7 @@ def test_rs_frozen():
 
 
 def test_rs_floor_frozen():
-    est = outage_rs_high_snr(X, SchemeSpec(Scheme.RS), P)
+    est = outage_high_snr(X, SchemeSpec(Scheme.RS), P)
     assert est.method is Method.HIGH_SNR
     assert est.value == pytest.approx(6.203716028860447e-08, rel=1e-12)
 
@@ -190,7 +195,7 @@ def test_rs_floor_frozen():
 @pytest.mark.parametrize("k", [1, 2, 4])
 def test_sbs_matches_binomial_tail(model, k):
     M = P.num_devices
-    psi = parent_cdf(X, P, Parent.LINEAR if model is EhModel.LINEAR else Parent.NON_LINEAR)
+    psi = parent_cdf(X, P, model)
     tail = sum(
         math.comb(M, i) * psi**i * (1.0 - psi) ** (M - i)
         for i in range(M - k + 1, M + 1)
@@ -210,7 +215,7 @@ def test_sbs_frozen():
 
 def test_sbs_k1_is_parent_cdf_to_the_m():
     got = outage_sbs(X, SchemeSpec(Scheme.SBS, k=1), P).value
-    assert got == pytest.approx(parent_cdf(X, P, Parent.NON_LINEAR) ** 5, rel=1e-10)
+    assert got == pytest.approx(parent_cdf(X, P, EhModel.NON_LINEAR) ** 5, rel=1e-10)
 
 
 @pytest.mark.parametrize("model", [EhModel.NON_LINEAR, EhModel.LINEAR])
@@ -228,7 +233,7 @@ def test_sbs_closure_recovers_rs(model):
 
 
 def test_sbs_floor_frozen():
-    got = outage_sbs_high_snr(X, SchemeSpec(Scheme.SBS, k=2), P).value
+    got = outage_high_snr(X, SchemeSpec(Scheme.SBS, k=2), P).value
     assert got == pytest.approx(7.405896237725776e-29, rel=1e-10, abs=0.0)
 
 
@@ -332,8 +337,8 @@ def test_ebs_large_population_integral_keeps_relative_digits():
 
 def test_ebs_floor_is_rs_floor_exactly():
     assert (
-        outage_ebs_high_snr(X, SchemeSpec(Scheme.EBS), P).value
-        == outage_rs_high_snr(X, SchemeSpec(Scheme.RS), P).value
+        outage_high_snr(X, SchemeSpec(Scheme.EBS), P).value
+        == outage_high_snr(X, SchemeSpec(Scheme.RS), P).value
     )
 
 
@@ -391,14 +396,32 @@ def test_ibs_linear_equals_ebs_linear(k, pt_dbm):
 
 
 def test_ibs_floor_equals_sbs_floor():
-    a = outage_ibs_high_snr(X, SchemeSpec(Scheme.IBS, k=2), P).value
-    b = outage_sbs_high_snr(X, SchemeSpec(Scheme.SBS, k=2), P).value
+    a = outage_high_snr(X, SchemeSpec(Scheme.IBS, k=2), P).value
+    b = outage_high_snr(X, SchemeSpec(Scheme.SBS, k=2), P).value
     assert a == pytest.approx(7.405896237725776e-29, rel=1e-10, abs=0.0)
-    assert a == pytest.approx(b, rel=1e-10)
+    assert a == b
+
+
+@pytest.mark.parametrize("M", [5, 60, 61, 1000])
+def test_floors_are_the_saturated_closed_forms(M):
+    # at Pt = inf the parent survival is e^(-r) and the EBS and IBS gates are
+    # constant, so every floor but MMS is a closed form, bit for bit, on
+    # both sides of the M = 60 sum/integral cutoff
+    for pt_dbm, q_db, t1 in itertools.product((-40.0, 20.0), (-10.0, 0.0, 10.0), (0.2, 0.8)):
+        params = default_params(
+            num_devices=M, transmit_power=dbm_to_watts(pt_dbm),
+            rate_threshold_q=db_to_linear(q_db), harvest_fraction=t1,
+        )
+        x = threshold_x(params)
+        psi = -math.expm1(-r_scale(x, params))
+        for k in (1, 2, 4):
+            floor = {s: outage_high_snr(x, SchemeSpec(s, k=k), params).value for s in Scheme}
+            assert floor[Scheme.RS] == floor[Scheme.EBS] == psi
+            assert floor[Scheme.SBS] == floor[Scheme.IBS] == reg_inc_beta(psi, M - k + 1, k)
 
 
 def test_ibs_monotone_approach_to_floor():
-    floor = outage_ibs_high_snr(X, SchemeSpec(Scheme.IBS, k=2), P).value
+    floor = outage_high_snr(X, SchemeSpec(Scheme.IBS, k=2), P).value
     expected = {
         20.0: 5.456783216395422e-07,
         40.0: 5.456785396088021e-09,
@@ -517,12 +540,12 @@ def test_mms_certain_outage_at_huge_threshold(model):
     params = default_params(num_devices=100)
     spec = SchemeSpec(Scheme.MMS, k=2, model=model)
     assert outage_mms(1e12, spec, params).value == pytest.approx(1.0, abs=1e-9)
-    floor = outage_mms_high_snr(1e12, SchemeSpec(Scheme.MMS, k=2), params).value
+    floor = outage_high_snr(1e12, SchemeSpec(Scheme.MMS, k=2), params).value
     assert floor == pytest.approx(1.0, abs=1e-9)
 
 
 def test_mms_floor_frozen_and_below_value():
-    floor = outage_mms_high_snr(X, SchemeSpec(Scheme.MMS, k=2), P).value
+    floor = outage_high_snr(X, SchemeSpec(Scheme.MMS, k=2), P).value
     assert floor == pytest.approx(5.924716034731971e-28, rel=1e-10, abs=0.0)
     params = P.replace(transmit_power=dbm_to_watts(80.0))
     assert outage_mms(X, SchemeSpec(Scheme.MMS, k=2), params).value > floor
@@ -619,9 +642,16 @@ def test_pair_frozen_values():
 
 
 def test_pair_high_snr_floor():
-    est = outage_pair_high_snr(X_PAIR, PairSpec(Scheme.SBS, 1, 3), P_PAIR)
+    est = outage_high_snr(X_PAIR, PairSpec(Scheme.SBS, 1, 3), P_PAIR)
     assert est.method is Method.HIGH_SNR
     assert est.value == pytest.approx(2.8941600632933987e-74, rel=1e-6, abs=0.0)
+
+
+@pytest.mark.parametrize("spec", ["SBS", None, Scheme.SBS], ids=repr)
+def test_high_snr_floor_refuses_a_non_spec(spec):
+    # like every evaluator, a ValueError rather than an AttributeError
+    with pytest.raises(ValueError, match="cannot evaluate"):
+        outage_high_snr(X, spec, P)
 
 
 def test_pair_monotone_in_threshold():

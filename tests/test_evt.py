@@ -18,7 +18,6 @@ from wpcn_select.analytic import (
     PairSpec,
     Scheme,
     SchemeSpec,
-    Parent,
     order_stat_law,
     outage_ebs,
     outage_ibs,
@@ -129,10 +128,10 @@ def test_constants_closed_forms():
 def test_constants_sbs_satisfy_defining_quantiles(M):
     c = normalizing_constants(Scheme.SBS, M, P40)
     assert c.xi > 0.0
-    assert parent_cdf(c.eta, P40, Parent.NON_LINEAR) == pytest.approx(
+    assert parent_cdf(c.eta, P40, EhModel.NON_LINEAR) == pytest.approx(
         1.0 - 1.0 / M, abs=1e-12
     )
-    assert parent_cdf(c.eta + c.xi, P40, Parent.NON_LINEAR) == pytest.approx(
+    assert parent_cdf(c.eta + c.xi, P40, EhModel.NON_LINEAR) == pytest.approx(
         1.0 - 1.0 / (math.e * M), abs=1e-12
     )
 
@@ -165,7 +164,6 @@ GATED_ROUTES = {
     "ebs": ("_ebs_integral", 0.8, 0.35, [(0.0, math.inf, 0.8)], 0.0),
     "ebs-linear": ("_ebs_integral", 0.0, 0.35, [(0.0, math.inf, 0.0)], 0.0),
     "ibs": ("_ibs_integral", 0.8, 0.35, [(0.8, math.inf, 0.0)], 0.0),
-    "ibs-floor": ("_ibs_integral", 0.8, 0.0, [(0.8, math.inf, 0.0)], 0.0),
     "mms": ("_mms_integral", 0.8, 0.35, [(0.0, 1.0, 0.8), (0.8, 1.0, 0.0)], 1.0),
     # at the floor both gates close at s = r, so the uplink half is empty
     "mms-floor": ("_mms_integral", 0.8, 0.0, [(0.0, 1.0, 0.8)], 1.0),
@@ -196,6 +194,23 @@ def test_gated_integrand_is_the_indexed_expression(monkeypatch, route, law_of):
     lo = np.array([gate[0] for gate in gates])[piece, None]
     t = lo + np.exp(rng.uniform(-14.0, 3.5, (40, 21)))
     assert np.array_equal(f(t, piece), want(t, piece))
+
+
+@pytest.mark.parametrize("law_of", [order_stat_law, gumbel_law])
+def test_constant_gate_makes_no_kernel_call(monkeypatch, law_of):
+    # at c r/Pt = 0 (Pt = inf) the EBS and IBS gates are the constant
+    # 1 - e^(-shift) above lo: P(t <= lo) + P(t > lo) (1 - e^(-shift)), closed
+    import wpcn_select.analytic as analytic
+
+    law = law_of(100, 2, 1.0)
+    calls = []
+    monkeypatch.setattr(analytic, "integrate_panels",
+                        lambda f, edges, spec=None: calls.append(edges) or (0.0, 0.0))
+    r = 0.8
+    ebs = law.cdf(0.0) + (1.0 - law.cdf(0.0)) * -math.expm1(-r)
+    assert analytic._ebs_integral(r, 0.0, law) == ebs
+    assert analytic._ibs_integral(r, 0.0, law) == law.cdf(r)
+    assert calls == []
 
 
 @pytest.mark.parametrize("law_of", [order_stat_law, gumbel_law])
@@ -426,8 +441,8 @@ def test_mms_limit_in_unit_interval_before_clamping():
 
 def test_evt_pair_is_product_of_marginals():
     prod = outage_evt_pair(X_PAIR, PairSpec(Scheme.SBS, 1, 3), P_PAIR).value
-    a = pair_marginal_primary(X_PAIR, 1, 3, 10, P_PAIR, Parent.NON_LINEAR)
-    b = pair_marginal_secondary(X_PAIR, 1, 3, 10, P_PAIR, Parent.NON_LINEAR)
+    a = pair_marginal_primary(X_PAIR, 1, 3, 10, P_PAIR, EhModel.NON_LINEAR)
+    b = pair_marginal_secondary(X_PAIR, 1, 3, 10, P_PAIR, EhModel.NON_LINEAR)
     assert prod == pytest.approx(a * b, rel=1e-12)
     assert prod == pytest.approx(0.00022656698639170796, rel=1e-8)
 
@@ -503,7 +518,7 @@ def test_pair_marginals_stay_probabilities():
     for x, M, k, j in cases:
         params = P_PAIR.replace(num_devices=M)
         for marginal in (pair_marginal_primary, pair_marginal_secondary):
-            v = marginal(x, k, j, M, params, Parent.NON_LINEAR)
+            v = marginal(x, k, j, M, params, EhModel.NON_LINEAR)
             assert 0.0 <= v <= 1.0 + 1e-12, f"{marginal.__name__} M={M} ({k}, {j}): {v!r}"
 
 
@@ -532,7 +547,7 @@ PAIR_ORACLE = [
 def test_pair_marginals_match_tight_oracle(which, pt_dbm, M, k, j, want):
     marginal = pair_marginal_primary if which == "primary" else pair_marginal_secondary
     params = P_PAIR.replace(num_devices=M, transmit_power=dbm_to_watts(pt_dbm))
-    got = marginal(X_PAIR, k, j, M, params, Parent.NON_LINEAR)
+    got = marginal(X_PAIR, k, j, M, params, EhModel.NON_LINEAR)
     assert got == pytest.approx(want, rel=1e-8, abs=0.0)
 
 
@@ -551,14 +566,13 @@ PAIR_SECONDARY_LOW_X = [
 @pytest.mark.parametrize("M, k, j, x, want", PAIR_SECONDARY_LOW_X)
 def test_pair_secondary_keeps_relative_digits_at_low_threshold(M, k, j, x, want):
     params = P_PAIR.replace(num_devices=M)
-    got = pair_marginal_secondary(x, k, j, M, params, Parent.NON_LINEAR)
+    got = pair_marginal_secondary(x, k, j, M, params, EhModel.NON_LINEAR)
     assert got == pytest.approx(want, rel=1e-8, abs=0.0)
 
 
 def test_pair_secondary_is_stated_for_nonlinear_parent():
-    for parent in (Parent.LINEAR, Parent.SATURATION):
-        with pytest.raises(ValueError):
-            pair_marginal_secondary(X_PAIR, 1, 3, 10, P_PAIR, parent)
+    with pytest.raises(ValueError):
+        pair_marginal_secondary(X_PAIR, 1, 3, 10, P_PAIR, EhModel.LINEAR)
 
 
 def test_pair_marginals_are_one_quadrature_each(monkeypatch):
@@ -574,7 +588,7 @@ def test_pair_marginals_are_one_quadrature_each(monkeypatch):
     monkeypatch.setattr(analytic, "integrate_panels", counted)
     for marginal in (pair_marginal_primary, pair_marginal_secondary):
         calls.clear()
-        marginal(X_PAIR, 2, 5, 10, P_PAIR, Parent.NON_LINEAR)
+        marginal(X_PAIR, 2, 5, 10, P_PAIR, EhModel.NON_LINEAR)
         assert len(calls) == 1, f"{marginal.__name__}: {calls}"
     for pair in (PairSpec(Scheme.SBS, 2, 5), PairSpec(Scheme.RS, 1, 2)):
         calls.clear()
