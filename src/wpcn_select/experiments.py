@@ -73,20 +73,22 @@ def _package_version() -> str:
 # single-point dispatch
 # ---------------------------------------------------------------------------
 
-#: (method, scheme, or PairSpec for a pair) -> (module, evaluator name).  Every
+#: (method name, scheme name or "pair") -> (module, evaluator name).  Every
 #: deterministic evaluator takes (x, spec, params); random selection has no
-#: extreme-value limit, so (EVT, RS) is the one key left out.  The evaluator is
-#: looked up on its module at each call, so a rebound module attribute (a
-#: wrapper, a test double) takes effect here as well.
+#: extreme-value limit, so (EVT, RS) is the one key left out.  The keys are
+#: the members' names, not the members, because an Enum hashes through
+#: Python code and a str in C.  The evaluator is looked up on its module at
+#: each call, so a rebound module attribute (a wrapper, a test double) takes
+#: effect here as well.
 _ROUTES = {
-    (method, key): (module, template.format(name))
-    for key, name in [(s, s.value.lower()) for s in Scheme] + [(PairSpec, "pair")]
+    (method.name, key): (module, template.format(key.lower()))
+    for key in [s.name for s in Scheme] + ["pair"]
     for method, module, template in (
         (Method.ANALYTIC, analytic, "outage_{}"),
         (Method.HIGH_SNR, analytic, "outage_high_snr"),
         (Method.EVT, evt, "outage_evt_{}"),
     )
-    if (method, key) != (Method.EVT, Scheme.RS)
+    if (method, key) != (Method.EVT, Scheme.RS.name)
 }
 
 
@@ -105,8 +107,8 @@ def evaluate_point(
         return simulate_outage(cfg)
     if sigma_e2 != 0.0:
         raise ValueError("imperfect CSI is only modeled by the Monte Carlo route")
-    key = PairSpec if isinstance(selection, PairSpec) else selection.scheme
-    route = _ROUTES.get((method, key))
+    key = "pair" if isinstance(selection, PairSpec) else selection.scheme._name_
+    route = _ROUTES.get((method._name_, key))
     if route is None:
         raise ValueError("random selection has no extreme-value limit")
     module, name = route

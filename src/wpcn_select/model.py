@@ -12,6 +12,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
+import numpy as np
+
 __all__ = [
     "EhModel",
     "RectennaParams",
@@ -112,21 +114,29 @@ def default_params(**overrides) -> SystemParams:
 # physical primitives
 # ---------------------------------------------------------------------------
 
-def harvested_energy(gain_g: float, params: SystemParams, model: EhModel) -> float:
+def harvested_energy(gain_g: float, params: SystemParams, model: EhModel, out=None) -> float:
     """Energy collected during the harvesting phase for squared gain |g|^2 >= 0.
 
     NonLinear saturates at t1*(a - b/c) as the gain grows; Linear is the
     unbounded benchmark t1*Pt*|g|^2.  Takes a float or an array of gains;
-    an array is left as it is.
+    an array is left as it is, unless an output array `out` is given: the
+    energies are then written there and the gains are overwritten on the
+    way, so that no array is allocated.
     """
     t1 = params.harvest_fraction
     if model is EhModel.LINEAR:
-        return t1 * params.transmit_power * gain_g
+        if out is None:
+            return t1 * params.transmit_power * gain_g
+        return np.multiply(gain_g, t1 * params.transmit_power, out=out)
     rc = params.rectenna
-    p_in = params.transmit_power * gain_g
-    # t1 * ((a p + b)/(p + c) - b/c), updating its own two arrays in place:
-    # a Monte Carlo chunk passes a megabyte of gains per call
-    e = rc.a * p_in
+    # t1 * ((a p + b)/(p + c) - b/c), updating two arrays in place: a Monte
+    # Carlo chunk passes a megabyte of gains per call
+    if out is None:
+        p_in = params.transmit_power * gain_g
+        e = rc.a * p_in
+    else:
+        p_in = np.multiply(gain_g, params.transmit_power, out=gain_g)
+        e = np.multiply(p_in, rc.a, out=out)
     e += rc.b
     p_in += rc.c
     e /= p_in
@@ -135,9 +145,13 @@ def harvested_energy(gain_g: float, params: SystemParams, model: EhModel) -> flo
     return e
 
 
-def snr(gain_h: float, energy: float, params: SystemParams) -> float:
-    """Uplink SNR for squared gain |h|^2 and harvested energy E."""
-    return gain_h * energy / (params.comm_fraction * params.noise_variance)
+def snr(gain_h: float, energy: float, params: SystemParams, out=None) -> float:
+    """Uplink SNR for squared gain |h|^2 and harvested energy E; with an
+    output array `out` (which may be gain_h) it is written there."""
+    if out is None:
+        return gain_h * energy / (params.comm_fraction * params.noise_variance)
+    np.multiply(gain_h, energy, out=out)
+    return np.divide(out, params.comm_fraction * params.noise_variance, out=out)
 
 
 def threshold_x(params: SystemParams) -> float:

@@ -16,17 +16,27 @@ summed in any order, so the estimate is bit-identical for a given config no
 matter how many worker threads run the chunks, or how the blocks are cut
 into chunks.
 
+Workers and their memory outlive a run.  The process keeps one thread pool
+per worker count, made on the first run that needs it and reused by every
+later one; THREADS_ENV is read on every run, so a change to it applies at
+the next call.  Each worker thread keeps four float64 buffers, u_g, u_h
+and two scratch arrays of at least 2^17 doubles each (about 4 MiB in all),
+from its first chunk on, growing them only for a larger chunk, and every
+chunk-sized array of a chunk is made in them.  A child of os.fork drops
+the inherited pools, whose threads did not survive the fork, and the
+buffers, and makes its own on its first run.
+
 A chunk does only what its count needs.  It draws uniforms u, and a gain is
 -log1p(-u).  That map, the (1 - sigma_e2) scale of an estimate and the
 harvester map all increase strictly, so ranking the uniforms ranks the gains
 and the energies: EBS ranks on u_g, IBS on u_h and MMS on min(u_g, u_h),
 ties to the lowest index, and only the picked entries are turned into
 gains; RS transforms only its random picks.  The uniforms stay as drawn
-throughout.  SBS needs every SNR and builds them from the whole chunk; with
-perfect CSI it counts the trials in which fewer than k SNRs exceed the
-threshold.  For the two ranks at either end of the order the k-th index
-is an argmax (or argmin), after one knock-out round for the second; other
-ranks take a partition.  Under imperfect CSI the estimates are
+until the picks are gathered from them.  SBS needs every SNR and builds
+them from the whole chunk; with perfect CSI it counts the trials in which
+fewer than k SNRs exceed the threshold.  For the two ranks at either end
+of the order the k-th index is an argmax (or argmin), after one knock-out
+round for the second; other ranks take a partition.  Under imperfect CSI the estimates are
 (1 - sigma_e2) Exp(1) and only the chosen devices draw a true gain,
 |sqrt(est) + CN(0, sigma_e2)|^2.
 
@@ -65,6 +75,12 @@ _CHUNK_ELEMENTS = 1 << 17
 #: env var capping the worker thread count (estimates do not depend on it)
 THREADS_ENV = "WPCN_SELECT_THREADS"
 
+#: worker count -> the persistent pool of that many threads
+_pools: dict[int, ThreadPoolExecutor] = {}
+_pools_lock = threading.Lock()
+#: per-thread chunk buffers, see _workspace
+_local = threading.local()
+
 
 @dataclass(frozen=True)
 class TrialConfig:
@@ -88,29 +104,41 @@ class TrialConfig:
         _check_order_index(self.spec, self.params.num_devices)
 
 
-def _stream_at(base_seed: int, block: int, offset: int) -> np.random.Generator:
+def _block_key(base_seed: int, block: int) -> np.ndarray:
+    """The Philox key of a block's stream, as Philox(SeedSequence) makes it."""
+    return np.random.SeedSequence(entropy=base_seed, spawn_key=(block,)).generate_state(
+        2, np.uint64
+    )
+
+
+def _stream_at(base_seed: int, block: int, offset: int, key=None) -> np.random.Generator:
     """Generator whose next double is double number `offset` of a block's
     stream: Philox yields four 64-bit outputs per counter step, and each
-    double takes one output."""
-    bitgen = np.random.Philox(np.random.SeedSequence(entropy=base_seed, spawn_key=(block,)))
-    bitgen.advance(offset // 4)
-    rng = np.random.Generator(bitgen)
+    double takes one output.  key is the block's _block_key, if already
+    made."""
+    if key is None:
+        key = _block_key(base_seed, block)
+    rng = np.random.Generator(np.random.Philox(counter=offset // 4, key=key))
     rng.random(offset % 4)
     return rng
 
 
-def _draw_block(M: int, n: int, rng: np.random.Generator, rng_h=None):
+def _draw_block(M: int, n: int, rng: np.random.Generator, rng_h=None, out=None):
     """(u_g, u_h), each shaped (n, M): the uniforms on [0, 1) that the g and
-    h gains are made from.  The h rows continue rng's stream after the g rows
-    unless rng_h is given."""
-    return rng.random((n, M)), (rng if rng_h is None else rng_h).random((n, M))
+    h gains are made from, filled into the pair of arrays `out` if given.
+    The h rows continue rng's stream after the g rows unless rng_h is
+    given."""
+    ug, uh = (np.empty((n, M)), np.empty((n, M))) if out is None else out
+    rng.random(out=ug)
+    (rng if rng_h is None else rng_h).random(out=uh)
+    return ug, uh
 
 
-def _gains(u: np.ndarray, sigma_e2: float) -> np.ndarray:
+def _gains(u: np.ndarray, sigma_e2: float, out=None) -> np.ndarray:
     """The squared gains -log1p(-u), Exp(1) draws, scaled by 1 - sigma_e2 to
-    the power of an estimate; a new array, the uniforms u are left as they
-    are."""
-    g = np.negative(u)
+    the power of an estimate; a new array unless `out` (which may be u) is
+    given."""
+    g = np.negative(u, out=out)
     np.log1p(g, out=g)
     np.negative(g, out=g)
     if sigma_e2 != 0.0:
@@ -118,41 +146,60 @@ def _gains(u: np.ndarray, sigma_e2: float) -> np.ndarray:
     return g
 
 
-def _true_gains(est: np.ndarray, sigma_e2: float, z: np.ndarray) -> np.ndarray:
-    """True squared gains given their estimates.  The error is CN(0, sigma_e2)
-    and circularly symmetric, so turning the estimate onto the real axis
-    leaves |estimate + error|^2 unchanged in law.  z holds two standard
-    normals per estimate, shaped (2, *est.shape)."""
-    s = math.sqrt(sigma_e2 / 2.0)
-    return (np.sqrt(est) + s * z[0]) ** 2 + (s * z[1]) ** 2
+def _true_gains(est: np.ndarray, sigma_e2: float, z: np.ndarray, out=None) -> np.ndarray:
+    """True squared gains given their estimates,
+    (sqrt(est) + s z_1)^2 + (s z_2)^2 with s = sqrt(sigma_e2 / 2).  The
+    error is CN(0, sigma_e2) and circularly symmetric, so turning the
+    estimate onto the real axis leaves |estimate + error|^2 unchanged in
+    law.  z holds two standard normals per estimate, shaped (2, *est.shape).
+    A new array, unless `out` (which may be est) is given: z is then
+    overwritten on the way."""
+    t = np.multiply(z, math.sqrt(sigma_e2 / 2.0), out=None if out is None else z)
+    a = np.sqrt(est, out=out)
+    a += t[0]
+    np.square(a, out=a)
+    a += np.square(t[1], out=t[1])
+    return a
 
 
 def _ranking_stat(
     scheme: Scheme, ug: np.ndarray, uh: np.ndarray, params: SystemParams, model,
-    sigma_e2: float = 0.0,
+    sigma_e2: float = 0.0, scratch=None,
 ) -> np.ndarray:
     """What each row is ranked on, given the drawn uniforms.  The maps from
     u to the gain, to the estimate and to the harvested energy all increase
     strictly, so EBS ranks as u_g does, IBS as u_h and MMS as min(u_g, u_h)
     (the exact-arithmetic order; see the module notes on rounding).  SBS
     ranks on every SNR, made from the gains of the whole chunk.  ug and uh
-    are left as drawn."""
+    are left as drawn.  MMS and SBS build the statistic in the first of
+    the two arrays shaped like ug in `scratch`, and SBS its energies in the
+    second; without scratch they allocate their own."""
     if scheme is Scheme.EBS:
         return ug
     if scheme is Scheme.IBS:
         return uh
     if scheme is Scheme.MMS:
-        return np.minimum(ug, uh)
+        return np.minimum(ug, uh, out=None if scratch is None else scratch[0])
     if scheme is not Scheme.SBS:
         raise ValueError(f"no ranking statistic for {scheme!r}")
-    # in this order the g gains are freed before the h gains are made
-    e = harvested_energy(_gains(ug, sigma_e2), params, model)
-    return snr(_gains(uh, sigma_e2), e, params)
+    s1, s2 = (np.empty_like(ug), np.empty_like(ug)) if scratch is None else scratch
+    e = harvested_energy(_gains(ug, sigma_e2, out=s1), params, model, out=s2)
+    return snr(_gains(uh, sigma_e2, out=s1), e, params, out=s1)
 
 
-def _kth_index(stat: np.ndarray, k: int) -> np.ndarray:
+def _copy_into(out, a: np.ndarray) -> np.ndarray:
+    """a copied into out, or into a new array if out is None."""
+    if out is None:
+        return a.copy()
+    out[...] = a
+    return out
+
+
+def _kth_index(stat: np.ndarray, k: int, scratch=None) -> np.ndarray:
     """Column of each row's k-th largest entry, ties to the lowest index:
     position k - 1 of a stable descending sort.  The entries must be finite.
+    The knock-out rounds work on a copy of stat, made in `scratch` (an array
+    shaped like stat) if given.
 
     The two ranks at either end take an argmax, after knocking out the
     largest entry for k = 2 (argmax takes the first of equal maxima, which
@@ -164,14 +211,14 @@ def _kth_index(stat: np.ndarray, k: int) -> np.ndarray:
     # M = 5 and 0.04-0.08 ms at M = 100, a partition 0.8-1.7 ms at either
     if k <= 2 and k <= M - 1:
         if k == 2:
-            stat = stat.copy()
+            stat = _copy_into(scratch, stat)
             stat[np.arange(n), np.argmax(stat, axis=1)] = -np.inf
         return np.argmax(stat, axis=1)
     if k >= M - 1:
         # reversed, equal values run from the highest index: stable ascending
         rev = stat[:, ::-1]
         if k == M - 1:
-            rev = rev.copy()
+            rev = _copy_into(scratch, rev)
             rev[np.arange(n), np.argmin(rev, axis=1)] = np.inf
         return M - 1 - np.argmin(rev, axis=1)
     idx = np.argpartition(stat, M - k, axis=1)[:, M - k]
@@ -191,18 +238,21 @@ def _random_pick(M: int, n: int, pair: bool, rng: np.random.Generator) -> np.nda
 
 
 def _select(spec: SchemeSpec | PairSpec, ug, uh, params: SystemParams, rng,
-            sigma_e2: float = 0.0) -> np.ndarray:
+            sigma_e2: float = 0.0, scratch=None) -> np.ndarray:
     """(n, 1) indices, or (n, 2) for a pair, picked in each row of the (n, M)
-    uniforms.  Random selection consumes rng."""
+    uniforms.  Random selection consumes rng.  scratch, two arrays shaped
+    like ug, holds the ranking statistic and the knock-out copies."""
     n, M = ug.shape
     pair = isinstance(spec, PairSpec)
     if spec.scheme is Scheme.RS:
         if rng is None:
             raise ValueError("random selection needs an rng")
         return _random_pick(M, n, pair, rng)
-    stat = _ranking_stat(spec.scheme, ug, uh, params, spec.model, sigma_e2)
+    stat = _ranking_stat(spec.scheme, ug, uh, params, spec.model, sigma_e2, scratch)
+    knock = None if scratch is None else scratch[1]
     ranks = (spec.k, spec.j) if pair else (spec.k,)
-    return np.stack([_kth_index(stat, r) for r in ranks], axis=1)
+    cols = [_kth_index(stat, r, knock) for r in ranks]
+    return np.stack(cols, axis=1) if pair else cols[0][:, None]
 
 
 class _BlockTail:
@@ -216,6 +266,7 @@ class _BlockTail:
 
     def __init__(self, config: TrialConfig, block: int, size: int, chunks: int = 1) -> None:
         self.config, self.block, self.size = config, block, size
+        self.key = _block_key(config.base_seed, block)
         self._left = chunks
         self._draws = None
         self._lock = threading.Lock()
@@ -223,7 +274,7 @@ class _BlockTail:
     def _draw(self):
         spec, M = self.config.spec, self.config.params.num_devices
         pair = isinstance(spec, PairSpec)
-        rng = _stream_at(self.config.base_seed, self.block, 2 * self.size * M)
+        rng = _stream_at(self.config.base_seed, self.block, 2 * self.size * M, self.key)
         picks = _random_pick(M, self.size, pair, rng) if spec.scheme is Scheme.RS else None
         normals = None
         if self.config.estimation_error_var > 0.0:
@@ -241,36 +292,87 @@ class _BlockTail:
         return tuple(None if d is None else d[..., start : start + n, :] for d in draws)
 
 
+def _workspace(n: int, M: int):
+    """This thread's four chunk arrays, each shaped (n, M): u_g, u_h and two
+    scratch arrays.  They are views of buffers the thread keeps from chunk
+    to chunk; the buffers grow only when a larger chunk needs it."""
+    need = n * M
+    buf = getattr(_local, "buf", None)
+    if buf is None or buf.shape[1] < need:
+        _local.buf = None  # free the old buffers before the new ones are made
+        buf = _local.buf = np.empty((4, max(need, _CHUNK_ELEMENTS)))
+    return [b[:need].reshape(n, M) for b in buf]
+
+
+def _lead(a: np.ndarray, shape) -> np.ndarray:
+    """A C-ordered array of the given shape over the first entries of a."""
+    return a.reshape(-1)[: math.prod(shape)].reshape(shape)
+
+
 def _count_block(
     config: TrialConfig, x: float, block: int, n: int, start: int = 0,
     tail: _BlockTail | None = None,
 ) -> int:
     """Failures among trials start .. start + n - 1 of one block (exact
     integer).  tail is the block's shared _BlockTail; without one the n
-    trials are the whole block."""
+    trials are the whole block.  Every chunk-sized array lives in the
+    calling thread's workspace."""
     spec, params, sigma_e2 = config.spec, config.params, config.estimation_error_var
     M = params.num_devices
     if tail is None:
         tail = _BlockTail(config, block, n)
-    rng_g = _stream_at(config.base_seed, block, start * M)
-    rng_h = _stream_at(config.base_seed, block, (tail.size + start) * M)
-    ug, uh = _draw_block(M, n, rng_g, rng_h)
+    ug, uh, s1, s2 = _workspace(n, M)
+    rng_g = _stream_at(config.base_seed, block, start * M, tail.key)
+    rng_h = _stream_at(config.base_seed, block, (tail.size + start) * M, tail.key)
+    _draw_block(M, n, rng_g, rng_h, out=(ug, uh))
     if spec.scheme is Scheme.SBS and sigma_e2 == 0.0 and isinstance(spec, SchemeSpec):
         # the k-th best SNR is <= x exactly when fewer than k devices exceed x;
         # rows are counted without a matmul, whose OpenBLAS gemv would start
         # its own threads beside the pool's
-        stat = _ranking_stat(spec.scheme, ug, uh, params, spec.model)
+        stat = _ranking_stat(spec.scheme, ug, uh, params, spec.model, scratch=(s1, s2))
         return int((np.count_nonzero(stat > x, axis=1) < spec.k).sum())
     picks, normals = tail.rows(start, n)
-    sel = _select(spec, ug, uh, params, None, sigma_e2) if picks is None else picks
-    flat = sel + M * np.arange(n)[:, None]  # into the flattened rows
-    g, h = _gains(ug.take(flat), sigma_e2), _gains(uh.take(flat), sigma_e2)
+    if picks is None:
+        flat = _select(spec, ug, uh, params, None, sigma_e2, (s1, s2))
+    else:
+        flat = picks.copy()
+    flat += np.arange(0, n * M, M)[:, None]  # into the flattened rows
+    # the picks go to the fronts of the scratch arrays, and once both are
+    # gathered the uniforms' own arrays take the energies
+    g = np.take(ug, flat, out=_lead(s1, flat.shape), mode="clip")
+    h = np.take(uh, flat, out=_lead(s2, flat.shape), mode="clip")
+    g, h = _gains(g, sigma_e2, out=g), _gains(h, sigma_e2, out=h)
     if normals is not None:
-        g, h = _true_gains(g, sigma_e2, normals[0]), _true_gains(h, sigma_e2, normals[1])
-    x_sel = snr(h, harvested_energy(g, params, spec.model), params)
+        g = _true_gains(g, sigma_e2, normals[0], out=g)
+        h = _true_gains(h, sigma_e2, normals[1], out=h)
+    e = harvested_energy(g, params, spec.model, out=_lead(ug, g.shape))
+    x_sel = snr(h, e, params, out=h)
     if isinstance(spec, PairSpec):
         return int((x_sel[:, 0] / (x_sel[:, 1] + 1.0) <= x).sum())
     return int((x_sel[:, 0] <= x).sum())
+
+
+def _pool(workers: int) -> ThreadPoolExecutor:
+    """The process's pool of `workers` threads, made on first use."""
+    with _pools_lock:
+        pool = _pools.get(workers)
+        if pool is None:
+            pool = _pools[workers] = ThreadPoolExecutor(workers, thread_name_prefix="wpcn-mc")
+        return pool
+
+
+def _forget_pools() -> None:
+    """In a forked child: the parent's pools have no threads here, so a
+    submit would wait forever; drop them, and the workspaces, and let the
+    next run make its own."""
+    global _pools_lock, _local
+    _pools.clear()
+    _pools_lock = threading.Lock()
+    _local = threading.local()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pools)
 
 
 def _worker_count(num_chunks: int) -> int:
@@ -308,9 +410,8 @@ def simulate_outage(config: TrialConfig) -> OutageEstimate:
         cuts = [size * i // parts for i in range(parts + 1)]
         chunks += [(block, hi - lo, lo, tail) for lo, hi in zip(cuts, cuts[1:])]
 
-    with ThreadPoolExecutor(max_workers=_worker_count(len(chunks))) as pool:
-        counts = list(pool.map(lambda c: _count_block(config, x, *c), chunks))
-    failures = sum(counts)
+    pool = _pool(_worker_count(len(chunks)))
+    failures = sum(pool.map(lambda c: _count_block(config, x, *c), chunks))
     p_hat = failures / total
     stderr = math.sqrt(p_hat * (1.0 - p_hat) / total)
     return OutageEstimate(p_hat, Method.MONTE_CARLO, stderr=stderr)

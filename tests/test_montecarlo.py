@@ -7,8 +7,11 @@ seed, same counts, regardless of worker count.
 """
 
 import math
+import multiprocessing
 import os
+import subprocess
 import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -471,6 +474,153 @@ def test_worker_count_defaults_to_usable_cpus(monkeypatch):
     assert _worker_count(100) == 4
     monkeypatch.setattr(os, "cpu_count", lambda: None)
     assert _worker_count(100) == 1
+
+
+# ---------------------------------------------------------------------------
+# the persistent pool and the per-worker chunk buffers
+# ---------------------------------------------------------------------------
+
+def test_import_starts_no_thread():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(montecarlo.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    probe = "import threading, wpcn_select; print(threading.active_count())"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, timeout=120, check=True)
+    assert out.stdout.strip() == "1"
+
+
+def test_pool_starts_no_thread_after_warm_up(monkeypatch):
+    # 60,000 trials at M = 5 make three chunks, so both workers of the pool run
+    monkeypatch.setenv(THREADS_ENV, "2")
+    cfg = TrialConfig(SchemeSpec(Scheme.EBS, k=2), P, num_trials=60_000, base_seed=3)
+    first = [simulate_outage(cfg).value for _ in range(3)]
+    threads = threading.active_count()
+    pool = montecarlo._pools[2]
+    later = [simulate_outage(cfg).value for _ in range(20)]
+    assert threading.active_count() == threads
+    assert montecarlo._pools[2] is pool
+    assert set(first + later) == {first[0]}
+
+
+def test_thread_setting_applies_at_the_next_call(monkeypatch):
+    used = []
+    real = montecarlo._pool
+    monkeypatch.setattr(montecarlo, "_pool", lambda n: used.append(n) or real(n))
+    # eight chunks, so up to eight workers could take part
+    params = default_params(num_devices=100, transmit_power=dbm_to_watts(-51.0))
+    cfg = TrialConfig(PairSpec(Scheme.SBS, 1, 2), params, num_trials=10_000, base_seed=5)
+    values = []
+    for threads in ("1", "2", "4", "1"):
+        monkeypatch.setenv(THREADS_ENV, threads)
+        values.append(simulate_outage(cfg).value)
+    assert used == [1, 2, 4, 1]
+    assert len(set(values)) == 1 and 0.0 < values[0] < 1.0
+
+
+def test_concurrent_callers_share_the_pool(monkeypatch):
+    # three callers at once on one pool of four workers, more than there are
+    # cores, switching often: each must still get its own sequential value
+    monkeypatch.setenv(THREADS_ENV, "4")
+    p100 = default_params(num_devices=100, transmit_power=dbm_to_watts(-51.0))
+    configs = [
+        TrialConfig(PairSpec(Scheme.SBS, 1, 2), p100, num_trials=10_000, base_seed=1),
+        TrialConfig(SchemeSpec(Scheme.MMS, k=2), P, num_trials=60_000, base_seed=2,
+                    estimation_error_var=0.3),
+        TrialConfig(SchemeSpec(Scheme.SBS, k=1), P.replace(transmit_power=dbm_to_watts(-40.0)),
+                    num_trials=60_000, base_seed=2),
+    ]
+    sequential = [simulate_outage(cfg).value for cfg in configs]
+    start = threading.Barrier(len(configs))
+    results = {}
+
+    def caller(i):
+        start.wait()
+        try:
+            results[i] = [simulate_outage(configs[i]).value for _ in range(2)]
+        except Exception as exc:  # reported by the assertion below
+            results[i] = exc
+
+    callers = [threading.Thread(target=caller, args=(i,)) for i in range(len(configs))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in callers:
+            t.start()
+        for t in callers:
+            t.join(120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in callers)
+    assert results == {i: [v] * 2 for i, v in enumerate(sequential)}
+
+
+def test_worker_buffers_carry_nothing_between_runs(monkeypatch):
+    # one worker runs every config: its buffers grow for M = 1000, and the
+    # runs at M = 5 and 100 then use their fronts with other shapes
+    monkeypatch.setenv(THREADS_ENV, "1")
+    specs = [(SchemeSpec(Scheme.SBS, k=1), 0.0), (SchemeSpec(Scheme.SBS, k=1), 0.3),
+             (SchemeSpec(Scheme.MMS, k=2), 0.3), (PairSpec(Scheme.SBS, 1, 2), 0.0),
+             (SchemeSpec(Scheme.EBS, k=2), 0.0), (PairSpec(Scheme.RS, 1, 2), 0.3)]
+    for M, trials, pt_dbm in ((1000, 1_001, -55.0), (5, 30_001, -40.0), (100, 8_001, -51.0)):
+        params = default_params(num_devices=M, transmit_power=dbm_to_watts(pt_dbm))
+        for spec, sigma_e2 in specs:
+            cfg = TrialConfig(spec, params, num_trials=trials, base_seed=M,
+                              estimation_error_var=sigma_e2)
+            assert simulate_outage(cfg).value == _oracle_outage(cfg), (M, spec, sigma_e2)
+
+
+# at M = 5, 20,000 trials are one chunk of 800 kB per array; at M = 100 a
+# full block is 16 chunks of about 1 MiB per array
+@pytest.mark.parametrize("M, trials", [(5, 20_000), (100, _ELEMENT_BUDGET // 100)])
+@pytest.mark.parametrize("spec, sigma_e2", [
+    (SchemeSpec(Scheme.SBS, k=1), 0.0),
+    (SchemeSpec(Scheme.SBS, k=1), 0.3),
+    (PairSpec(Scheme.SBS, 1, 2), 0.0),
+    (SchemeSpec(Scheme.EBS, k=2), 0.0),
+], ids=["sbs", "sbs-imperfect", "sbs-pair", "ebs-k2"])
+def test_repeated_run_allocates_less_than_one_chunk_array(monkeypatch, M, trials, spec, sigma_e2):
+    # one worker, whose buffers the first run sizes; the second run may make
+    # only row-sized arrays and its block's true-gain normals, which at
+    # sigma_e2 = 0.3 take 640 kB at M = 5 and 671 kB at M = 100
+    monkeypatch.setenv(THREADS_ENV, "1")
+    params = default_params(num_devices=M, transmit_power=dbm_to_watts(-40.0))
+    cfg = TrialConfig(spec, params, num_trials=trials, base_seed=4, estimation_error_var=sigma_e2)
+    simulate_outage(cfg)
+    tracemalloc.start()
+    try:
+        simulate_outage(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**17, peak  # one chunk array: 2^17 doubles, 1 MiB
+
+
+def _simulate_in_child(cfg, conn):
+    conn.send(simulate_outage(cfg).value)
+    conn.close()
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="no fork on this platform")
+def test_forked_child_makes_its_own_pool():
+    # the child inherits the parent's pool but none of its threads; a submit
+    # to it would wait forever
+    cfg = TrialConfig(SchemeSpec(Scheme.MMS, k=2), P, num_trials=60_000, base_seed=9)
+    value = simulate_outage(cfg).value
+    ctx = multiprocessing.get_context("fork")
+    recv, send = ctx.Pipe(duplex=False)
+    child = ctx.Process(target=_simulate_in_child, args=(cfg, send))
+    child.start()
+    send.close()
+    try:
+        assert recv.poll(60), "the forked child's simulation did not finish"
+        assert recv.recv() == value
+    finally:
+        child.join(10)
+        if child.is_alive():
+            child.kill()
+            child.join()
 
 
 @pytest.mark.parametrize("raw", ["two", "2.5", "4 threads"])
