@@ -27,18 +27,20 @@ c r/(Pt (t - lo)) on t > lo.  So one helper evaluates all three:
     MMS   half with lo = 0, shift = r      ranked worse link, the downlink ...
           half with lo = r                 ... or the uplink; slope = 1, hi = s
 
-(the linear harvester has r = 0 and beta in place of c r/Pt).  The integrals
-take the ranked law (RankedLaw) as an argument: the finite-M order statistic
-on the exact and floor routes, its Gumbel limit on the extreme-value (evt)
-route.  They run on special.integrate_panels, seeded at the law's scale and
-the gate's, both MMS halves in one call.  Both laws are pure and memoized
-per (M, k, rate), each with its own seed cuts.  The integrand takes a lone
-gate's lo and shift as scalars and works in place, rounding exactly as
-e^(log f(t)) (-expm1(slope t - shift - cr/(t - lo))) does.  For M <= 60,
-EBS and IBS use closed alternating sums of K1 terms instead (math.fsum,
-under a cancellation monitor) and fall back to the integrals when the
-monitor trips or at Pt = inf, where the gates are constant and the
-integrals closed.
+The linear harvester is the nonlinear one with r = 0 and beta in place of
+c r/Pt; _scales forms (r, c r/Pt) for either, and no other code branches on
+the harvester to do so.  With r = 0 the EBS and IBS gates coincide.  The
+integrals take the ranked law (RankedLaw) as an argument: the finite-M
+order statistic on the exact and floor routes, its Gumbel limit on the
+extreme-value (evt) route.  They run on special.integrate_panels, seeded at
+the law's scale and the gate's, both MMS halves in one call.  Both laws are
+pure and memoized per (M, k, rate), each with its own seed cuts.  The
+integrand takes a lone gate's lo and shift as scalars and works in place,
+rounding exactly as e^(log f(t)) (-expm1(slope t - shift - cr/(t - lo)))
+does.  EBS and IBS share one body (_one_gate).  For a finite M <= 60 it
+uses the closed alternating sum of K1 terms instead (math.fsum, under a
+cancellation monitor), and it falls back to the integral when the monitor
+trips or at Pt = inf, where the gate is constant and the integral closed.
 
 Pair selection ranks Y, Z as the k-th and j-th largest parent SNRs (k < j).
 Given Z = z, the j-1 stronger devices are iid with survival S(.)/S(z), so
@@ -52,10 +54,10 @@ z* = x/(1-x):
 
 Every term is positive, so both keep their relative digits far into the
 tail.  They run on special.integrate_panels in amplitude w = sqrt(z), with
-every parent survival written as S(t) = e^(-rho t) z K1(z), z = 2 sqrt(a t)
-(_parent_rates).  The stronger member failing implies the weaker one
-fails, so a pair's outage is its primary marginal; a random pair is the
-best and second best of two devices.
+every parent survival written as S(t) = e^(-rho t) z K1(z), z = 2 sqrt(a t),
+where (rho, a) are the scales at x = 1.  The stronger member failing
+implies the weaker one fails, so a pair's outage is its primary marginal; a
+random pair is the best and second best of two devices.
 """
 
 from __future__ import annotations
@@ -236,16 +238,15 @@ def r_scale(x: float, params: SystemParams) -> float:
     return params.noise_variance * rc.c * (1.0 - t1) * x / (t1 * rc.saturation_slope)
 
 
-def _r_and_cr(x: float, params: SystemParams) -> tuple[float, float]:
-    """r and c r / Pt, the two scales every nonlinear ranked route needs."""
+def _scales(x: float, params: SystemParams, model: EhModel) -> tuple[float, float]:
+    """(r, c r/Pt), the two threshold scales of every route.  The linear
+    harvester is the nonlinear one with r = 0 and beta = sigma_n^2 t2 x/(Pt t1)
+    in place of c r/Pt."""
+    if model is EhModel.LINEAR:
+        t1 = params.harvest_fraction
+        return 0.0, params.noise_variance * (1.0 - t1) * x / (params.transmit_power * t1)
     r = r_scale(x, params)
     return r, params.rectenna.c * r / params.transmit_power
-
-
-def _linear_beta(x: float, params: SystemParams) -> float:
-    """beta = sigma_n^2 t2 x / (Pt t1), the linear-model threshold scale."""
-    t1 = params.harvest_fraction
-    return params.noise_variance * (1.0 - t1) * x / (params.transmit_power * t1)
 
 
 def parent_log_sf(x: float, params: SystemParams, model: EhModel) -> float:
@@ -261,11 +262,8 @@ def parent_log_sf(x: float, params: SystemParams, model: EhModel) -> float:
         return 0.0
     if math.isinf(x):  # t2 -> 0 pushes the threshold to inf; outage is certain
         return -math.inf
-    if model is EhModel.LINEAR:
-        r, z = 0.0, 2.0 * math.sqrt(_linear_beta(x, params))
-    else:
-        r, cr_over_pt = _r_and_cr(x, params)
-        z = 2.0 * math.sqrt(cr_over_pt)
+    r, cr_over_pt = _scales(x, params, model)
+    z = 2.0 * math.sqrt(cr_over_pt)
     t = z * bessel_k1(z) if z != 0.0 else 1.0  # z K1(z) -> 1 as z -> 0 (Pt = inf)
     return -r + math.log(t) if t > 0.0 else -math.inf
 
@@ -275,16 +273,6 @@ def parent_cdf(x: float, params: SystemParams, model: EhModel) -> float:
     if x <= 0.0:
         return 0.0
     return -math.expm1(parent_log_sf(x, params, model))
-
-
-def _parent_rates(params: SystemParams, model: EhModel) -> tuple[float, float]:
-    """(rho, a) such that every parent survival reads S(t) = e^(-rho t) z K1(z)
-    with z = 2 sqrt(a t), z K1(z) being 1 at a = 0 (the nonlinear harvester
-    at Pt = inf)."""
-    if model is EhModel.LINEAR:
-        return 0.0, _linear_beta(1.0, params)
-    rho = r_scale(1.0, params)
-    return rho, params.rectenna.c * rho / params.transmit_power
 
 
 def _parent_logs(t: np.ndarray, rho: float, a: float, density: bool = True):
@@ -310,43 +298,17 @@ def _kth_best_cdf(psi: float, M: int, k: int) -> float:
     return reg_inc_beta(psi, M - k + 1, k)
 
 
-# ---------------------------------------------------------------------------
-# alternating binomial sums with cancellation guard
-# ---------------------------------------------------------------------------
-
-def _order_sum_or_integral(M: int, k: int, cr_over_pt: float,
-                           term: Callable[[int], float], integral: Callable[[], float]) -> float:
-    """1 - k C(M,k) sum_m (-1)^m C(M-k, m) term(k+m), cancellation-monitored;
-    integral() instead for M > MAX_SUM_DEVICES, at c r/Pt = 0 (Pt = inf),
-    where the K1 terms have no argument, or when the monitor trips.
-
-    The leading 1 is part of the monitored total, so losing the answer to the
-    final subtraction trips the fallback too, not just losing it inside the
-    alternating sum.
-    """
-    if M > MAX_SUM_DEVICES or cr_over_pt == 0.0:
-        return integral()
-    prefactor = k * math.comb(M, k)
-    terms = [1.0]
-    for m in range(M - k + 1):
-        t = prefactor * math.comb(M - k, m) * term(k + m)
-        terms.append(t if m % 2 else -t)
-    total = math.fsum(terms)
-    worst = max(abs(t) for t in terms)
-    if abs(total) < worst * sys.float_info.epsilon / _CANCELLATION_LIMIT:
-        return integral()
-    return total
-
-
 @dataclass(frozen=True)
 class RankedLaw:
     """Law of a scheme's ranked gain t: array-valued log density (-inf for an
-    exact zero), CDF, the density's peak, and the rate that sets its width."""
+    exact zero), CDF, the density's peak, the rate that sets its width, and
+    (M, k) when it is the k-th largest of M draws, None for a limit law."""
 
     logpdf: Callable[[np.ndarray], np.ndarray]
     cdf: Callable[[float], float]
     peak: float
     rate: float
+    order: Optional[tuple[int, int]] = None
 
     @functools.cached_property
     def cuts(self) -> tuple[float, ...]:
@@ -372,7 +334,7 @@ def order_stat_law(M: int, k: int, rate: float) -> RankedLaw:
     def cdf(t: float) -> float:
         return _kth_best_cdf(-math.expm1(-rate * t), M, k) if t > 0.0 else 0.0
 
-    return RankedLaw(logpdf, cdf, math.log(max(M / k, 2.0)) / rate, rate)
+    return RankedLaw(logpdf, cdf, math.log(max(M / k, 2.0)) / rate, rate, (M, k))
 
 
 # seed panels of the gated integral at its two scales: the ranked law's width
@@ -437,78 +399,65 @@ def outage_sbs(x: float, spec: SchemeSpec, params: SystemParams) -> float:
 
 
 # ---------------------------------------------------------------------------
-# EBS: rank on harvested energy (equivalently on the downlink gain)
+# EBS and IBS: one gate on a ranked unit-rate gain
 # ---------------------------------------------------------------------------
 
-def _ebs_value(x: float, k: int, M: int, params: SystemParams, model: EhModel) -> float:
-    if model is EhModel.LINEAR:
-        cr_over_pt = _linear_beta(x, params)
-        scale = 1.0
-        shift = 0.0
-    else:
-        r, cr_over_pt = _r_and_cr(x, params)
-        scale = math.exp(-r)
-        shift = r
-
-    def term(delta: int) -> float:
-        arg = 2.0 * math.sqrt(cr_over_pt * delta)
-        return scale * 2.0 * math.sqrt(cr_over_pt / delta) * bessel_k1(arg)
-
-    def integral() -> float:
-        return _ebs_integral(shift, cr_over_pt, order_stat_law(M, k, 1.0))
-
-    return _order_sum_or_integral(M, k, cr_over_pt, term, integral)
+def _k1_term(s: float, a: float, delta: int) -> float:
+    """e^(-s) 2 sqrt(a/delta) K1(2 sqrt(a delta)) at a = c r/Pt: the integral
+    int_lo^inf e^(-delta t - shift - a/(t - lo)) dt of the gate (lo, inf,
+    shift) against e^(-delta t), with s = delta lo + shift."""
+    return math.exp(-s) * 2.0 * math.sqrt(a / delta) * bessel_k1(2.0 * math.sqrt(a * delta))
 
 
-def _ebs_integral(shift: float, cr_over_pt: float, law: RankedLaw) -> float:
-    """EBS outage for a ranked downlink gain y with the given law: the uplink
-    fails with probability 1 - e^(-shift - cr_over_pt/y), shift being r under
-    the nonlinear harvester and 0 under the linear one."""
-    return _gated_integral(law, [(0.0, math.inf, shift)], cr_over_pt)
+def _one_gate(r: float, cr_over_pt: float, law: RankedLaw, uplink: bool) -> float:
+    """EBS outage (uplink False) or IBS outage (uplink True) for a ranked
+    unit-rate gain t with the given law.  A downlink t fails when the uplink
+    falls below r + cr_over_pt/t: gate (0, inf, r).  An uplink t fails
+    outright below r and above it when the downlink falls below
+    cr_over_pt/(t - r): gate (r, inf, 0).  The linear harvester has r = 0,
+    where the two are one.
+
+    For a finite order statistic of M <= MAX_SUM_DEVICES and c r/Pt > 0, the
+    closed form 1 - k C(M,k) sum_m (-1)^m C(M-k, m) _k1_term(k + m), under a
+    cancellation monitor; otherwise, or when the monitor trips, the gated
+    integral.  The leading 1 is part of the monitored total, so losing the
+    answer to the final subtraction trips the fallback too, not just losing
+    it inside the alternating sum.
+    """
+    if law.order is not None and law.order[0] <= MAX_SUM_DEVICES and cr_over_pt != 0.0:
+        M, k = law.order
+        prefactor = k * math.comb(M, k)
+        terms = [1.0]
+        for m in range(M - k + 1):
+            delta = k + m
+            s = delta * r if uplink else r  # delta lo + shift of the gate below
+            t = prefactor * math.comb(M - k, m) * _k1_term(s, cr_over_pt, delta)
+            terms.append(t if m % 2 else -t)
+        total = math.fsum(terms)
+        if abs(total) >= max(map(abs, terms)) * sys.float_info.epsilon / _CANCELLATION_LIMIT:
+            return total
+    gate = (r, math.inf, 0.0) if uplink else (0.0, math.inf, r)
+    return _gated_integral(law, [gate], cr_over_pt)
 
 
 @_evaluator(Method.ANALYTIC, SchemeSpec, Scheme.EBS)
 def outage_ebs(x: float, spec: SchemeSpec, params: SystemParams) -> float:
     """Outage of the device harvesting the k-th most energy."""
-    return _ebs_value(x, spec.k, params.num_devices, params, spec.model)
-
-
-# ---------------------------------------------------------------------------
-# IBS: rank on the uplink gain
-# ---------------------------------------------------------------------------
-
-def ibs_phi_closed(x: float, params: SystemParams, delta: int) -> float:
-    """Tail integral int_r^inf exp(-delta z - c r/(Pt (z - r))) dz in closed form."""
-    r, cr_over_pt = _r_and_cr(x, params)
-    arg = 2.0 * math.sqrt(cr_over_pt * delta)
-    return math.exp(-delta * r) * 2.0 * math.sqrt(cr_over_pt / delta) * bessel_k1(arg)
-
-
-def _ibs_integral(r: float, cr_over_pt: float, law: RankedLaw) -> float:
-    """IBS outage for a ranked uplink gain z with the given law: below r it
-    fails outright, above r the downlink gate fails with probability
-    1 - e^(-c r/(Pt (z - r)))."""
-    return _gated_integral(law, [(r, math.inf, 0.0)], cr_over_pt)
-
-
-def _ibs_value(x: float, k: int, M: int, params: SystemParams) -> float:
-    r, cr_over_pt = _r_and_cr(x, params)
-
-    def integral() -> float:
-        return _ibs_integral(r, cr_over_pt, order_stat_law(M, k, 1.0))
-
-    term = functools.partial(ibs_phi_closed, x, params)
-    return _order_sum_or_integral(M, k, cr_over_pt, term, integral)
+    law = order_stat_law(params.num_devices, spec.k, 1.0)
+    return _one_gate(*_scales(x, params, spec.model), law, uplink=False)
 
 
 @_evaluator(Method.ANALYTIC, SchemeSpec, Scheme.IBS)
 def outage_ibs(x: float, spec: SchemeSpec, params: SystemParams) -> float:
     """Outage of the device with the k-th best uplink gain."""
-    if spec.model is EhModel.LINEAR:
-        # under the linear harvester the SNR is symmetric in the two gains,
-        # so ranking the uplink gain performs exactly like ranking energy
-        return _ebs_value(x, spec.k, params.num_devices, params, EhModel.LINEAR)
-    return _ibs_value(x, spec.k, params.num_devices, params)
+    law = order_stat_law(params.num_devices, spec.k, 1.0)
+    return _one_gate(*_scales(x, params, spec.model), law, uplink=True)
+
+
+def ibs_phi_closed(x: float, params: SystemParams, delta: int) -> float:
+    """Tail integral int_r^inf exp(-delta z - c r/(Pt (z - r))) dz in closed form."""
+    r, cr_over_pt = _scales(x, params, EhModel.NON_LINEAR)
+    return _k1_term(delta * r, cr_over_pt, delta)
 
 
 # ---------------------------------------------------------------------------
@@ -531,12 +480,8 @@ def _mms_integral(r: float, cr_over_pt: float, law: RankedLaw) -> float:
 @_evaluator(Method.ANALYTIC, SchemeSpec, Scheme.MMS)
 def outage_mms(x: float, spec: SchemeSpec, params: SystemParams) -> float:
     """Outage of the device whose worse link is the k-th best."""
-    if spec.model is EhModel.LINEAR:
-        # the linear harvester fails on the hyperbola g h < beta: r = 0
-        r, cr_over_pt = 0.0, _linear_beta(x, params)
-    else:
-        r, cr_over_pt = _r_and_cr(x, params)
-    return _mms_integral(r, cr_over_pt, order_stat_law(params.num_devices, spec.k, 2.0))
+    law = order_stat_law(params.num_devices, spec.k, 2.0)
+    return _mms_integral(*_scales(x, params, spec.model), law)
 
 
 # ---------------------------------------------------------------------------
@@ -588,7 +533,7 @@ def pair_marginal_primary(
     0 < x < 1: the stronger member's SINR outage under single-user
     detection, with the weaker member as interference.  Given Z = z below
     x/(1-x), fewer than k of the j-1 stronger devices exceed x (z+1)."""
-    rates = _parent_rates(params, model)
+    rates = _scales(1.0, params, model)
 
     def inner(z: np.ndarray, log_sf: np.ndarray) -> np.ndarray:
         # 1 - S(x(z+1))/S(z) as expm1 of the log gap keeps its digits where
@@ -609,7 +554,7 @@ def pair_marginal_secondary(
     z*, at least k of the j-1 stronger devices must exceed z/x - 1."""
     if model is not EhModel.NON_LINEAR:
         raise ValueError("the secondary pair marginal is stated for the nonlinear harvester")
-    rates = _parent_rates(params, model)
+    rates = _scales(1.0, params, model)
     z_star = x / (1.0 - x)
 
     def inner(z: np.ndarray, log_sf: np.ndarray) -> np.ndarray:

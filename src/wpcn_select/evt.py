@@ -30,11 +30,10 @@ from .analytic import (
     RankedLaw,
     Scheme,
     SchemeSpec,
-    _ebs_integral,
     _evaluator,
-    _ibs_integral,
     _mms_integral,
-    _r_and_cr,
+    _one_gate,
+    _scales,
     pair_marginal_primary,
     pair_marginal_secondary,
     parent_cdf,
@@ -164,21 +163,24 @@ def outage_evt_sbs(x: float, spec: SchemeSpec, params: SystemParams) -> float:
 def outage_evt_ebs(x: float, spec: SchemeSpec, params: SystemParams) -> float:
     """Asymptotic outage when ranking on harvested energy: the exact EBS
     integral with the rate-1 Gumbel law of the ranked downlink gain."""
-    return _ebs_integral(*_r_and_cr(x, params), gumbel_law(params.num_devices, spec.k, 1.0))
+    law = gumbel_law(params.num_devices, spec.k, 1.0)
+    return _one_gate(*_scales(x, params, spec.model), law, uplink=False)
 
 
 @_evaluator(Method.EVT, SchemeSpec, Scheme.IBS)
 def outage_evt_ibs(x: float, spec: SchemeSpec, params: SystemParams) -> float:
     """Asymptotic outage when ranking on the uplink gain: the exact IBS
     integral with the rate-1 Gumbel law of the ranked uplink gain."""
-    return _ibs_integral(*_r_and_cr(x, params), gumbel_law(params.num_devices, spec.k, 1.0))
+    law = gumbel_law(params.num_devices, spec.k, 1.0)
+    return _one_gate(*_scales(x, params, spec.model), law, uplink=True)
 
 
 @_evaluator(Method.EVT, SchemeSpec, Scheme.MMS)
 def outage_evt_mms(x: float, spec: SchemeSpec, params: SystemParams) -> float:
     """Asymptotic outage when ranking on the worse of the two links: the
     exact MMS integral with the rate-2 Gumbel law of the ranked worse link."""
-    return _mms_integral(*_r_and_cr(x, params), gumbel_law(params.num_devices, spec.k, 2.0))
+    law = gumbel_law(params.num_devices, spec.k, 2.0)
+    return _mms_integral(*_scales(x, params, spec.model), law)
 
 
 @_evaluator(Method.EVT, PairSpec, Scheme.SBS)

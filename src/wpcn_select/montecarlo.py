@@ -10,21 +10,27 @@ Chunks are the unit of work.  Philox is counter-based, so a chunk of rows
 draws its g and h rows from generators positioned inside its block's
 stream; the draws after the fading rows take a variable number of raw
 outputs, so they are drawn once per block, in sequence, and each chunk
-takes its slice.  A chunk holds about 2^17 doubles (1 MiB) per array,
-which bounds the memory of a worker at any M.  Failure counts are integers
-summed in any order, so the estimate is bit-identical for a given config no
-matter how many worker threads run the chunks, or how the blocks are cut
-into chunks.
+takes its slice.  A chunk holds about 2^17 doubles (1 MiB) per array at
+any M.  The tail draws are per block, not per chunk: under imperfect CSI
+the true-gain normals take (2, 2, block, 1 or 2) doubles, 2 MiB at M = 5
+(4 MiB for a pair), and random selection its picks, (block, 1 or 2) int64,
+1 MiB for a pair at M = 5.  So a worker's memory is its chunk plus the tail
+of the block it is in.  Failure counts are integers summed in any order, so
+the estimate is bit-identical for a given config no matter how many worker
+threads run the chunks, or how the blocks are cut into chunks.
 
 Workers and their memory outlive a run.  The process keeps one thread pool
-per worker count, made on the first run that needs it and reused by every
-later one; THREADS_ENV is read on every run, so a change to it applies at
-the next call.  Each worker thread keeps four float64 buffers, u_g, u_h
-and two scratch arrays of at least 2^17 doubles each (about 4 MiB in all),
-from its first chunk on, growing them only for a larger chunk, and every
-chunk-sized array of a chunk is made in them.  A child of os.fork drops
-the inherited pools, whose threads did not survive the fork, and the
-buffers, and makes its own on its first run.
+of at most the thread cap (THREADS_ENV, or the usable CPUs up to 4), made
+on the first run; THREADS_ENV is read on every run, and a run under a new
+cap shuts the pool down, joins its threads and makes a new one.  A run of n
+chunks keeps min(n, cap) workers busy, each taking the next chunk until
+none is left, and the pool starts a thread only when a task finds none
+idle.  Each worker thread keeps four float64 buffers, u_g, u_h and two
+scratch arrays of at least 2^17 doubles each (about 4 MiB in all), from its
+first chunk on, growing them only for a larger chunk, and every chunk-sized
+array of a chunk is made in them.  A child of os.fork drops the inherited
+pool, whose threads did not survive the fork, and the buffers, and makes
+its own on its first run.
 
 A chunk does only what its count needs.  It draws uniforms u, and a gain is
 -log1p(-u).  That map, the (1 - sigma_e2) scale of an estimate and the
@@ -75,9 +81,10 @@ _CHUNK_ELEMENTS = 1 << 17
 #: env var capping the worker thread count (estimates do not depend on it)
 THREADS_ENV = "WPCN_SELECT_THREADS"
 
-#: worker count -> the persistent pool of that many threads
-_pools: dict[int, ThreadPoolExecutor] = {}
-_pools_lock = threading.Lock()
+#: the process's one worker pool, and the thread cap it was made for
+_pool: ThreadPoolExecutor | None = None
+_pool_cap = 0
+_pool_lock = threading.Lock()
 #: per-thread chunk buffers, see _workspace
 _local = threading.local()
 
@@ -352,30 +359,38 @@ def _count_block(
     return int((x_sel[:, 0] <= x).sum())
 
 
-def _pool(workers: int) -> ThreadPoolExecutor:
-    """The process's pool of `workers` threads, made on first use."""
-    with _pools_lock:
-        pool = _pools.get(workers)
-        if pool is None:
-            pool = _pools[workers] = ThreadPoolExecutor(workers, thread_name_prefix="wpcn-mc")
-        return pool
+def _pool_map(fn, items, cap: int):
+    """fn over items on the process's one pool, made on first use and
+    replaced when the thread cap differs from the one it was made for.  It
+    holds at most cap threads and starts one only when a submitted task
+    finds none idle.  A replaced pool is shut down and its threads joined,
+    under the lock the submits take too, so no run submits to it after."""
+    global _pool, _pool_cap
+    with _pool_lock:
+        if cap != _pool_cap:
+            if _pool is not None:
+                _pool.shutdown()
+            _pool, _pool_cap = ThreadPoolExecutor(cap, thread_name_prefix="wpcn-mc"), cap
+        return _pool.map(fn, items)
 
 
-def _forget_pools() -> None:
-    """In a forked child: the parent's pools have no threads here, so a
-    submit would wait forever; drop them, and the workspaces, and let the
+def _forget_pool() -> None:
+    """In a forked child: the parent's pool has no threads here, so a
+    submit would wait forever; drop it, and the workspaces, and let the
     next run make its own."""
-    global _pools_lock, _local
-    _pools.clear()
-    _pools_lock = threading.Lock()
+    global _pool, _pool_cap, _pool_lock, _local
+    _pool, _pool_cap = None, 0
+    _pool_lock = threading.Lock()
     _local = threading.local()
 
 
 if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_pools)
+    os.register_at_fork(after_in_child=_forget_pool)
 
 
-def _worker_count(num_chunks: int) -> int:
+def _thread_cap() -> int:
+    """The most worker threads a run may use: THREADS_ENV when set above 0,
+    else the CPUs this process may run on, at most 4."""
     raw = os.environ.get(THREADS_ENV, "").strip()
     try:
         cap = int(raw) if raw else 0
@@ -387,7 +402,13 @@ def _worker_count(num_chunks: int) -> int:
         except AttributeError:  # no affinity call on this platform
             usable = os.cpu_count() or 1
         cap = min(4, usable)
-    return max(1, min(cap, num_chunks))
+    return cap
+
+
+def _worker_count(num_chunks: int) -> int:
+    """The threads a run of num_chunks chunks keeps busy: one per chunk, up
+    to the cap."""
+    return max(1, min(_thread_cap(), num_chunks))
 
 
 def simulate_outage(config: TrialConfig) -> OutageEstimate:
@@ -410,8 +431,12 @@ def simulate_outage(config: TrialConfig) -> OutageEstimate:
         cuts = [size * i // parts for i in range(parts + 1)]
         chunks += [(block, hi - lo, lo, tail) for lo, hi in zip(cuts, cuts[1:])]
 
-    pool = _pool(_worker_count(len(chunks)))
-    failures = sum(pool.map(lambda c: _count_block(config, x, *c), chunks))
+    todo = iter(chunks)  # shared by the workers; next() on it hands out one chunk
+
+    def drain(_) -> int:
+        return sum(_count_block(config, x, *c) for c in todo)
+
+    failures = sum(_pool_map(drain, range(_worker_count(len(chunks))), _thread_cap()))
     p_hat = failures / total
     stderr = math.sqrt(p_hat * (1.0 - p_hat) / total)
     return OutageEstimate(p_hat, Method.MONTE_CARLO, stderr=stderr)

@@ -25,7 +25,7 @@ from wpcn_select.analytic import (
     SchemeSpec,
     _finalize,
     _parent_logs,
-    _parent_rates,
+    _scales,
     ibs_phi_closed,
     outage_ebs,
     outage_high_snr,
@@ -141,7 +141,7 @@ def test_parent_survival_keeps_far_tail():
     # the array-valued survival the pair quadratures use agrees, there and at X
     for model, params in PARENTS.values():
         for t in (X, x):
-            log_sf, _ = _parent_logs(t, *_parent_rates(params, model))
+            log_sf, _ = _parent_logs(t, *_scales(1.0, params, model))
             assert float(log_sf) == pytest.approx(parent_log_sf(t, params, model), rel=1e-12)
 
 
@@ -149,7 +149,7 @@ def test_parent_survival_keeps_far_tail():
 def test_parent_log_sf_alone_is_the_first_of_the_logs(parent):
     # the pair factors' survival-only call is the same arithmetic, bit for bit
     model, params = PARENTS[parent]
-    rates = _parent_rates(params, model)
+    rates = _scales(1.0, params, model)
     t = np.exp(np.random.default_rng(5).uniform(-20.0, 8.0, (40, 21)))
     assert np.array_equal(_parent_logs(t, *rates, density=False), _parent_logs(t, *rates)[0])
 
@@ -158,7 +158,7 @@ def test_parent_log_sf_alone_is_the_first_of_the_logs(parent):
 @pytest.mark.parametrize("x", [1.0, 3.0])
 def test_parent_pdf_integrates_to_cdf(parent, x):
     model, params = PARENTS[parent]
-    rates = _parent_rates(params, model)
+    rates = _scales(1.0, params, model)
     val, _ = quad(lambda t: math.exp(_parent_logs(t, *rates)[1]), 0.0, x, limit=300)
     assert val == pytest.approx(parent_cdf(x, params, model), rel=1e-9)
 
@@ -392,7 +392,8 @@ def test_ibs_linear_equals_ebs_linear(k, pt_dbm):
     params = P.replace(transmit_power=dbm_to_watts(pt_dbm))
     a = outage_ibs(X, SchemeSpec(Scheme.IBS, k=k, model=EhModel.LINEAR), params).value
     b = outage_ebs(X, SchemeSpec(Scheme.EBS, k=k, model=EhModel.LINEAR), params).value
-    assert abs(a - b) <= 1e-12
+    # r = 0 makes the uplink gate (r, inf, 0) the downlink one (0, inf, r)
+    assert a == b
 
 
 def test_ibs_floor_equals_sbs_floor():

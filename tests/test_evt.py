@@ -159,14 +159,14 @@ def test_order_stat_logpdf_is_the_guarded_array_formula(M, k, rate):
         assert np.array_equal(law.logpdf(nodes), order_stat_logpdf_array(nodes, M, k, rate))
 
 
-# route -> (integral, its r or shift argument, c r/Pt, the gates it passes, slope)
+# route -> (body, its r, c r/Pt, the gates it passes, slope, its uplink flag if any)
 GATED_ROUTES = {
-    "ebs": ("_ebs_integral", 0.8, 0.35, [(0.0, math.inf, 0.8)], 0.0),
-    "ebs-linear": ("_ebs_integral", 0.0, 0.35, [(0.0, math.inf, 0.0)], 0.0),
-    "ibs": ("_ibs_integral", 0.8, 0.35, [(0.8, math.inf, 0.0)], 0.0),
-    "mms": ("_mms_integral", 0.8, 0.35, [(0.0, 1.0, 0.8), (0.8, 1.0, 0.0)], 1.0),
+    "ebs": ("_one_gate", 0.8, 0.35, [(0.0, math.inf, 0.8)], 0.0, (False,)),
+    "ebs-linear": ("_one_gate", 0.0, 0.35, [(0.0, math.inf, 0.0)], 0.0, (False,)),
+    "ibs": ("_one_gate", 0.8, 0.35, [(0.8, math.inf, 0.0)], 0.0, (True,)),
+    "mms": ("_mms_integral", 0.8, 0.35, [(0.0, 1.0, 0.8), (0.8, 1.0, 0.0)], 1.0, ()),
     # at the floor both gates close at s = r, so the uplink half is empty
-    "mms-floor": ("_mms_integral", 0.8, 0.0, [(0.0, 1.0, 0.8)], 1.0),
+    "mms-floor": ("_mms_integral", 0.8, 0.0, [(0.0, 1.0, 0.8)], 1.0, ()),
 }
 
 
@@ -177,13 +177,13 @@ def test_gated_integrand_is_the_indexed_expression(monkeypatch, route, law_of):
     # columns indexed per panel, bit for bit, at random nodes above each lo
     import wpcn_select.analytic as analytic
 
-    name, first, cr_over_pt, gates, slope = GATED_ROUTES[route]
+    name, first, cr_over_pt, gates, slope, uplink = GATED_ROUTES[route]
     rate = 2.0 if route.startswith("mms") else 1.0
     law = law_of(100, 2, rate)
     calls = []
     monkeypatch.setattr(analytic, "integrate_panels",
                         lambda f, edges, spec=None: calls.append((f, edges)) or (0.0, 0.0))
-    getattr(analytic, name)(first, cr_over_pt, law)
+    getattr(analytic, name)(first, cr_over_pt, law, *uplink)
     (f, edges), = calls
     assert len(edges) == len(gates)
     logpdf = law.logpdf if law_of is gumbel_law else (
@@ -208,8 +208,8 @@ def test_constant_gate_makes_no_kernel_call(monkeypatch, law_of):
                         lambda f, edges, spec=None: calls.append(edges) or (0.0, 0.0))
     r = 0.8
     ebs = law.cdf(0.0) + (1.0 - law.cdf(0.0)) * -math.expm1(-r)
-    assert analytic._ebs_integral(r, 0.0, law) == ebs
-    assert analytic._ibs_integral(r, 0.0, law) == law.cdf(r)
+    assert analytic._one_gate(r, 0.0, law, uplink=False) == ebs
+    assert analytic._one_gate(r, 0.0, law, uplink=True) == law.cdf(r)
     assert calls == []
 
 
@@ -323,15 +323,15 @@ def test_fig5_points_match_mpmath_oracle(fn, scheme, M, k, x, oracle):
 
 
 @pytest.mark.parametrize("fn, body", [
-    (outage_evt_ebs, "_ebs_integral"),
-    (outage_evt_ibs, "_ibs_integral"),
+    (outage_evt_ebs, "_one_gate"),
+    (outage_evt_ibs, "_one_gate"),
     (outage_evt_mms, "_mms_integral"),
 ])
 def test_evt_overshoot_raises(monkeypatch, fn, body):
     # every limit is a probability under a proper law: no clamp hides a bug
     import wpcn_select.evt as evt
 
-    monkeypatch.setattr(evt, body, lambda *a: 1.01)
+    monkeypatch.setattr(evt, body, lambda *a, **kw: 1.01)
     scheme = {outage_evt_ebs: Scheme.EBS, outage_evt_ibs: Scheme.IBS, outage_evt_mms: Scheme.MMS}
     with pytest.raises(AccuracyError):
         fn(1.0, SchemeSpec(scheme[fn]), P40.replace(num_devices=20))
@@ -425,12 +425,12 @@ def test_mms_limit_keeps_deep_tail_mass():
 
 def test_mms_limit_in_unit_interval_before_clamping():
     # the fig5 grid, checked on the raw integral so the clamp hides nothing
-    from wpcn_select.analytic import _mms_integral, _r_and_cr
+    from wpcn_select.analytic import _mms_integral, _scales
 
     for M in (10, 20, 50, 100, 200, 500, 1000):
         for k in (1, 2):
             for i in range(30):
-                r, cr_over_pt = _r_and_cr(0.1 * 30.0 ** (i / 29), P40)
+                r, cr_over_pt = _scales(0.1 * 30.0 ** (i / 29), P40, EhModel.NON_LINEAR)
                 raw = _mms_integral(r, cr_over_pt, gumbel_law(M, k, 2.0))
                 assert 0.0 <= raw <= 1.0, f"M={M} k={k} i={i}: {raw!r}"
 

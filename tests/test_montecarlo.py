@@ -496,26 +496,52 @@ def test_pool_starts_no_thread_after_warm_up(monkeypatch):
     cfg = TrialConfig(SchemeSpec(Scheme.EBS, k=2), P, num_trials=60_000, base_seed=3)
     first = [simulate_outage(cfg).value for _ in range(3)]
     threads = threading.active_count()
-    pool = montecarlo._pools[2]
+    pool = montecarlo._pool
     later = [simulate_outage(cfg).value for _ in range(20)]
     assert threading.active_count() == threads
-    assert montecarlo._pools[2] is pool
+    assert montecarlo._pool is pool
     assert set(first + later) == {first[0]}
 
 
 def test_thread_setting_applies_at_the_next_call(monkeypatch):
     used = []
-    real = montecarlo._pool
-    monkeypatch.setattr(montecarlo, "_pool", lambda n: used.append(n) or real(n))
+    real = montecarlo._pool_map
+    monkeypatch.setattr(montecarlo, "_pool_map",
+                        lambda fn, items, cap: used.append(cap) or real(fn, items, cap))
     # eight chunks, so up to eight workers could take part
     params = default_params(num_devices=100, transmit_power=dbm_to_watts(-51.0))
     cfg = TrialConfig(PairSpec(Scheme.SBS, 1, 2), params, num_trials=10_000, base_seed=5)
-    values = []
+    values, pools = [], []
     for threads in ("1", "2", "4", "1"):
         monkeypatch.setenv(THREADS_ENV, threads)
         values.append(simulate_outage(cfg).value)
+        pools.append(montecarlo._pool)
     assert used == [1, 2, 4, 1]
+    assert len(set(map(id, pools))) == 4  # each change of the cap made a new pool
     assert len(set(values)) == 1 and 0.0 < values[0] < 1.0
+
+
+def _worker_threads() -> int:
+    return sum(t.name.startswith("wpcn-mc") for t in threading.enumerate())
+
+
+def test_runs_keep_at_most_the_cap_of_threads(monkeypatch):
+    # 1, 3 and 8 chunks at a cap of 2: the one pool holds no more than 2
+    # threads, and a run of one chunk keeps one busy
+    seen = []
+    real = montecarlo._worker_count
+    monkeypatch.setattr(montecarlo, "_worker_count", lambda n: seen.append(real(n)) or seen[-1])
+    monkeypatch.setenv(THREADS_ENV, "2")
+    p100 = default_params(num_devices=100, transmit_power=dbm_to_watts(-51.0))
+    configs = [
+        TrialConfig(SchemeSpec(Scheme.EBS, k=2), P, num_trials=20_000, base_seed=3),
+        TrialConfig(SchemeSpec(Scheme.EBS, k=2), P, num_trials=60_000, base_seed=3),
+        TrialConfig(PairSpec(Scheme.SBS, 1, 2), p100, num_trials=10_000, base_seed=5),
+    ]
+    for cfg in configs:
+        simulate_outage(cfg)
+        assert _worker_threads() <= 2
+    assert seen == [1, 2, 2]
 
 
 def test_concurrent_callers_share_the_pool(monkeypatch):
