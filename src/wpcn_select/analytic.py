@@ -405,7 +405,11 @@ def outage_sbs(x: float, spec: SchemeSpec, params: SystemParams) -> float:
 def _k1_term(s: float, a: float, delta: int) -> float:
     """e^(-s) 2 sqrt(a/delta) K1(2 sqrt(a delta)) at a = c r/Pt: the integral
     int_lo^inf e^(-delta t - shift - a/(t - lo)) dt of the gate (lo, inf,
-    shift) against e^(-delta t), with s = delta lo + shift."""
+    shift) against e^(-delta t), with s = delta lo + shift.  At a = 0 (Pt =
+    inf) it is the limit e^(-s)/delta, since 2 sqrt(a/delta) K1(2 sqrt(a
+    delta)) -> 1/delta."""
+    if a == 0.0:
+        return math.exp(-s) / delta
     return math.exp(-s) * 2.0 * math.sqrt(a / delta) * bessel_k1(2.0 * math.sqrt(a * delta))
 
 

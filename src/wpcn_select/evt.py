@@ -39,7 +39,7 @@ from .analytic import (
     parent_cdf,
 )
 from .model import EhModel, SystemParams
-from .special import AccuracyError, DomainError
+from .special import AccuracyError, DomainError, brent_root
 
 __all__ = [
     "NormalizingConstants",
@@ -102,9 +102,8 @@ def gumbel_law(M: int, k: int, rate: float) -> RankedLaw:
 
 @functools.lru_cache(maxsize=512)
 def _parent_quantile(p: float, params: SystemParams) -> float:
-    """Inverse of the per-device SNR CDF, bracketed bisection + secant."""
-    from scipy.optimize import brentq  # deferred: only the SBS constants root-find
-
+    """Inverse of the per-device SNR CDF: double hi from 1 until F(hi) > p,
+    then Brent's root finder on [0, hi] to 8.9e-16 relative in x."""
     hi = 1.0
     for _ in range(200):
         if parent_cdf(hi, params, EhModel.NON_LINEAR) > p:
@@ -112,7 +111,7 @@ def _parent_quantile(p: float, params: SystemParams) -> float:
         hi *= 2.0
     else:
         raise AccuracyError(f"could not bracket the parent quantile at p={p!r}")
-    root = brentq(
+    root = brent_root(
         lambda x: parent_cdf(x, params, EhModel.NON_LINEAR) - p,
         0.0, hi, xtol=1e-300, rtol=8.9e-16, maxiter=400,
     )

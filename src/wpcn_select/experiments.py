@@ -34,6 +34,7 @@ from .model import (
     watts_to_dbm,
 )
 from .montecarlo import TrialConfig, simulate_outage
+from .special import brent_minimize
 
 __all__ = [
     "CSV_COLUMNS",
@@ -267,9 +268,11 @@ def find_optimal_t1(
     """Harvest fraction minimizing the analytic outage.
 
     The threshold x moves with t1 through t2 = 1 - t1, so the objective is
-    re-evaluated from scratch at every candidate.  A coarse scan locates the
-    basin and checks unimodality; bounded Brent refines it.  A non-unimodal
-    scan (quadrature jitter aside) falls back to the grid argmin and warns.
+    re-evaluated from scratch at every candidate.  A 50-point scan locates
+    the basin and checks unimodality; the package's bounded Brent minimizer
+    (special.brent_minimize, xatol = search_tolerance) refines it between the
+    argmin's grid neighbours.  A non-unimodal scan (quadrature jitter aside)
+    falls back to the grid argmin and warns.
     """
 
     sel = SchemeSpec(scheme, k=k)
@@ -291,15 +294,9 @@ def find_optimal_t1(
         )
         t_star = float(grid[i0])
     else:
-        from scipy.optimize import minimize_scalar  # deferred: only this search needs it
-
         lo = float(grid[max(i0 - 1, 0)])
         hi = float(grid[min(i0 + 1, len(grid) - 1)])
-        res = minimize_scalar(
-            objective, bounds=(lo, hi), method="bounded",
-            options={"xatol": search_tolerance},
-        )
-        t_star = float(res.x)
+        t_star = brent_minimize(objective, lo, hi, xatol=search_tolerance)
     best = evaluate_point(sel, params.replace(harvest_fraction=t_star), Method.ANALYTIC)
     return OptimalT1(t_star, best)
 

@@ -1,10 +1,18 @@
-"""Special-function and quadrature kernel shared by all evaluators.
+"""Special-function, quadrature and scalar-solver kernel shared by all evaluators.
 
 Wraps scipy's K1 / incomplete beta behind explicit domain
-checks, and provides the one adaptive quadrature every evaluator uses, with
-an error contract: results that cannot meet the requested tolerance raise
-AccuracyError carrying the best available estimate instead of returning
-silently degraded numbers.  integrate_panels gives all seed panels of a
+checks, and provides the one adaptive quadrature every evaluator uses and
+the two scalar solvers, with an error contract: results that cannot meet the
+requested tolerance raise AccuracyError carrying the best available estimate
+instead of returning silently degraded numbers.
+
+The solvers are Brent's (Algorithms for Minimization without Derivatives,
+1973, ch. 4 and 5), ported from scipy so that scipy.optimize never loads:
+brent_root is brentq's C loop statement for statement, brent_minimize is
+minimize_scalar's bounded method in its operation order.  The same iterates
+give the same bits as scipy's.
+
+integrate_panels gives all seed panels of a
 vectorized integrand QUADPACK's qk21 value and error in one call; while the
 summed error exceeds max(absolute, relative |total|), one more call
 evaluates the halves of every panel whose error exceeds that over the panel
@@ -34,6 +42,8 @@ __all__ = [
     "DomainError",
     "QuadratureSpec",
     "bessel_k1",
+    "brent_minimize",
+    "brent_root",
     "integrate_panels",
     "reg_inc_beta",
 ]
@@ -190,3 +200,139 @@ def integrate_panels(f: Callable[[np.ndarray, np.ndarray], np.ndarray],
         halves += _qk21(f, *halves)
         a, b, piece, value, err = (np.hstack((old[~split], new)) for old, new
                                    in zip((a, b, piece, value, err), halves))
+
+
+# ---------------------------------------------------------------------------
+# scalar solvers
+# ---------------------------------------------------------------------------
+
+def _checked(f: Callable[[float], float], x: float) -> float:
+    fx = f(x)
+    if fx != fx:
+        raise AccuracyError(f"solver objective is nan at x={x!r}", estimate=x)
+    return fx
+
+
+def brent_root(f: Callable[[float], float], a: float, b: float,
+               xtol: float, rtol: float, maxiter: int) -> float:
+    """Root of f in [a, b], where f(a) and f(b) differ in sign: scipy's brentq.
+
+    Stops when half the bracket is below (xtol + rtol |x|)/2 or f(x) = 0.
+    Raises DomainError for an unsigned bracket, and AccuracyError carrying the
+    last iterate after maxiter steps or where f is nan.
+    """
+    xpre, xcur = float(a), float(b)
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = _checked(f, xpre), _checked(f, xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise DomainError("brent_root needs f(a) and f(b) of different signs")
+    for _ in range(maxiter):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry  # good short step
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = _checked(f, xcur)
+    raise AccuracyError(f"brent_root did not converge in {maxiter} steps", estimate=xcur)
+
+
+def _unit_sign(v: float) -> float:
+    """numpy's sign(v) + (v == 0): -1 below zero, else 1."""
+    return math.copysign(1.0, v) if v else 1.0
+
+
+def brent_minimize(f: Callable[[float], float], lo: float, hi: float,
+                   xatol: float, maxiter: int = 500) -> float:
+    """Local minimizer of f on [lo, hi]: scipy's bounded Brent (fminbound).
+
+    Golden-section steps with parabolic interpolation, to an absolute
+    tolerance of about xatol.  Raises AccuracyError carrying the last iterate
+    when maxiter evaluations do not converge, or where f is nan.
+    """
+    sqrt_eps = math.sqrt(2.2e-16)
+    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
+    a, b = lo, hi
+    fulc = a + golden_mean * (b - a)
+    nfc = xf = fulc
+    rat = e = 0.0
+    fx = _checked(f, xf)
+    num = 1
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+    while abs(xf - xm) > (tol2 - 0.5 * (b - a)):
+        golden = True
+        if abs(e) > tol1:  # try a parabolic fit
+            golden = False
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r = e
+            e = rat
+            if abs(p) < abs(0.5 * q * r) and p > q * (a - xf) and p < q * (b - xf):
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if (x - a) < tol2 or (b - x) < tol2:
+                    rat = tol1 * _unit_sign(xm - xf)
+            else:
+                golden = True
+        if golden:
+            e = a - xf if xf >= xm else b - xf
+            rat = golden_mean * e
+        x = xf + _unit_sign(rat) * max(abs(rat), tol1)
+        fu = _checked(f, x)
+        num += 1
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+        xm = 0.5 * (a + b)
+        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if num >= maxiter:
+            raise AccuracyError(f"brent_minimize did not converge in {maxiter} evaluations",
+                                estimate=xf)
+    return xf

@@ -361,6 +361,22 @@ def test_ibs_phi_dual_routes_low_power():
         )
 
 
+def test_ibs_phi_at_infinite_power_is_the_exact_limit():
+    # c r/Pt = 0: 2 sqrt(a/delta) K1(2 sqrt(a delta)) -> 1/delta as a -> 0
+    params = P.replace(transmit_power=math.inf)
+    for x, delta in itertools.product((1e-6, 0.3, X, 300.0), (1, 2, 5, 20)):
+        r, cr_over_pt = _scales(x, params, EhModel.NON_LINEAR)
+        assert cr_over_pt == 0.0
+        assert ibs_phi_closed(x, params, delta) == math.exp(-delta * r) / delta
+
+
+def test_ibs_phi_is_continuous_into_infinite_power():
+    near = ibs_phi_closed(X, P.replace(transmit_power=1e200), 2)
+    limit = ibs_phi_closed(X, P.replace(transmit_power=math.inf), 2)
+    assert limit == 0.49999993796284165
+    assert near == pytest.approx(limit, rel=2e-16, abs=0)
+
+
 def test_ibs_k1_matches_quadrature_oracle():
     # ranked uplink below r fails outright; above r the downlink gate fails
     # with probability 1 - e^(-cr/(Pt (z - r)))

@@ -548,8 +548,8 @@ def test_cli_config_file_precedence(tmp_path, capsys):
     assert row["pt_dbm"] == -20.0
 
 
-# a fresh interpreter evaluates one point on every route that needs no root
-# finder, then the two that do: the SBS extreme-value constants and the t1 search
+# a fresh interpreter evaluates one point on every route, then the two that run
+# a scalar solver: the SBS extreme-value constants and the t1 search
 COLD_PROBE = """
 import json, sys
 import wpcn_select, wpcn_select.cli
@@ -571,25 +571,27 @@ evaluate_point(PairSpec(Scheme.SBS, 1, 2), p, Method.ANALYTIC)
 evaluate_point(SchemeSpec(Scheme.RS), p, Method.MONTE_CARLO, mc_trials=1000)
 after_points = loaded()
 evt_sbs = evaluate_point(SchemeSpec(Scheme.SBS, k=2), p, Method.EVT).value
+after_evt_sbs = loaded()
 t1 = find_optimal_t1(Scheme.MMS, 1, default_params())
-print(json.dumps([after_import, after_points, evt_sbs, t1.t1, t1.outage.value]))
+after_t1 = loaded()
+print(json.dumps([after_import, after_points, after_evt_sbs, after_t1,
+                  evt_sbs, t1.t1, t1.outage.value]))
 """
 
 
-def test_cli_import_leaves_scipy_integrate_out():
-    # every quadrature runs on the package's own panel kernel and the root
-    # finder and the t1 minimizer are imported where they are called, so
-    # neither the command line nor any root-free route pays for scipy's
-    # integrators or optimizers; the two routes that do import them give
-    # the in-process values exactly
+def test_no_route_loads_scipy_integrate_or_optimize():
+    # every quadrature runs on the package's own panel kernel, and the root
+    # finder and the t1 minimizer are the package's own ports of Brent's
+    # methods, so neither the command line nor any route, the two solver
+    # routes included, loads scipy's integrators or optimizers; those two
+    # give the in-process values exactly
     src = os.path.dirname(os.path.dirname(os.path.abspath(experiments.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     out = subprocess.run([sys.executable, "-c", COLD_PROBE], env=env, capture_output=True,
                          text=True, timeout=120, check=True)
-    after_import, after_points, evt_sbs, t1, t1_outage = json.loads(out.stdout)
-    assert after_import == []
-    assert after_points == []
+    *loaded, evt_sbs, t1, t1_outage = json.loads(out.stdout)
+    assert loaded == [[], [], [], []]  # after import, points, SBS EVT, t1 search
     assert evt_sbs == evaluate_point(SchemeSpec(Scheme.SBS, k=2), P_PAIR, Method.EVT).value
     best = find_optimal_t1(Scheme.MMS, 1, P)
     assert (t1, t1_outage) == (best.t1, best.outage.value)
