@@ -1,9 +1,11 @@
 """The harvest/transmit split: longer charging raises energy but steepens
 the rate requirement, so outage is U-shaped in t1 with an interior optimum.
 
-Prints the outage profile for the ranked schemes and the optimizer's t* for
-each; the optimum is essentially scheme independent because t1 enters every
-scheme through the same threshold and scale factors.
+Prints the outage profile for the ranked schemes and the optimal t* for
+each.  The optimum is exactly scheme independent: t1 reaches the outage only
+through the scaled threshold theta = (2^(Q/t2) - 1) t2/t1, no selection rule
+depends on t1, so every scheme's outage rises with theta and t* = argmin
+theta depends on Q alone.
 """
 
 import numpy as np

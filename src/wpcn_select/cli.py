@@ -234,7 +234,7 @@ def _cmd_reproduce(args) -> int:
 def _cmd_find_t1(args) -> int:
     st = _Settings(args)
     scheme = Scheme[st.get("scheme", str).upper()]
-    res = find_optimal_t1(scheme, st.get("k", int), st.params(), args.tol)
+    res = find_optimal_t1(scheme, st.get("k", int), st.params())
     if st.get("format", str) == "json":
         payload = {
             "scheme": scheme.value,
@@ -318,8 +318,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("find-t1", help="optimal harvesting fraction for a scheme")
     _add_common(p)
-    p.add_argument("--tol", type=float, default=1e-4,
-                   help="search tolerance on t1")
     p.set_defaults(handler=_cmd_find_t1)
 
     return parser

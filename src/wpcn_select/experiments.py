@@ -14,7 +14,6 @@ import io
 import itertools
 import json
 import math
-import warnings
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -34,7 +33,7 @@ from .model import (
     watts_to_dbm,
 )
 from .montecarlo import TrialConfig, simulate_outage
-from .special import brent_minimize
+from .special import DomainError, brent_root
 
 __all__ = [
     "CSV_COLUMNS",
@@ -262,42 +261,36 @@ class OptimalT1:
     outage: OutageEstimate
 
 
-def find_optimal_t1(
-    scheme: Scheme, k: int, params: SystemParams, search_tolerance: float = 1e-4
-) -> OptimalT1:
-    """Harvest fraction minimizing the analytic outage.
+def find_optimal_t1(scheme: Scheme, k: int, params: SystemParams) -> OptimalT1:
+    """Harvest fraction t1* minimizing the outage, and the analytic outage there.
 
-    The threshold x moves with t1 through t2 = 1 - t1, so the objective is
-    re-evaluated from scratch at every candidate.  A 50-point scan locates
-    the basin and checks unimodality; the package's bounded Brent minimizer
-    (special.brent_minimize, xatol = search_tolerance) refines it between the
-    argmin's grid neighbours.  A non-unimodal scan (quadrature jitter aside)
-    falls back to the grid argmin and warns.
+    t1 reaches the outage only through the threshold: a device fails when
+    h phi(Pt g) < sigma_n^2 theta(t1), theta = (2^(Q/t2) - 1) t2/t1, for
+    either harvester phi.  No selection rule depends on t1 (SBS ranks SNRs
+    that t1 scales by one common factor), so every scheme's outage is
+    nondecreasing in theta, and t1* = argmin theta is the same for every
+    scheme, k, M, Pt, sigma_n^2 and rectenna: it depends on Q alone.  A
+    pair's SINR adds the noise to the interference, so it is not a function
+    of theta, and pairs are not taken here.
+
+    With c = Q ln 2 and u = c/t2 - c, stationarity is u = 1 - e^(-(c + u)),
+    one root in [0, 1] (w = c + u is a Lambert W form: Corless et al., Adv.
+    Comput. Math. 5, 1996), found by special.brent_root; t1* = u/(c + u).
+    Solving for u rather than w keeps the digits that w - c would cancel:
+    t1* is within 1e-15 relative of a 60-digit root from Q = 1e-30 to 1e100.
+    Below about Q = 1e-32, t1* rounds to 1, which SystemParams rejects; the
+    largest double below 1 is returned, within one ulp of t1*.  Q = 0 makes
+    theta vanish and Q = inf makes it infinite, so every t1 gives the same
+    outage and there is no unique optimum: DomainError.
     """
-
-    sel = SchemeSpec(scheme, k=k)
-
-    def objective(t1: float) -> float:
-        p = params.replace(harvest_fraction=float(t1))
-        return evaluate_point(sel, p, Method.ANALYTIC).value
-
-    grid = np.linspace(1e-4, 1.0 - 1e-4, 50)
-    values = np.array([objective(t) for t in grid])
-    i0 = int(np.argmin(values))
-    jitter = 1e-12 + 1e-9 * float(np.max(np.abs(values)))
-    falling = np.all(np.diff(values[: i0 + 1]) <= jitter)
-    rising = np.all(np.diff(values[i0:]) >= -jitter)
-    if not (falling and rising):
-        warnings.warn(
-            "outage is not unimodal in t1 on the coarse grid; returning the grid argmin",
-            RuntimeWarning,
-        )
-        t_star = float(grid[i0])
-    else:
-        lo = float(grid[max(i0 - 1, 0)])
-        hi = float(grid[min(i0 + 1, len(grid) - 1)])
-        t_star = brent_minimize(objective, lo, hi, xatol=search_tolerance)
-    best = evaluate_point(sel, params.replace(harvest_fraction=t_star), Method.ANALYTIC)
+    q = params.rate_threshold_q
+    if not 0.0 < q < math.inf:
+        raise DomainError(f"every t1 gives the same outage at Q = {q!r}: no unique optimum")
+    c = q * math.log(2.0)
+    u = brent_root(lambda u: u + math.expm1(-(c + u)), 0.0, 1.0, 1e-300, 8.9e-16, 200)
+    t_star = min(u / (c + u), math.nextafter(1.0, 0.0))
+    best = evaluate_point(SchemeSpec(scheme, k=k), params.replace(harvest_fraction=t_star),
+                          Method.ANALYTIC)
     return OptimalT1(t_star, best)
 
 

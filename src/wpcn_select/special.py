@@ -1,16 +1,16 @@
-"""Special-function, quadrature and scalar-solver kernel shared by all evaluators.
+"""Special-function, quadrature and root-finding kernel shared by all evaluators.
 
 Wraps scipy's K1 / incomplete beta behind explicit domain
 checks, and provides the one adaptive quadrature every evaluator uses and
-the two scalar solvers, with an error contract: results that cannot meet the
-requested tolerance raise AccuracyError carrying the best available estimate
-instead of returning silently degraded numbers.
+the one scalar root finder, with an error contract: results that cannot meet
+the requested tolerance raise AccuracyError carrying the best available
+estimate instead of returning silently degraded numbers.
 
-The solvers are Brent's (Algorithms for Minimization without Derivatives,
-1973, ch. 4 and 5), ported from scipy so that scipy.optimize never loads:
-brent_root is brentq's C loop statement for statement, brent_minimize is
-minimize_scalar's bounded method in its operation order.  The same iterates
-give the same bits as scipy's.
+brent_root is Brent's method (Algorithms for Minimization without
+Derivatives, 1973, ch. 4), scipy's brentq C loop ported statement for
+statement so that scipy.optimize never loads; the same iterates give the
+same bits as scipy's.  It solves for the SBS extreme-value quantiles and for
+the optimal harvest fraction.
 
 integrate_panels gives all seed panels of a
 vectorized integrand QUADPACK's qk21 value and error in one call; while the
@@ -42,7 +42,6 @@ __all__ = [
     "DomainError",
     "QuadratureSpec",
     "bessel_k1",
-    "brent_minimize",
     "brent_root",
     "integrate_panels",
     "reg_inc_beta",
@@ -203,7 +202,7 @@ def integrate_panels(f: Callable[[np.ndarray, np.ndarray], np.ndarray],
 
 
 # ---------------------------------------------------------------------------
-# scalar solvers
+# scalar root finder
 # ---------------------------------------------------------------------------
 
 def _checked(f: Callable[[float], float], x: float) -> float:
@@ -258,81 +257,3 @@ def brent_root(f: Callable[[float], float], a: float, b: float,
         xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
         fcur = _checked(f, xcur)
     raise AccuracyError(f"brent_root did not converge in {maxiter} steps", estimate=xcur)
-
-
-def _unit_sign(v: float) -> float:
-    """numpy's sign(v) + (v == 0): -1 below zero, else 1."""
-    return math.copysign(1.0, v) if v else 1.0
-
-
-def brent_minimize(f: Callable[[float], float], lo: float, hi: float,
-                   xatol: float, maxiter: int = 500) -> float:
-    """Local minimizer of f on [lo, hi]: scipy's bounded Brent (fminbound).
-
-    Golden-section steps with parabolic interpolation, to an absolute
-    tolerance of about xatol.  Raises AccuracyError carrying the last iterate
-    when maxiter evaluations do not converge, or where f is nan.
-    """
-    sqrt_eps = math.sqrt(2.2e-16)
-    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
-    a, b = lo, hi
-    fulc = a + golden_mean * (b - a)
-    nfc = xf = fulc
-    rat = e = 0.0
-    fx = _checked(f, xf)
-    num = 1
-    ffulc = fnfc = fx
-    xm = 0.5 * (a + b)
-    tol1 = sqrt_eps * abs(xf) + xatol / 3.0
-    tol2 = 2.0 * tol1
-    while abs(xf - xm) > (tol2 - 0.5 * (b - a)):
-        golden = True
-        if abs(e) > tol1:  # try a parabolic fit
-            golden = False
-            r = (xf - nfc) * (fx - ffulc)
-            q = (xf - fulc) * (fx - fnfc)
-            p = (xf - fulc) * q - (xf - nfc) * r
-            q = 2.0 * (q - r)
-            if q > 0.0:
-                p = -p
-            q = abs(q)
-            r = e
-            e = rat
-            if abs(p) < abs(0.5 * q * r) and p > q * (a - xf) and p < q * (b - xf):
-                rat = (p + 0.0) / q
-                x = xf + rat
-                if (x - a) < tol2 or (b - x) < tol2:
-                    rat = tol1 * _unit_sign(xm - xf)
-            else:
-                golden = True
-        if golden:
-            e = a - xf if xf >= xm else b - xf
-            rat = golden_mean * e
-        x = xf + _unit_sign(rat) * max(abs(rat), tol1)
-        fu = _checked(f, x)
-        num += 1
-        if fu <= fx:
-            if x >= xf:
-                a = xf
-            else:
-                b = xf
-            fulc, ffulc = nfc, fnfc
-            nfc, fnfc = xf, fx
-            xf, fx = x, fu
-        else:
-            if x < xf:
-                a = x
-            else:
-                b = x
-            if fu <= fnfc or nfc == xf:
-                fulc, ffulc = nfc, fnfc
-                nfc, fnfc = x, fu
-            elif fu <= ffulc or fulc == xf or fulc == nfc:
-                fulc, ffulc = x, fu
-        xm = 0.5 * (a + b)
-        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
-        tol2 = 2.0 * tol1
-        if num >= maxiter:
-            raise AccuracyError(f"brent_minimize did not converge in {maxiter} evaluations",
-                                estimate=xf)
-    return xf

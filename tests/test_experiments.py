@@ -2,15 +2,18 @@
 
 Serialization must be byte-deterministic (repr floats, fixed header, no
 timestamps); sweeps must capture per-point failures instead of aborting;
-the harvest-fraction optimizer must land on the known interior optimum.
+the optimal harvest fraction must match a 60-digit root, be the same for
+every scheme and k, and give no more outage than any other t1.
 """
 
+import itertools
 import json
 import math
 import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import wpcn_select.experiments as experiments
@@ -41,7 +44,15 @@ from wpcn_select.experiments import (
     write_csv,
     write_json,
 )
-from wpcn_select.model import EhModel, db_to_linear, dbm_to_watts, default_params
+from wpcn_select.model import (
+    EhModel,
+    SystemParams,
+    db_to_linear,
+    dbm_to_watts,
+    default_params,
+    threshold_x,
+)
+from wpcn_select.special import DomainError
 
 P = default_params()
 
@@ -234,8 +245,116 @@ def test_find_optimal_t1_lands_on_interior_optimum():
 
 
 def test_find_optimal_t1_agrees_across_schemes():
-    got = [find_optimal_t1(s, 2, P).t1 for s in (Scheme.SBS, Scheme.MMS)]
-    assert abs(got[0] - got[1]) < 0.02
+    # t1* depends on Q alone, so every scheme and order index gets the same bits
+    for params in (P, P_PAIR, default_params(num_devices=100, transmit_power=dbm_to_watts(20.0))):
+        got = {find_optimal_t1(s, k, params).t1 for s in Scheme for k in (1, 2, 3)}
+        assert len(got) == 1
+
+
+# t1* = u/(c + u), u + expm1(-(c + u)) = 0, c = Q ln 2: a 60-digit bisection of
+# that equation at each double Q (mpmath, 260 halvings of [0, 1]), which
+# agrees with the Lambert W form 1 - c/w, w = 1 + c + W0(-e^-(1+c)), to 1e-47
+# or better wherever mpmath's lambertw returns
+OPTIMAL_T1_ORACLE = {
+    1e-30: "0.9999999999999994112949887",
+    1e-12: "0.9999994112951042667927537",
+    1e-6: "0.999411410513271466002286",
+    1e-3: "0.9814990365767444802719276",
+    0.25: "0.73446415428991889786886",
+    1.0: "0.5256270778632690210721085",
+    4.0: "0.2604553781747435472436322",
+    20.0: "0.06728140124369773083762087",
+    100.0: "0.01422177358662888271637991",
+    1e3: "0.001440616670362809012293436",
+    1e5: "0.00001442674227499427089963299",
+    1e16: "1.442695040888963199223027e-16",
+    1e100: "1.442695040888963384416903e-100",
+}
+
+
+@pytest.mark.parametrize("q", sorted(OPTIMAL_T1_ORACLE))
+def test_optimal_t1_matches_a_60_digit_root(q):
+    got = find_optimal_t1(Scheme.RS, 1, P.replace(rate_threshold_q=q)).t1
+    assert got == pytest.approx(float(OPTIMAL_T1_ORACLE[q]), rel=1e-15, abs=0)
+
+
+def test_optimal_t1_solve_holds_over_the_double_range():
+    # the root converges from the smallest subnormal Q to the largest double,
+    # and t1* falls as the rate requirement rises
+    stars = [find_optimal_t1(Scheme.RS, 1, P.replace(rate_threshold_q=float(q))).t1
+             for q in np.geomspace(5e-324, 1.7e308, 400)]
+    assert all(0.0 < t < 1.0 for t in stars)
+    assert all(a >= b for a, b in zip(stars, stars[1:]))
+    assert stars[-1] < 1e-307
+
+
+def test_optimal_t1_at_the_edges_of_q():
+    # Q = 0 and Q = inf leave every t1 with the same outage: no optimum
+    for q in (0.0, math.inf):
+        with pytest.raises(DomainError, match="no unique optimum"):
+            find_optimal_t1(Scheme.SBS, 1, P.replace(rate_threshold_q=q))
+    # below Q ~ 1e-32 t1* = 1 - sqrt(Q ln 2 / 2) + ... rounds to 1; the
+    # largest double below 1 is within one ulp of it
+    for q in (1e-33, 1e-100, 5e-324):
+        assert find_optimal_t1(Scheme.SBS, 1, P.replace(rate_threshold_q=q)).t1 == \
+            math.nextafter(1.0, 0.0)
+
+
+T1_GRID = [round(0.05 * i, 2) for i in range(1, 20)]
+RANKED = (Scheme.SBS, Scheme.EBS, Scheme.IBS, Scheme.MMS)
+
+
+def test_outage_at_optimal_t1_is_below_every_grid_t1():
+    # the outage rises with theta(t1), so no grid point beats t1*, on either
+    # harvester, wherever it does not underflow to the same 0 or saturate at 1
+    runs = 0
+    for scheme, k, M, pt in itertools.product(RANKED, (1, 2), (5, 20, 100),
+                                              (-50.0, -40.0, -30.0, -10.0, 10.0)):
+        params = default_params(num_devices=M, transmit_power=dbm_to_watts(pt))
+        best = find_optimal_t1(scheme, k, params)
+        for model in EhModel:
+            spec = SchemeSpec(scheme, k, model)
+            at_star = evaluate_point(spec, params.replace(harvest_fraction=best.t1),
+                                     Method.ANALYTIC).value
+            if model is EhModel.NON_LINEAR:
+                assert at_star == best.outage.value
+            for t1 in T1_GRID:
+                other = evaluate_point(spec, params.replace(harvest_fraction=t1),
+                                       Method.ANALYTIC).value
+                assert at_star <= other, (scheme, k, M, pt, model, t1)
+        runs += 1
+    assert runs == 120
+
+
+def _same_theta(params: SystemParams, t1: float) -> SystemParams:
+    """params moved to harvest fraction t1, with Q chosen so that the scaled
+    threshold theta = (2^(Q/t2) - 1) t2/t1 stays the same."""
+    theta = threshold_x(params) * params.comm_fraction / params.harvest_fraction
+    t2 = 1.0 - t1
+    return params.replace(harvest_fraction=t1,
+                          rate_threshold_q=t2 * math.log1p(theta * t1 / t2) / math.log(2.0))
+
+
+@pytest.mark.parametrize("M, pt", [(5, -40.0), (20, -10.0), (100, -30.0)])
+def test_outage_depends_on_t1_only_through_theta(M, pt):
+    a = default_params(num_devices=M, transmit_power=dbm_to_watts(pt),
+                       harvest_fraction=0.3, rate_threshold_q=0.5)
+    b = _same_theta(a, 0.7)
+    assert threshold_x(b) > 5.0 * threshold_x(a)  # a different x, the same theta
+    for scheme, k, model in itertools.product(Scheme, (1, 2), EhModel):
+        spec = SchemeSpec(scheme, k, model)
+        va, vb = (evaluate_point(spec, p, Method.ANALYTIC).value for p in (a, b))
+        assert vb == pytest.approx(va, rel=1e-10, abs=1e-12), (scheme, k, model)
+    # a pair's SINR Y/(Z + 1) carries the noise beside the interference: in
+    # theta's units the stronger member fails when Y' < x Z' + theta, so the
+    # outage still moves with x, and find_optimal_t1 takes no pair
+    pa = a.replace(rate_threshold_q=0.2)
+    pb = _same_theta(pa, 0.6)
+    assert threshold_x(pb) < 1.0
+    for model in EhModel:
+        spec = PairSpec(Scheme.SBS, 1, 2, model)
+        va, vb = (evaluate_point(spec, p, Method.ANALYTIC).value for p in (pa, pb))
+        assert vb > 2.0 * va, model
 
 
 # ---------------------------------------------------------------------------
@@ -549,7 +668,7 @@ def test_cli_config_file_precedence(tmp_path, capsys):
 
 
 # a fresh interpreter evaluates one point on every route, then the two that run
-# a scalar solver: the SBS extreme-value constants and the t1 search
+# the root finder: the SBS extreme-value constants and the optimal t1
 COLD_PROBE = """
 import json, sys
 import wpcn_select, wpcn_select.cli
@@ -580,18 +699,18 @@ print(json.dumps([after_import, after_points, after_evt_sbs, after_t1,
 
 
 def test_no_route_loads_scipy_integrate_or_optimize():
-    # every quadrature runs on the package's own panel kernel, and the root
-    # finder and the t1 minimizer are the package's own ports of Brent's
-    # methods, so neither the command line nor any route, the two solver
-    # routes included, loads scipy's integrators or optimizers; those two
-    # give the in-process values exactly
+    # every quadrature runs on the package's own panel kernel, and the one
+    # root finder is the package's own port of Brent's method, which solves
+    # for the SBS extreme-value quantiles and the optimal t1; so neither the
+    # command line nor any route, those two included, loads scipy's
+    # integrators or optimizers, and the two give the in-process values exactly
     src = os.path.dirname(os.path.dirname(os.path.abspath(experiments.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     out = subprocess.run([sys.executable, "-c", COLD_PROBE], env=env, capture_output=True,
                          text=True, timeout=120, check=True)
     *loaded, evt_sbs, t1, t1_outage = json.loads(out.stdout)
-    assert loaded == [[], [], [], []]  # after import, points, SBS EVT, t1 search
+    assert loaded == [[], [], [], []]  # after import, points, SBS EVT, optimal t1
     assert evt_sbs == evaluate_point(SchemeSpec(Scheme.SBS, k=2), P_PAIR, Method.EVT).value
     best = find_optimal_t1(Scheme.MMS, 1, P)
     assert (t1, t1_outage) == (best.t1, best.outage.value)

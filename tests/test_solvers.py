@@ -1,31 +1,27 @@
-"""Brent's root finder and bounded minimizer against scipy.optimize, bit for bit.
+"""Brent's root finder against scipy.optimize.brentq, bit for bit.
 
-special.brent_root and special.brent_minimize port scipy's brentq and the
-bounded method of minimize_scalar.  The package never imports scipy.optimize,
-so it appears only here, as the oracle.  Each comparison records the points
-both solvers evaluate, so it checks the same iterates and the same result in
-float.hex: on families of test functions, on every parent-quantile solve
-behind the SBS normalizing constants, and on every refinement a t1 search
-makes.
+special.brent_root ports scipy's brentq.  The package never imports
+scipy.optimize, so it appears only here, as the oracle.  Each comparison
+records the points both solvers evaluate, so it checks the same iterates and
+the same result in float.hex: on families of test functions, on every
+parent-quantile solve behind the SBS normalizing constants, and on the
+optimal harvest fraction's solve over the range of Q.
 """
 
-import functools
 import itertools
 import math
-import warnings
 
 import numpy as np
 import pytest
-from scipy.optimize import brentq, minimize_scalar
+from scipy.optimize import brentq
 
 from wpcn_select import evt, experiments
 from wpcn_select.analytic import Scheme
 from wpcn_select.evt import normalizing_constants
 from wpcn_select.experiments import find_optimal_t1
 from wpcn_select.model import dbm_to_watts, default_params
-from wpcn_select.special import AccuracyError, DomainError, brent_minimize, brent_root
+from wpcn_select.special import AccuracyError, DomainError, brent_root
 
-RANKED = (Scheme.SBS, Scheme.EBS, Scheme.IBS, Scheme.MMS)
 POWERS_DBM = (-50.0, -40.0, -30.0, -10.0, 10.0)
 
 
@@ -56,17 +52,6 @@ def _same_root(f, a, b, xtol, rtol, maxiter):
     return got
 
 
-def _same_minimum(f, lo, hi, xatol):
-    ours, ours_x = _traced(f)
-    theirs, theirs_x = _traced(f)
-    got = brent_minimize(ours, lo, hi, xatol)
-    res = minimize_scalar(theirs, bounds=(lo, hi), method="bounded", options={"xatol": xatol})
-    assert res.success
-    assert ours_x == theirs_x
-    assert got.hex() == float(res.x).hex()
-    return got
-
-
 # ---------------------------------------------------------------------------
 # test-function families: (f, a, b) with f(a) < 0 < f(b) or the reverse
 # ---------------------------------------------------------------------------
@@ -87,32 +72,11 @@ def _root_problems(rng, n):
             yield (lambda x, c=c, s=s: math.atan(s * (x - c)) + 0.1), c - w, c + 3.0 * w
 
 
-def _min_problems(rng, n):
-    for _ in range(n):
-        c = float(rng.uniform(-2.0, 2.0))
-        d = float(rng.uniform(-1.0, 1.0))
-        s = float(10.0 ** rng.uniform(-1.0, 1.0))
-        yield (lambda x, c=c, d=d: (x - c) ** 2 + d), -1.0, 1.5
-        yield (lambda x, c=c: abs(x - c)), -2.5, 2.5
-        yield (lambda x, s=s: -math.sin(s * x)), 0.0, 4.0
-        yield (lambda x: x ** 4 - 3.0 * x ** 2 + x), -2.0, 2.0
-        yield (lambda x, c=c, s=s: math.cosh(s * (x - c))), c - 1.0, c + 3.0
-        yield (lambda x, d=d: d), -1.0, 1.0
-        yield (lambda x, c=c: round(8.0 * (x - c)) ** 2), -2.5, 2.5  # plateaus: ties
-
-
 @pytest.mark.parametrize("xtol, rtol", [(1e-300, 8.9e-16), (2e-12, 8.9e-16), (1e-6, 1e-4)])
 def test_brent_root_takes_brentqs_steps(xtol, rtol):
     rng = np.random.default_rng(20)
     for f, a, b in _root_problems(rng, 60):
         _same_root(f, a, b, xtol, rtol, 100)
-
-
-@pytest.mark.parametrize("xatol", [1e-2, 1e-4, 1e-8])
-def test_brent_minimize_takes_the_bounded_methods_steps(xatol):
-    rng = np.random.default_rng(21)
-    for f, lo, hi in _min_problems(rng, 60):
-        _same_minimum(f, lo, hi, xatol)
 
 
 def test_brent_root_returns_a_zero_endpoint():
@@ -134,21 +98,9 @@ def test_brent_root_stops_short_with_the_last_iterate():
     assert info.value.estimate.hex() == float(r.root).hex()
 
 
-def test_brent_minimize_stops_short_with_the_last_iterate():
-    f = lambda x: (x - 0.3) ** 2
-    res = minimize_scalar(f, bounds=(-1.0, 1.0), method="bounded",
-                          options={"xatol": 1e-10, "maxiter": 4})
-    assert res.status == 1
-    with pytest.raises(AccuracyError) as info:
-        brent_minimize(f, -1.0, 1.0, 1e-10, maxiter=4)
-    assert info.value.estimate.hex() == float(res.x).hex()
-
-
 def test_solvers_refuse_a_nan_objective():
     with pytest.raises(AccuracyError):
         brent_root(lambda x: math.nan if x > 0.5 else x - 0.7, 0.0, 1.0, 1e-12, 8.9e-16, 50)
-    with pytest.raises(AccuracyError):
-        brent_minimize(lambda x: math.nan, 0.0, 1.0, 1e-4)
 
 
 # ---------------------------------------------------------------------------
@@ -180,23 +132,17 @@ def test_sbs_normalizing_constants_match_brentq(monkeypatch):
     assert set(solves) == {(1e-300, 8.9e-16, 400)}
 
 
-def test_t1_searches_match_bounded_minimize_scalar(monkeypatch):
-    # every refinement find_optimal_t1 makes, run through both minimizers on
-    # one memoized objective, so scipy's pass costs no extra evaluations
-    searches = []
+def test_optimal_t1_root_matches_brentq(monkeypatch):
+    # the harvest-fraction solve, run through both solvers from the smallest
+    # subnormal Q to the largest double; no Q took more than 115 of its 200 steps
+    solves = []
 
-    def both(f, lo, hi, xatol):
-        searches.append(xatol)
-        return _same_minimum(functools.lru_cache(maxsize=None)(f), lo, hi, xatol)
+    def both(f, a, b, xtol, rtol, maxiter):
+        solves.append((a, b, xtol, rtol, maxiter))
+        return _same_root(f, a, b, xtol, rtol, maxiter)
 
-    monkeypatch.setattr(experiments, "brent_minimize", both)
-    runs = 0
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)  # a flat scan keeps its grid argmin
-        for scheme, k, M, pt in itertools.product(RANKED, (1, 2), (5, 20, 100), POWERS_DBM):
-            params = default_params(num_devices=M, transmit_power=dbm_to_watts(pt))
-            best = find_optimal_t1(scheme, k, params)
-            assert 0.0 < best.t1 < 1.0
-            runs += 1
-    assert runs == 120
-    assert searches == [1e-4] * 120
+    monkeypatch.setattr(experiments, "brent_root", both)
+    for q in np.geomspace(5e-324, 1.7e308, 200):
+        params = default_params(rate_threshold_q=float(q))
+        assert 0.0 < find_optimal_t1(Scheme.RS, 1, params).t1 < 1.0
+    assert solves == [(0.0, 1.0, 1e-300, 8.9e-16, 200)] * 200
