@@ -1,9 +1,12 @@
 """Command line front end.
 
 Power and noise are taken in dBm and the rate threshold in dB here, at the
-boundary; everything past argument parsing works in SI units.  Settings
-resolve as: command line flag, then INI config file (sections [system],
-[scheme], [run]), then the built-in defaults.
+boundary; everything past argument parsing works in SI units.  Each command
+takes only the settings its handler reads (_COMMANDS); any other flag is an
+error.  Settings resolve as: command line flag, then INI config file, then
+the built-in defaults, where an unset system setting keeps the SystemParams
+default.  The file's sections are the groups of _SETTINGS and its keys are
+the command's flag names; any other section or key is an error.
 """
 
 from __future__ import annotations
@@ -40,74 +43,90 @@ _SWEEP_PARAMS = {
     "sigma-e2": SweptParameter.ESTIMATION_ERROR,
 }
 
-_DEFAULTS = {
-    "pt_dbm": -10.0,
-    "noise_dbm": -50.0,
-    "t1": 0.5,
-    "q_db": 0.0,
-    "m": 5,
-    "scheme": "sbs",
-    "k": 1,
-    "j": None,
-    "model": "nonlinear",
-    "method": "analytic",
-    "trials": 1_000_000,
-    "seed": 0,
-    "sigma_e2": 0.0,
-    "format": "text",
+
+def dbm(text: str) -> float:
+    """A power given in dBm, in watts."""
+    return dbm_to_watts(float(text))
+
+
+def db(text: str) -> float:
+    """A ratio given in dB, on the linear scale."""
+    return db_to_linear(float(text))
+
+
+# Every setting, by group; each group is one INI section.  A system setting's
+# dest is its SystemParams field, and it has no default of its own.
+_SETTINGS = {
+    "system": {
+        "pt-dbm": dict(type=dbm, dest="transmit_power", metavar="DBM", help="transmit power"),
+        "t1": dict(type=float, dest="harvest_fraction", metavar="T1",
+                   help="harvesting fraction of the slot"),
+        "q-db": dict(type=db, dest="rate_threshold_q", metavar="DB", help="rate threshold"),
+        "noise-dbm": dict(type=dbm, dest="noise_variance", metavar="DBM", help="noise power"),
+        "m": dict(type=int, dest="num_devices", metavar="M", help="number of devices"),
+    },
+    "scheme": {
+        "scheme": dict(choices=["rs", "sbs", "ebs", "ibs", "mms"], type=str.lower,
+                       default="sbs", help="selection rule"),
+        "k": dict(type=int, default=1, help="order index: pick the k-th best"),
+        "j": dict(type=int, help="second order index (pair selection)"),
+        "model": dict(choices=["nonlinear", "linear"], type=str.lower, default="nonlinear",
+                      help="energy harvester model"),
+    },
+    "run": {
+        "method": dict(default="analytic", help="evaluation route(s): analytic, highsnr, evt, "
+                                                "mc (comma list where multiple make sense)"),
+        "sigma-e2": dict(type=float, default=0.0,
+                         help="channel estimation error variance (Monte Carlo only)"),
+        "trials": dict(type=int, default=1_000_000, help="Monte Carlo trials"),
+        "seed": dict(type=int, default=0, help="Monte Carlo base seed"),
+    },
+    "output": {
+        "format": dict(type=str.lower, help="output format"),
+        "out": dict(help="output file (default: stdout)"),
+        "config": dict(help="INI file with [system], [scheme], [run] and [output] sections"),
+    },
 }
+_FLAG_ONLY = ("out", "config")  # where the output and the file itself are
+_ALL = [name for group in _SETTINGS.values() for name in group]
 
 
-def _load_config(path: str) -> dict:
-    cp = configparser.ConfigParser()
-    with open(path) as fh:
+def _config_flags(args: argparse.Namespace) -> list:
+    """The INI file's settings as flags, once every section and key in it is
+    one of the command's settings."""
+    cp = configparser.ConfigParser(default_section="")  # [DEFAULT] is one more section
+    cp.optionxform = lambda key: key.lower().replace("_", "-")
+    with open(args.config) as fh:
         cp.read_file(fh)
-    flat = {}
-    for section in ("system", "scheme", "run"):
-        if cp.has_section(section):
-            flat.update(dict(cp.items(section)))
-    return flat
+    taken = _COMMANDS[args.command][2]
+    flags, bad = [], []
+    for section in cp.sections():
+        if section not in _SETTINGS:
+            bad.append(f"unknown section [{section}]")
+            continue
+        for key, value in cp.items(section):
+            if key not in _SETTINGS[section] or key in _FLAG_ONLY:
+                bad.append(f"[{section}] has no key {key!r}")
+            elif key not in taken:
+                bad.append(f"{args.command} does not take {key!r}")
+            else:
+                flags.append(f"--{key}={value}")
+    if bad:
+        raise ValueError(f"{args.config}: " + "; ".join(bad))
+    return flags
 
 
-class _Settings:
-    """flag > config file > default, with the file's strings cast lazily."""
+def _params(args) -> SystemParams:
+    fields = [spec["dest"] for spec in _SETTINGS["system"].values()]
+    given = {f: getattr(args, f, None) for f in fields}
+    return SystemParams(**{f: v for f, v in given.items() if v is not None})
 
-    def __init__(self, args: argparse.Namespace):
-        self.args = args
-        self.cfg = _load_config(args.config) if getattr(args, "config", None) else {}
 
-    def get(self, name: str, cast):
-        flag = getattr(self.args, name, None)
-        if flag is not None:
-            return flag
-        raw = self.cfg.get(name, "")
-        if raw != "":
-            return cast(raw)
-        default = _DEFAULTS[name]
-        return default
-
-    def params(self) -> SystemParams:
-        return SystemParams(
-            transmit_power=dbm_to_watts(self.get("pt_dbm", float)),
-            noise_variance=dbm_to_watts(self.get("noise_dbm", float)),
-            harvest_fraction=self.get("t1", float),
-            rate_threshold_q=db_to_linear(self.get("q_db", float)),
-            num_devices=self.get("m", int),
-        )
-
-    def selection(self):
-        scheme = Scheme[self.get("scheme", str).upper()]
-        model = EhModel(self.get("model", str).lower())
-        k = self.get("k", int)
-        j = getattr(self.args, "j", None)
-        if j is None and self.cfg.get("j", "") != "":
-            j = int(self.cfg["j"])
-        if j is not None:
-            return PairSpec(scheme, k=k, j=int(j), model=model)
-        return SchemeSpec(scheme, k=k, model=model)
-
-    def method(self) -> Method:
-        return Method(self.get("method", str).lower())
+def _selection(args) -> SchemeSpec | PairSpec:
+    scheme, model = Scheme[args.scheme.upper()], EhModel(args.model)
+    if args.j is not None:
+        return PairSpec(scheme, k=args.k, j=args.j, model=model)
+    return SchemeSpec(scheme, k=args.k, model=model)
 
 
 def _emit(text: str, out) -> None:
@@ -136,19 +155,17 @@ def _parse_grid(text: str) -> tuple:
 # ---------------------------------------------------------------------------
 
 def _cmd_compute(args) -> int:
-    st = _Settings(args)
-    params, sel, method = st.params(), st.selection(), st.method()
+    params, sel, method = _params(args), _selection(args), Method(args.method.lower())
     est = evaluate_point(
         sel, params, method,
-        sigma_e2=st.get("sigma_e2", float),
-        mc_trials=st.get("trials", int),
-        base_seed=st.get("seed", int),
+        sigma_e2=args.sigma_e2,
+        mc_trials=args.trials,
+        base_seed=args.seed,
     )
-    row = make_row(sel, params, st.get("sigma_e2", float), method, est)
-    fmt = st.get("format", str)
-    if fmt == "json":
+    row = make_row(sel, params, args.sigma_e2, method, est)
+    if args.format == "json":
         _emit(json.dumps(row, indent=2, sort_keys=True), args.out)
-    elif fmt == "csv":
+    elif args.format == "csv":
         _emit(rows_to_csv([row]), args.out)
     else:
         se = "" if est.stderr is None else f" +- {est.stderr:.3e}"
@@ -162,17 +179,15 @@ def _cmd_compute(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    st = _Settings(args)
-    methods = tuple(Method(m.strip().lower()) for m in st.get("method", str).split(","))
     sweep = SweepSpec(
-        selection=st.selection(),
+        selection=_selection(args),
         swept=_SWEEP_PARAMS[args.sweep_param],
         grid=_parse_grid(args.grid),
-        params=st.params(),
-        methods=methods,
-        mc_trials=st.get("trials", int),
-        base_seed=st.get("seed", int),
-        sigma_e2=st.get("sigma_e2", float),
+        params=_params(args),
+        methods=tuple(Method(m.strip().lower()) for m in args.method.split(",")),
+        mc_trials=args.trials,
+        base_seed=args.seed,
+        sigma_e2=args.sigma_e2,
     )
     result = run_sweep(sweep)
     for err in result.errors:
@@ -180,8 +195,7 @@ def _cmd_sweep(args) -> int:
             f"warning: grid point {err['value']!r} ({err['method']}): {err['message']}",
             file=sys.stderr,
         )
-    fmt = st.get("format", str)
-    if fmt == "json":
+    if args.format == "json":
         payload = {"rows": result.rows, "errors": result.errors, "metadata": result.metadata}
         _emit(json.dumps(payload, indent=2, sort_keys=True), args.out)
     else:
@@ -193,25 +207,18 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
-def _cmd_simulate(args) -> int:
-    args.method = "mc"  # this subcommand is the Monte Carlo route by definition
-    return _cmd_compute(args)
-
-
 def _cmd_compare(args) -> int:
-    st = _Settings(args)
-    methods = tuple(Method(m.strip().lower()) for m in st.get("method", str).split(","))
     report = compare_methods(ComparisonConfig(
-        selection=st.selection(),
-        params=st.params(),
-        methods=methods,
-        mc_trials=st.get("trials", int),
-        base_seed=st.get("seed", int),
-        sigma_e2=st.get("sigma_e2", float),
+        selection=_selection(args),
+        params=_params(args),
+        methods=tuple(Method(m.strip().lower()) for m in args.method.split(",")),
+        mc_trials=args.trials,
+        base_seed=args.seed,
+        sigma_e2=args.sigma_e2,
         abs_tolerance=args.abs_tol,
         sigma_tolerance=args.sigma_tol,
     ))
-    if st.get("format", str) == "json":
+    if args.format == "json":
         _emit(json.dumps(report, indent=2, sort_keys=True), args.out)
     else:
         _emit(format_comparison(report), args.out)
@@ -219,12 +226,11 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_reproduce(args) -> int:
-    st = _Settings(args)
     csv_path, meta_path = reproduce_figure(
         args.figure,
         out_dir=args.out or ".",
-        trials=st.get("trials", int),
-        seed=st.get("seed", int),
+        trials=args.trials,
+        seed=args.seed,
     )
     print(f"wrote {csv_path}")
     print(f"wrote {meta_path}")
@@ -232,13 +238,14 @@ def _cmd_reproduce(args) -> int:
 
 
 def _cmd_find_t1(args) -> int:
-    st = _Settings(args)
-    scheme = Scheme[st.get("scheme", str).upper()]
-    res = find_optimal_t1(scheme, st.get("k", int), st.params())
-    if st.get("format", str) == "json":
+    scheme = Scheme[args.scheme.upper()]
+    res = find_optimal_t1(scheme, args.k, _params(args))
+    model = SchemeSpec(scheme).model.value  # the harvester find_optimal_t1 evaluates
+    if args.format == "json":
         payload = {
             "scheme": scheme.value,
-            "k": st.get("k", int),
+            "k": args.k,
+            "model": model,
             "t1": res.t1,
             "outage": res.outage.value,
         }
@@ -246,7 +253,7 @@ def _cmd_find_t1(args) -> int:
     else:
         _emit(
             f"optimal t1 {res.t1:.6f}  outage {res.outage.value:.6e}  "
-            f"[scheme {scheme.value} k {st.get('k', int)}]",
+            f"[scheme {scheme.value} k {args.k} model {model}]",
             args.out,
         )
     return 0
@@ -256,28 +263,20 @@ def _cmd_find_t1(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--scheme", choices=["rs", "sbs", "ebs", "ibs", "mms"],
-                     type=str.lower, help="selection rule")
-    sub.add_argument("--k", type=int, help="order index: pick the k-th best")
-    sub.add_argument("--j", type=int, help="second order index (pair selection)")
-    sub.add_argument("--model", choices=["nonlinear", "linear"], type=str.lower,
-                     help="energy harvester model")
-    sub.add_argument("--method", help="evaluation route(s): analytic, highsnr, evt, mc "
-                                      "(comma list where multiple make sense)")
-    sub.add_argument("--pt-dbm", type=float, dest="pt_dbm", help="transmit power [dBm]")
-    sub.add_argument("--t1", type=float, help="harvesting fraction of the slot")
-    sub.add_argument("--q-db", type=float, dest="q_db", help="rate threshold [dB]")
-    sub.add_argument("--noise-dbm", type=float, dest="noise_dbm", help="noise power [dBm]")
-    sub.add_argument("--m", type=int, help="number of devices")
-    sub.add_argument("--sigma-e2", type=float, dest="sigma_e2",
-                     help="channel estimation error variance (Monte Carlo only)")
-    sub.add_argument("--trials", type=int, help="Monte Carlo trials")
-    sub.add_argument("--seed", type=int, help="Monte Carlo base seed")
-    sub.add_argument("--out", help="output file (default: stdout)")
-    sub.add_argument("--format", choices=["text", "csv", "json"], type=str.lower,
-                     help="output format")
-    sub.add_argument("--config", help="INI file with [system]/[scheme]/[run] sections")
+# command: (help, handler, settings taken, --format choices with the default first)
+_COMMANDS = {
+    "compute": ("evaluate one outage point", _cmd_compute, _ALL, ("text", "csv", "json")),
+    "sweep": ("evaluate along a parameter grid", _cmd_sweep, _ALL, ("csv", "json")),
+    "simulate": ("Monte Carlo estimate of one point", _cmd_compute,
+                 [name for name in _ALL if name != "method"], ("text", "csv", "json")),
+    "compare": ("cross-check evaluation routes at one point", _cmd_compare, _ALL,
+                ("text", "json")),
+    "reproduce-figure": ("regenerate a figure dataset", _cmd_reproduce,
+                         ["trials", "seed", "out", "config"], ()),
+    "find-t1": ("optimal harvesting fraction for a scheme", _cmd_find_t1,
+                ["scheme", "k", "pt-dbm", "noise-dbm", "q-db", "m", "format", "out", "config"],
+                ("text", "json")),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -286,48 +285,46 @@ def build_parser() -> argparse.ArgumentParser:
         description="Outage analysis of device selection in wireless powered networks",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    for command, (help_, handler, taken, formats) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_)
+        p.set_defaults(handler=handler)
+        for group in _SETTINGS.values():
+            for name, spec in group.items():
+                if name in taken:
+                    fmt = dict(choices=formats, default=formats[0]) if name == "format" else {}
+                    p.add_argument(f"--{name}", **spec, **fmt)
 
-    p = sub.add_parser("compute", help="evaluate one outage point")
-    _add_common(p)
-    p.set_defaults(handler=_cmd_compute)
+    # this subcommand is the Monte Carlo route by definition
+    sub.choices["simulate"].set_defaults(method="mc")
 
-    p = sub.add_parser("sweep", help="evaluate along a parameter grid")
-    _add_common(p)
+    p = sub.choices["sweep"]
     p.add_argument("--sweep-param", required=True, choices=sorted(_SWEEP_PARAMS),
                    dest="sweep_param", help="which parameter the grid runs over")
     p.add_argument("--grid", required=True,
                    help='grid values: "a,b,c" or "start:stop:step"')
-    p.set_defaults(handler=_cmd_sweep)
 
-    p = sub.add_parser("simulate", help="Monte Carlo estimate of one point")
-    _add_common(p)
-    p.set_defaults(handler=_cmd_simulate)
-
-    p = sub.add_parser("compare", help="cross-check evaluation routes at one point")
-    _add_common(p)
+    p = sub.choices["compare"]
     p.add_argument("--abs-tol", type=float, default=5e-3, dest="abs_tol",
                    help="absolute gap allowed between deterministic routes")
     p.add_argument("--sigma-tol", type=float, default=3.0, dest="sigma_tol",
                    help="allowed gap in Monte Carlo standard errors")
-    p.set_defaults(handler=_cmd_compare)
 
-    p = sub.add_parser("reproduce-figure", help="regenerate a figure dataset")
-    _add_common(p)
-    p.add_argument("figure", help="figure id: fig2a fig2b fig3a fig3b fig4 fig5 fig6")
-    p.set_defaults(handler=_cmd_reproduce)
-
-    p = sub.add_parser("find-t1", help="optimal harvesting fraction for a scheme")
-    _add_common(p)
-    p.set_defaults(handler=_cmd_find_t1)
-
+    sub.choices["reproduce-figure"].add_argument(
+        "figure", help="figure id: fig2a fig2b fig3a fig3b fig4 fig5 fig6")
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = parser.parse_args(argv)
     try:
+        if args.config:
+            # the file's settings go in as flags ahead of the given ones, so
+            # argparse checks their values and a given flag wins
+            args = parser.parse_args(argv[:1] + _config_flags(args) + argv[1:])
         return args.handler(args)
-    except (ValueError, ArithmeticError) as exc:
+    except (ValueError, ArithmeticError, OSError, configparser.Error) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import NamedTuple, Optional, Union
+from typing import NamedTuple, Union
 
 import numpy as np
 
@@ -565,7 +565,6 @@ def reproduce_figure(
     out_dir=".",
     trials: int = 100_000,
     seed: int = 0,
-    params: Optional[SystemParams] = None,
 ):
     """Regenerate one figure's dataset as <id>.csv plus a .meta.json sidecar.
 
@@ -575,9 +574,7 @@ def reproduce_figure(
     key = figure_id.lower().replace("-", "").replace("_", "")
     if key not in _FIGURES:
         raise ValueError(f"unknown figure {figure_id!r}; pick from {sorted(_FIGURES)}")
-    if params is None:
-        params = SystemParams()
-    points, meta = _FIGURES[key](params)
+    points, meta = _FIGURES[key](SystemParams())
     rows = _figure_rows(points, trials, seed)
     meta.update({
         "figure": key,

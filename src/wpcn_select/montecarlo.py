@@ -244,17 +244,13 @@ def _random_pick(M: int, n: int, pair: bool, rng: np.random.Generator) -> np.nda
     return np.stack([a, (a + rng.integers(1, M, size=n)) % M], axis=1) if pair else a[:, None]
 
 
-def _select(spec: SchemeSpec | PairSpec, ug, uh, params: SystemParams, rng,
+def _select(spec: SchemeSpec | PairSpec, ug, uh, params: SystemParams,
             sigma_e2: float = 0.0, scratch=None) -> np.ndarray:
-    """(n, 1) indices, or (n, 2) for a pair, picked in each row of the (n, M)
-    uniforms.  Random selection consumes rng.  scratch, two arrays shaped
-    like ug, holds the ranking statistic and the knock-out copies."""
-    n, M = ug.shape
+    """(n, 1) indices, or (n, 2) for a pair, ranked in each row of the (n, M)
+    uniforms; random selection takes its picks from _BlockTail instead.
+    scratch, two arrays shaped like ug, holds the ranking statistic and the
+    knock-out copies."""
     pair = isinstance(spec, PairSpec)
-    if spec.scheme is Scheme.RS:
-        if rng is None:
-            raise ValueError("random selection needs an rng")
-        return _random_pick(M, n, pair, rng)
     stat = _ranking_stat(spec.scheme, ug, uh, params, spec.model, sigma_e2, scratch)
     knock = None if scratch is None else scratch[1]
     ranks = (spec.k, spec.j) if pair else (spec.k,)
@@ -340,7 +336,7 @@ def _count_block(
         return int((np.count_nonzero(stat > x, axis=1) < spec.k).sum())
     picks, normals = tail.rows(start, n)
     if picks is None:
-        flat = _select(spec, ug, uh, params, None, sigma_e2, (s1, s2))
+        flat = _select(spec, ug, uh, params, sigma_e2, (s1, s2))
     else:
         flat = picks.copy()
     flat += np.arange(0, n * M, M)[:, None]  # into the flattened rows

@@ -6,6 +6,7 @@ the optimal harvest fraction must match a 60-digit root, be the same for
 every scheme and k, and give no more outage than any other t1.
 """
 
+import argparse
 import itertools
 import json
 import math
@@ -25,6 +26,7 @@ from wpcn_select.analytic import (
     SchemeSpec,
     order_stat_law,
 )
+from wpcn_select.cli import build_parser
 from wpcn_select.cli import main as cli_main
 from wpcn_select.evt import gumbel_law
 from wpcn_select.experiments import (
@@ -666,6 +668,126 @@ def test_cli_config_file_precedence(tmp_path, capsys):
     assert row["k"] == 1
     assert row["pt_dbm"] == -20.0
 
+
+
+# each command's settings, by group, and its --format choices, the default first
+SYSTEM_FLAGS = {"--pt-dbm", "--t1", "--q-db", "--noise-dbm", "--m"}
+SELECTION_FLAGS = {"--scheme", "--k", "--j", "--model"}
+RUN_FLAGS = {"--method", "--sigma-e2", "--trials", "--seed"}
+OUTPUT_FLAGS = {"--format", "--out", "--config"}
+ALL_FLAGS = SYSTEM_FLAGS | SELECTION_FLAGS | RUN_FLAGS | OUTPUT_FLAGS
+COMMAND_SETTINGS = {
+    "compute": (ALL_FLAGS, ["text", "csv", "json"]),
+    "sweep": (ALL_FLAGS, ["csv", "json"]),
+    "simulate": (ALL_FLAGS - {"--method"}, ["text", "csv", "json"]),
+    "compare": (ALL_FLAGS, ["text", "json"]),
+    "find-t1": ({"--scheme", "--k", "--pt-dbm", "--noise-dbm", "--q-db", "--m"} | OUTPUT_FLAGS,
+                ["text", "json"]),
+    "reproduce-figure": ({"--trials", "--seed", "--out", "--config"}, None),
+}
+COMMAND_OPTIONS = {"sweep": {"--sweep-param", "--grid"}, "compare": {"--abs-tol", "--sigma-tol"}}
+FLAG_VALUES = {"--scheme": "ebs", "--model": "linear", "--method": "mc", "--format": "json",
+               "--t1": "0.5", "--pt-dbm": "30", "--noise-dbm": "-60", "--q-db": "3",
+               "--sigma-e2": "0.1"}
+REMOVED_FLAGS = [(command, flag) for command, (flags, _) in COMMAND_SETTINGS.items()
+                 for flag in sorted(ALL_FLAGS - flags)]
+COMMAND_ARGS = {"reproduce-figure": ["fig4"]}
+
+
+def _subcommands():
+    parser = build_parser()
+    action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+def test_cli_commands_take_only_the_settings_they_read():
+    subcommands = _subcommands()
+    assert set(subcommands) == set(COMMAND_SETTINGS)
+    for command, (flags, formats) in COMMAND_SETTINGS.items():
+        actions = {s: a for a in subcommands[command]._actions for s in a.option_strings}
+        assert set(actions) - {"-h", "--help"} == flags | COMMAND_OPTIONS.get(command, set())
+        fmt = actions.get("--format")
+        assert formats == (None if fmt is None else list(fmt.choices))
+        assert fmt is None or fmt.default == formats[0]
+    assert sum(len(flags) for flags, _ in COMMAND_SETTINGS.values()) == 76
+    assert len(REMOVED_FLAGS) == 20
+
+
+@pytest.mark.parametrize("command, flag", REMOVED_FLAGS)
+def test_cli_refuses_a_setting_the_command_does_not_read(command, flag, capsys):
+    argv = [command, *COMMAND_ARGS.get(command, []), flag, FLAG_VALUES.get(flag, "1")]
+    with pytest.raises(SystemExit) as exc:
+        cli_main(argv)
+    assert exc.value.code == 2
+    assert flag in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, fmt", [("find-t1", "csv"), ("compare", "csv"),
+                                          ("sweep", "text")])
+def test_cli_refuses_a_format_the_command_does_not_write(command, fmt, capsys):
+    sweep_args = ["--sweep-param", "k", "--grid", "1"] if command == "sweep" else []
+    with pytest.raises(SystemExit) as exc:
+        cli_main([command, *sweep_args, "--format", fmt])
+    assert exc.value.code == 2
+    assert f"invalid choice: {fmt!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, text, offenders", [
+    pytest.param("compute", "[system]\npt-dbm = -20\n\n[scheme]\nschem = ebs\n\n[bogus]\nx = 1\n",
+                 ["'schem'", "[bogus]"], id="typo-file"),
+    pytest.param("compute", "[scheme]\nschem = ebs\n", ["'schem'"], id="unknown-key"),
+    pytest.param("compute", "[bogus]\n", ["[bogus]"], id="unknown-section"),
+    pytest.param("compute", "[DEFAULT]\nk = 2\n", ["[DEFAULT]"], id="default-section"),
+    pytest.param("compute", "[system]\nk = 2\n", ["[system] has no key 'k'"],
+                 id="key-in-another-section"),
+    pytest.param("compute", "[output]\nout = run.csv\n", ["'out'"], id="flag-only-key"),
+    pytest.param("find-t1", "[scheme]\nmodel = linear\n", ["find-t1 does not take 'model'"],
+                 id="find-t1-model"),
+    pytest.param("find-t1", "[system]\nt1 = 0.3\n", ["find-t1 does not take 't1'"],
+                 id="find-t1-t1"),
+    pytest.param("simulate", "[run]\nmethod = analytic\n", ["simulate does not take 'method'"],
+                 id="simulate-method"),
+    pytest.param("reproduce-figure", "[system]\npt_dbm = 30\n",
+                 ["reproduce-figure does not take 'pt-dbm'"], id="reproduce-figure-power"),
+])
+def test_cli_config_file_refuses_what_the_command_does_not_take(
+        tmp_path, capsys, command, text, offenders):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(text)
+    rc = cli_main([command, *COMMAND_ARGS.get(command, []), "--config", str(cfg)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    for offender in offenders:
+        assert offender in err
+
+
+def test_cli_config_file_takes_flag_names_and_checks_values(tmp_path, capsys):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[system]\npt-dbm = -20\n[output]\nformat = json\n")
+    assert cli_main(["compute", "--config", str(cfg)]) == 0
+    assert json.loads(capsys.readouterr().out)["pt_dbm"] == -20.0
+    # a value goes through its flag's own checks
+    cfg.write_text("[output]\nformat = text\n")
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["sweep", "--config", str(cfg), "--sweep-param", "k", "--grid", "1"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'text'" in capsys.readouterr().err
+    missing = tmp_path / "missing.ini"
+    assert cli_main(["compute", "--config", str(missing)]) == 2
+    assert str(missing) in capsys.readouterr().err
+
+
+def test_cli_find_t1_names_the_model(capsys):
+    assert cli_main(["find-t1", "--scheme", "ebs"]) == 0
+    assert capsys.readouterr().out.rstrip().endswith("[scheme EBS k 1 model nonlinear]")
+    assert cli_main(["find-t1", "--scheme", "ebs", "--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["model"] == "nonlinear"
+    linear = evaluate_point(SchemeSpec(Scheme.EBS, model=EhModel.LINEAR),
+                            P.replace(harvest_fraction=payload["t1"]), Method.ANALYTIC)
+    assert payload["outage"] == find_optimal_t1(Scheme.EBS, 1, P).outage.value
+    assert payload["outage"] != linear.value
 
 # a fresh interpreter evaluates one point on every route, then the two that run
 # the root finder: the SBS extreme-value constants and the optimal t1

@@ -46,6 +46,7 @@ from wpcn_select.montecarlo import (
     _draw_block,
     _gains,
     _kth_index,
+    _random_pick,
     _ranking_stat,
     _select,
     _stream_at,
@@ -202,11 +203,11 @@ def test_sbs_count_path_matches_select_path(k):
 CRAFTED = (np.array([0.1, 5.0, 2.0]), np.array([4.0, 0.1, 3.0]))  # (g, h)
 
 
-def select_device(spec, draw, params, rng=None):
+def select_device(spec, draw, params):
     """The index, or index pair, _select picks on a one-row block of the
     given gains, passed as the uniforms they are made from."""
     ug, uh = (-np.expm1(-a[None, :]) for a in draw)
-    sel = _select(spec, ug, uh, params, rng)[0]
+    sel = _select(spec, ug, uh, params)[0]
     return (int(sel[0]), int(sel[1])) if isinstance(spec, PairSpec) else int(sel[0])
 
 
@@ -245,25 +246,18 @@ def test_select_pair_returns_both_ranks():
     assert got == (2, 0)
 
 
-def test_random_selection_needs_rng():
-    with pytest.raises(ValueError):
-        select_device(SchemeSpec(Scheme.RS, k=1), CRAFTED, P)
-
-
 def test_random_selection_covers_population():
     rng = np.random.default_rng(3)
-    seen = set()
-    for _ in range(200):
-        seen.add(select_device(SchemeSpec(Scheme.RS, k=1), CRAFTED, P, rng))
-    assert seen == {0, 1, 2}
+    picks = _random_pick(3, 200, False, rng)
+    assert picks.shape == (200, 1)
+    assert set(picks[:, 0].tolist()) == {0, 1, 2}
 
 
 def test_random_pair_is_distinct_and_in_range():
     rng = np.random.default_rng(4)
-    for _ in range(300):
-        a, b = select_device(PairSpec(Scheme.RS, 1, 2), CRAFTED, P, rng)
-        assert a != b
-        assert 0 <= a < 3 and 0 <= b < 3
+    a, b = _random_pick(3, 300, True, rng).T
+    assert (a != b).all()
+    assert ((0 <= a) & (a < 3) & (0 <= b) & (b < 3)).all()
 
 
 # ---------------------------------------------------------------------------
