@@ -43,21 +43,21 @@ cancellation monitor), and it falls back to the integral when the monitor
 trips or at Pt = inf, where the gate is constant and the integral closed.
 
 Pair selection ranks Y, Z as the k-th and j-th largest parent SNRs (k < j).
-Given Z = z, the j-1 stronger devices are iid with survival S(.)/S(z), so
-the stronger member's place among them is a binomial tail, an incomplete
-beta function I, and each marginal is one quadrature over the j-th best
-density f_Z (David & Nagaraja, Order Statistics, 2003, 2.2).  With
-z* = x/(1-x):
+The weaker member's SINR never exceeds the stronger's (Z (Z+1) <= Y (Y+1)),
+so the stronger member failing implies the weaker one fails, and a pair's
+outage is the stronger member's, the primary marginal.  Given Z = z, the j-1 stronger devices
+are iid with survival S(.)/S(z), so the stronger member's place among them
+is a binomial tail, an incomplete beta function I, and the marginal is one
+quadrature over the j-th best density f_Z (David & Nagaraja, Order
+Statistics, 2003, 2.2).  With z* = x/(1-x):
 
-    primary    P(Y <= x (Z+1)) = int_0^z* f_Z(z) I_{1-S(x(z+1))/S(z)}(j-k, k) dz
-    secondary  P(Z <= x (Y+1)) = F_Z(z*) + int_z*^inf f_Z(z) I_{S(z/x-1)/S(z)}(k, j-k) dz
+    P(Y <= x (Z+1)) = int_0^z* f_Z(z) I_{1-S(x(z+1))/S(z)}(j-k, k) dz
 
-Every term is positive, so both keep their relative digits far into the
-tail.  They run on special.integrate_panels in amplitude w = sqrt(z), with
-every parent survival written as S(t) = e^(-rho t) z K1(z), z = 2 sqrt(a t),
-where (rho, a) are the scales at x = 1.  The stronger member failing
-implies the weaker one fails, so a pair's outage is its primary marginal; a
-random pair is the best and second best of two devices.
+Every term is positive, so it keeps its relative digits far into the tail.
+It runs on special.integrate_panels in amplitude w = sqrt(z), with every
+parent survival written as S(t) = e^(-rho t) z K1(z), z = 2 sqrt(a t),
+where (rho, a) are the scales at x = 1.  A random pair is the best and
+second best of two devices.
 """
 
 from __future__ import annotations
@@ -102,7 +102,7 @@ __all__ = [
 MAX_SUM_DEVICES = 60
 _CANCELLATION_LIMIT = 1e-8
 
-# the pair quadratures: no absolute floor above any value they can return
+# the pair quadrature: no absolute floor above any value it can return
 _PAIR_QUADRATURE = QuadratureSpec(1e-8, 1e-300, 400)
 
 
@@ -280,7 +280,7 @@ def _parent_logs(t: np.ndarray, rho: float, a: float, density: bool = True):
     for the parent with rates (rho, a): f = -S' = e^(-rho t) (rho z K1(z) +
     2 a K0(z)).  The Bessel factors enter scaled by e^z, so neither
     underflows in the far tail.  Without density, log S(t) alone, which
-    spares the K0 the pair factors do not need."""
+    spares the K0 the pair factor does not need."""
     if a == 0.0:
         return (-rho * t, math.log(rho) - rho * t) if density else -rho * t
     z = 2.0 * np.sqrt(a * t)
@@ -492,81 +492,45 @@ def outage_mms(x: float, spec: SchemeSpec, params: SystemParams) -> float:
 # pair selection: k-th and j-th best transmit together, single-user detection
 # ---------------------------------------------------------------------------
 
-def _pair_quadrature(inner, lo: float, hi: float, j: int, M: int,
-                     rates: tuple[float, float]) -> float:
-    """int_lo^hi f_Z(w^2) inner(z, log S(z)) 2w dw in one kernel call: f_Z is
-    the density j C(M,j) F^(M-j) S^(j-1) f of the j-th largest of M parent
-    SNRs, summed in logs, and inner maps the nodes z = w^2 and their log
-    survival to the conditional factor (module docstring).
-
-    The parent survival reaches j/M near w = loc, where its log falls like
-    rho w^2 + 2 sqrt(a) w, by one per width.  The panels are seeded about
-    loc at that width and graded toward both ends: to 4^-8 widths at lo,
-    where the density's log singularity at z = 0 leaves w log w when j = M,
-    and to 4^-6 at a finite hi, where the primary's factor closes under a
-    steep F^(M-j).  A semi-infinite range stops 40 widths past the later of
-    lo and loc, where S has fallen by about e^-40 more and f_Z by about
-    e^-40j; nothing closes there, so that end is not graded.
-    """
-    rho, a = rates
-    spread = math.log(max(M / j, 2.0))
-    loc = spread / (math.sqrt(a) + math.sqrt(a + rho * spread))
-    width = 0.5 / (math.sqrt(a) + rho * loc)
-    closes = math.isfinite(hi)
-    hi = min(hi, max(lo, loc) + 40.0 * width)
-    cuts = [loc + step * width for step in _LAW_STEPS]
-    cuts += [lo + width * 4.0 ** i for i in range(-8, 2)]
-    if closes:
-        cuts += [hi - width * 4.0 ** i for i in range(-6, 2)]
-    edges = [sorted({lo, hi}.union(c for c in cuts if lo < c < hi))]
-    lc = math.log(2 * j) + math.log(math.comb(M, j))
-
-    def f(w: np.ndarray, piece: np.ndarray) -> np.ndarray:
-        z = w * w
-        log_sf, log_pdf = _parent_logs(z, rho, a)
-        log_fz = lc + np.log(w) + log_pdf + (j - 1) * log_sf + xlogy(M - j, -np.expm1(log_sf))
-        return np.exp(log_fz) * inner(z, log_sf)
-
-    return integrate_panels(f, edges, _PAIR_QUADRATURE)[0]
-
-
 def pair_marginal_primary(
     x: float, k: int, j: int, M: int, params: SystemParams, model: EhModel
 ) -> float:
     """P(Y <= x (Z + 1)) for Y, Z the k-th and j-th largest parent SNRs, at
     0 < x < 1: the stronger member's SINR outage under single-user
     detection, with the weaker member as interference.  Given Z = z below
-    x/(1-x), fewer than k of the j-1 stronger devices exceed x (z+1)."""
-    rates = _scales(1.0, params, model)
+    z* = x/(1-x), fewer than k of the j-1 stronger devices exceed x (z+1).
 
-    def inner(z: np.ndarray, log_sf: np.ndarray) -> np.ndarray:
+    One kernel call over w = sqrt(z) in [0, sqrt(z*)], with the density f_Z
+    = j C(M,j) F^(M-j) S^(j-1) f of the j-th largest summed in logs.  The
+    parent survival reaches j/M near w = loc, where its log falls like
+    rho w^2 + 2 sqrt(a) w, by one per width.  The panels are seeded about
+    loc at that width and graded toward both ends: to 4^-8 widths at 0,
+    where the density's log singularity at z = 0 leaves w log w when j = M,
+    and to 4^-6 at the top, where the beta factor closes under a steep F^(M-j).
+    The top is at most 40 widths past loc, where f_Z has fallen by about e^-40j.
+    """
+    rho, a = _scales(1.0, params, model)
+    spread = math.log(max(M / j, 2.0))
+    loc = spread / (math.sqrt(a) + math.sqrt(a + rho * spread))
+    width = 0.5 / (math.sqrt(a) + rho * loc)
+    hi = min(math.sqrt(x / (1.0 - x)), loc + 40.0 * width)
+    cuts = [loc + step * width for step in _LAW_STEPS]
+    cuts += [width * 4.0 ** i for i in range(-8, 2)]
+    cuts += [hi - width * 4.0 ** i for i in range(-6, 2)]
+    edges = [sorted({0.0, hi}.union(c for c in cuts if 0.0 < c < hi))]
+    lc = math.log(2 * j) + math.log(math.comb(M, j))
+
+    def f(w: np.ndarray, piece: np.ndarray) -> np.ndarray:
+        z = w * w
+        log_sf, log_pdf = _parent_logs(z, rho, a)
+        log_fz = lc + np.log(w) + log_pdf + (j - 1) * log_sf + xlogy(M - j, -np.expm1(log_sf))
         # 1 - S(x(z+1))/S(z) as expm1 of the log gap keeps its digits where
         # the ratio is near 1, and its betainc is accurate where betaincc at
         # the ratio is noise; the gap is < 0 but for rounding
-        gap = np.minimum(_parent_logs(x * (z + 1.0), *rates, density=False) - log_sf, 0.0)
-        return betainc(j - k, k, -np.expm1(gap))
+        gap = np.minimum(_parent_logs(x * (z + 1.0), rho, a, density=False) - log_sf, 0.0)
+        return np.exp(log_fz) * betainc(j - k, k, -np.expm1(gap))
 
-    return _pair_quadrature(inner, 0.0, math.sqrt(x / (1.0 - x)), j, M, rates)
-
-
-def pair_marginal_secondary(
-    x: float, k: int, j: int, M: int, params: SystemParams, model: EhModel
-) -> float:
-    """P(Z <= x (Y + 1)) for Y, Z the k-th and j-th largest parent SNRs, at
-    0 < x < 1: the weaker member's SINR outage, for the nonlinear parent.
-    It is certain for Z below z* = x/(1-x), since Y > Z.  Given Z = z above
-    z*, at least k of the j-1 stronger devices must exceed z/x - 1."""
-    if model is not EhModel.NON_LINEAR:
-        raise ValueError("the secondary pair marginal is stated for the nonlinear harvester")
-    rates = _scales(1.0, params, model)
-    z_star = x / (1.0 - x)
-
-    def inner(z: np.ndarray, log_sf: np.ndarray) -> np.ndarray:
-        gap = np.minimum(_parent_logs(z / x - 1.0, *rates, density=False) - log_sf, 0.0)
-        return betainc(k, j - k, np.exp(gap))
-
-    below = _kth_best_cdf(parent_cdf(z_star, params, model), M, j)
-    return below + _pair_quadrature(inner, math.sqrt(z_star), math.inf, j, M, rates)
+    return integrate_panels(f, edges, _PAIR_QUADRATURE)[0]
 
 
 @_evaluator(Method.ANALYTIC, PairSpec, Scheme.RS, Scheme.SBS)

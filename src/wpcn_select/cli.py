@@ -88,6 +88,9 @@ _SETTINGS = {
     },
 }
 _FLAG_ONLY = ("out", "config")  # where the output and the file itself are
+# --out help where --out is not a single output file
+_OUT_HELP = {"sweep": "output file (default: stdout); --format csv also writes <out>.meta.json",
+             "reproduce-figure": "directory for <figure>.csv and .meta.json (default: .)"}
 _ALL = [name for group in _SETTINGS.values() for name in group]
 
 
@@ -292,6 +295,8 @@ def build_parser() -> argparse.ArgumentParser:
             for name, spec in group.items():
                 if name in taken:
                     fmt = dict(choices=formats, default=formats[0]) if name == "format" else {}
+                    if name == "out":
+                        spec = dict(spec, help=_OUT_HELP.get(command, spec["help"]))
                     p.add_argument(f"--{name}", **spec, **fmt)
 
     # this subcommand is the Monte Carlo route by definition

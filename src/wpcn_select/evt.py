@@ -26,7 +26,6 @@ from scipy.special import gammaincc
 
 from .analytic import (
     Method,
-    PairSpec,
     RankedLaw,
     Scheme,
     SchemeSpec,
@@ -34,8 +33,6 @@ from .analytic import (
     _mms_integral,
     _one_gate,
     _scales,
-    pair_marginal_primary,
-    pair_marginal_secondary,
     parent_cdf,
 )
 from .model import EhModel, SystemParams
@@ -49,7 +46,6 @@ __all__ = [
     "outage_evt_ebs",
     "outage_evt_ibs",
     "outage_evt_mms",
-    "outage_evt_pair",
     "outage_evt_sbs",
 ]
 
@@ -76,7 +72,7 @@ def gumbel_kth_cdf(z: float, k: int) -> float:
     G_k(z) = exp(-exp(-z)) * sum_{j<k} exp(-j z)/j! = Q(k, e^(-z)), the
     regularized upper incomplete gamma function.
     """
-    if not (isinstance(k, int) and k >= 1):
+    if not (type(k) is int and k >= 1):
         raise DomainError(f"order index k must be an integer >= 1, got {k!r}")
     z = float(z)
     if z < -700.0:  # exp(-z) would overflow; the limit is exactly 0
@@ -181,16 +177,3 @@ def outage_evt_mms(x: float, spec: SchemeSpec, params: SystemParams) -> float:
     law = gumbel_law(params.num_devices, spec.k, 2.0)
     return _mms_integral(*_scales(x, params, spec.model), law)
 
-
-@_evaluator(Method.EVT, PairSpec, Scheme.SBS)
-def outage_evt_pair(x: float, pair: PairSpec, params: SystemParams) -> float:
-    """Product of the two finite-M marginal SINR CDFs; no Gumbel law enters.
-    The weaker member's SINR never exceeds the stronger's (Z (Z+1) <= Y (Y+1)),
-    so the exact joint outage is the primary marginal alone (outage_pair) and
-    this returns exact times P(weaker fails).  At fig4's x = 0.7365, -40 dBm,
-    EVT/exact for (1, 2) is 0.75, 0.47 and 0.31 at M = 10, 100 and 1000."""
-    M = params.num_devices
-    stronger = pair_marginal_primary(x, pair.k, pair.j, M, params, EhModel.NON_LINEAR)
-    weaker = pair_marginal_secondary(x, pair.k, pair.j, M, params, EhModel.NON_LINEAR)
-    # both factors are probabilities, so an overshoot is an error, not noise
-    return stronger * weaker

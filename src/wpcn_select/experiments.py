@@ -73,13 +73,13 @@ def _package_version() -> str:
 # single-point dispatch
 # ---------------------------------------------------------------------------
 
-#: (method name, scheme name or "pair") -> (module, evaluator name).  Every
-#: deterministic evaluator takes (x, spec, params); random selection has no
-#: extreme-value limit, so (EVT, RS) is the one key left out.  The keys are
-#: the members' names, not the members, because an Enum hashes through
-#: Python code and a str in C.  The evaluator is looked up on its module at
-#: each call, so a rebound module attribute (a wrapper, a test double) takes
-#: effect here as well.
+#: (method name, scheme name or "pair") -> (module, evaluator name), for each
+#: evaluator that exists.  Every one takes (x, spec, params).  Random and pair
+#: selection have no extreme-value limit, so (EVT, RS) and (EVT, pair) are
+#: absent.  The keys are the members' names, not the members, because an Enum
+#: hashes through Python code and a str in C.  The evaluator is looked up on
+#: its module at each call, so a rebound module attribute (a wrapper, a test
+#: double) takes effect here as well.
 _ROUTES = {
     (method.name, key): (module, template.format(key.lower()))
     for key in [s.name for s in Scheme] + ["pair"]
@@ -88,7 +88,7 @@ _ROUTES = {
         (Method.HIGH_SNR, analytic, "outage_high_snr"),
         (Method.EVT, evt, "outage_evt_{}"),
     )
-    if (method, key) != (Method.EVT, Scheme.RS.name)
+    if hasattr(module, template.format(key.lower()))
 }
 
 
@@ -110,7 +110,8 @@ def evaluate_point(
     key = "pair" if isinstance(selection, PairSpec) else selection.scheme._name_
     route = _ROUTES.get((method._name_, key))
     if route is None:
-        raise ValueError("random selection has no extreme-value limit")
+        kind = "pair" if key == "pair" else "random"
+        raise ValueError(f"{kind} selection has no extreme-value limit")
     module, name = route
     return getattr(module, name)(threshold_x(params), selection, params)
 

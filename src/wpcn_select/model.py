@@ -93,7 +93,7 @@ class SystemParams:
             raise ValueError("harvest_fraction t1 must lie strictly in (0, 1)")
         if not self.rate_threshold_q >= 0.0:
             raise ValueError("rate_threshold_q must be nonnegative")
-        if not (isinstance(self.num_devices, int) and self.num_devices >= 1):
+        if not (type(self.num_devices) is int and self.num_devices >= 1):
             raise ValueError("num_devices must be an integer >= 1")
 
     @property

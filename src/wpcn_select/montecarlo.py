@@ -100,9 +100,9 @@ class TrialConfig:
     estimation_error_var: float = 0.0
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.num_trials, int) and self.num_trials >= 1):
+        if not (type(self.num_trials) is int and self.num_trials >= 1):
             raise ValueError(f"num_trials must be a positive integer, got {self.num_trials!r}")
-        if not (isinstance(self.base_seed, int) and self.base_seed >= 0):
+        if not (type(self.base_seed) is int and self.base_seed >= 0):
             raise ValueError(f"base_seed must be a non-negative integer, got {self.base_seed!r}")
         if not 0.0 <= self.estimation_error_var < 1.0:
             raise ValueError(

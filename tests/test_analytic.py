@@ -698,6 +698,22 @@ def test_pair_order_index_bounds():
         outage_pair(0.5, PairSpec(Scheme.SBS, 1, 11), P_PAIR)
 
 
+def test_pair_is_above_sbs_and_nonincreasing_in_j():
+    # the weaker member's interference only adds to the stronger member's
+    # outage, and a weaker member further down the ranking interferes less:
+    # 888 values over powers, both harvesters, M, k and every j > k
+    slack = 1e-12
+    for pt_dbm, model, M in itertools.product((-40.0, -20.0, 0.0, 20.0), EhModel, (10, 20, 30)):
+        params = P_PAIR.replace(num_devices=M, transmit_power=dbm_to_watts(pt_dbm))
+        for k in (1, 2):
+            sbs = outage_sbs(X_PAIR, SchemeSpec(Scheme.SBS, k=k, model=model), params).value
+            pair = [outage_pair(X_PAIR, PairSpec(Scheme.SBS, k, j, model=model), params).value
+                    for j in range(k + 1, M + 1)]
+            where = f"{pt_dbm} dBm {model.value} M={M} k={k}: {pair}"
+            assert all(v >= sbs * (1.0 - slack) for v in pair), f"{where} vs SBS {sbs!r}"
+            assert all(b <= a * (1.0 + slack) for a, b in zip(pair, pair[1:])), where
+
+
 # ---------------------------------------------------------------------------
 # container validation
 # ---------------------------------------------------------------------------

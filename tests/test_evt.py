@@ -25,7 +25,6 @@ from wpcn_select.analytic import (
     outage_pair,
     outage_sbs,
     pair_marginal_primary,
-    pair_marginal_secondary,
     parent_cdf,
     r_scale,
 )
@@ -37,7 +36,6 @@ from wpcn_select.evt import (
     outage_evt_ebs,
     outage_evt_ibs,
     outage_evt_mms,
-    outage_evt_pair,
     outage_evt_sbs,
 )
 from wpcn_select.experiments import evaluate_point
@@ -436,75 +434,6 @@ def test_mms_limit_in_unit_interval_before_clamping():
 
 
 # ---------------------------------------------------------------------------
-# asymptotic pair law
-# ---------------------------------------------------------------------------
-
-def test_evt_pair_is_product_of_marginals():
-    prod = outage_evt_pair(X_PAIR, PairSpec(Scheme.SBS, 1, 3), P_PAIR).value
-    a = pair_marginal_primary(X_PAIR, 1, 3, 10, P_PAIR, EhModel.NON_LINEAR)
-    b = pair_marginal_secondary(X_PAIR, 1, 3, 10, P_PAIR, EhModel.NON_LINEAR)
-    assert prod == pytest.approx(a * b, rel=1e-12)
-    assert prod == pytest.approx(0.00022656698639170796, rel=1e-8)
-
-
-def test_evt_pair_never_exceeds_exact_joint():
-    # the stronger SINR failing implies the weaker one fails, so the exact
-    # joint equals the primary marginal and the product can only sit below it
-    from wpcn_select.model import EhModel
-
-    for M in (10, 30):
-        params = P_PAIR.replace(num_devices=M)
-        joint = outage_pair(X_PAIR, PairSpec(Scheme.SBS, 1, 3), params).value
-        prod = outage_evt_pair(X_PAIR, PairSpec(Scheme.SBS, 1, 3), params).value
-        assert prod <= joint
-        assert prod == pytest.approx(joint, rel=0.15)
-
-
-def test_evt_pair_frozen_large_population():
-    params = P_PAIR.replace(num_devices=30)
-    got = outage_evt_pair(X_PAIR, PairSpec(Scheme.SBS, 1, 3), params).value
-    assert got == pytest.approx(8.5457771133614e-10, rel=1e-8, abs=0.0)
-
-
-def test_evt_pair_refuses_linear_harvester():
-    # the pair limit is stated for the nonlinear harvester, as the ranked ones are
-    linear = PairSpec(Scheme.SBS, 1, 3, model=EhModel.LINEAR)
-    with pytest.raises(ValueError, match="nonlinear harvester"):
-        evaluate_point(linear, P_PAIR, Method.EVT)
-    with pytest.raises(ValueError, match="nonlinear harvester"):
-        outage_evt_pair(X_PAIR, linear, P_PAIR)
-
-
-def test_evt_pair_domain():
-    with pytest.raises(ValueError):
-        outage_evt_pair(X_PAIR, PairSpec(Scheme.RS, 1, 3), P_PAIR)
-    with pytest.raises(DomainError):
-        outage_evt_pair(1.1, PairSpec(Scheme.SBS, 1, 3), P_PAIR)
-    with pytest.raises(ValueError):
-        outage_evt_pair(X_PAIR, PairSpec(Scheme.SBS, 1, 12), P_PAIR)
-    assert outage_evt_pair(0.0, PairSpec(Scheme.SBS, 1, 3), P_PAIR).value == 0.0
-
-
-def test_evt_pair_overshoot_raises(monkeypatch):
-    # the product of two probabilities cannot leave [0, 1]: no clamp hides it
-    import wpcn_select.evt as evt
-
-    monkeypatch.setattr(evt, "pair_marginal_primary", lambda *a: 1.01)
-    monkeypatch.setattr(evt, "pair_marginal_secondary", lambda *a: 1.01)
-    with pytest.raises(AccuracyError):
-        outage_evt_pair(X_PAIR, PairSpec(Scheme.SBS, 1, 3), P_PAIR)
-
-
-@pytest.mark.parametrize("pt_dbm", [-30.0, -20.0])
-def test_evt_pair_converges_at_moderate_power(pt_dbm):
-    # the secondary's tail falls like e^(-k a wy) with a = 0.26 and 0.08 here;
-    # a unit-rate map of it was singular and quadpack gave up
-    params = P_PAIR.replace(transmit_power=dbm_to_watts(pt_dbm))
-    est = evaluate_point(PairSpec(Scheme.SBS, 1, 2), params, Method.EVT)
-    assert 0.0 <= est.value <= 1.0
-
-
-# ---------------------------------------------------------------------------
 # pair marginals
 # ---------------------------------------------------------------------------
 
@@ -517,25 +446,18 @@ def test_pair_marginals_stay_probabilities():
     cases.append((0.5, 100, 2, 50))
     for x, M, k, j in cases:
         params = P_PAIR.replace(num_devices=M)
-        for marginal in (pair_marginal_primary, pair_marginal_secondary):
-            v = marginal(x, k, j, M, params, EhModel.NON_LINEAR)
-            assert 0.0 <= v <= 1.0 + 1e-12, f"{marginal.__name__} M={M} ({k}, {j}): {v!r}"
+        v = pair_marginal_primary(x, k, j, M, params, EhModel.NON_LINEAR)
+        assert 0.0 <= v <= 1.0 + 1e-12, f"pair_marginal_primary M={M} ({k}, {j}): {v!r}"
 
 
 # (marginal, Pt in dBm, M, k, j) -> value at X_PAIR, frozen from a 30-digit
-# mpmath quadrature of the conditional forms.  A nested scipy quadrature at
-# tolerances 1e-13/1e-19 inside 1e-12/1e-17 agrees within 2e-13 at -40 dBm,
-# except at M=30 (2, 18), where it reads 0.99999999295
+# mpmath quadrature of the conditional form.  A nested scipy quadrature at
+# tolerances 1e-13/1e-19 inside 1e-12/1e-17 agrees within 2e-13.  The
+# primary is the one marginal; its name stays in the column, and so in the
+# case names
 PAIR_ORACLE = [
     ("primary", -40.0, 10, 1, 3, 0.00023501526047497347),
     ("primary", -40.0, 10, 2, 5, 0.0011205004527401837),
-    ("secondary", -40.0, 10, 1, 3, 0.96405223190199057),
-    ("secondary", -40.0, 10, 2, 5, 0.99615842005078533),
-    ("secondary", -40.0, 30, 1, 3, 0.87827806909186292),
-    ("secondary", -40.0, 30, 2, 18, 0.99999999999999797),
-    # quadpack gave up here (-30 dBm), or returned 1.07e-13 (-10 dBm)
-    ("secondary", -30.0, 10, 1, 2, 0.68645145190272591),
-    ("secondary", -10.0, 10, 1, 2, 0.67944056632044839),
     # fig4 points with j = M; scipy quad under a 1e-13 absolute floor was
     # 1.6e-6 and 6.5e-5 off
     ("primary", -40.0, 20, 2, 20, 2.7095599729395283e-10),
@@ -545,34 +467,9 @@ PAIR_ORACLE = [
 
 @pytest.mark.parametrize("which, pt_dbm, M, k, j, want", PAIR_ORACLE)
 def test_pair_marginals_match_tight_oracle(which, pt_dbm, M, k, j, want):
-    marginal = pair_marginal_primary if which == "primary" else pair_marginal_secondary
     params = P_PAIR.replace(num_devices=M, transmit_power=dbm_to_watts(pt_dbm))
-    got = marginal(X_PAIR, k, j, M, params, EhModel.NON_LINEAR)
+    got = pair_marginal_primary(X_PAIR, k, j, M, params, EhModel.NON_LINEAR)
     assert got == pytest.approx(want, rel=1e-8, abs=0.0)
-
-
-# (M, k, j, x) -> secondary at -40 dBm and thresholds far below X_PAIR,
-# frozen from a 35-digit mpmath quadrature of the form conditioned on Z.
-# One minus a quadrature over Y raised AccuracyError at the second point and
-# returned -2.1e-11 at the third.  A table of its own, since an x column in
-# PAIR_ORACLE would rename every case of that test
-PAIR_SECONDARY_LOW_X = [
-    (10, 1, 3, 0.02, 6.3300929778373598e-04),
-    (30, 1, 3, 0.02, 6.6191639594744077e-07),
-    (30, 1, 2, 0.001, 1.1458207939606836e-22),
-]
-
-
-@pytest.mark.parametrize("M, k, j, x, want", PAIR_SECONDARY_LOW_X)
-def test_pair_secondary_keeps_relative_digits_at_low_threshold(M, k, j, x, want):
-    params = P_PAIR.replace(num_devices=M)
-    got = pair_marginal_secondary(x, k, j, M, params, EhModel.NON_LINEAR)
-    assert got == pytest.approx(want, rel=1e-8, abs=0.0)
-
-
-def test_pair_secondary_is_stated_for_nonlinear_parent():
-    with pytest.raises(ValueError):
-        pair_marginal_secondary(X_PAIR, 1, 3, 10, P_PAIR, EhModel.LINEAR)
 
 
 def test_pair_marginals_are_one_quadrature_each(monkeypatch):
@@ -586,10 +483,8 @@ def test_pair_marginals_are_one_quadrature_each(monkeypatch):
         return kernel(*args, **kwargs)
 
     monkeypatch.setattr(analytic, "integrate_panels", counted)
-    for marginal in (pair_marginal_primary, pair_marginal_secondary):
-        calls.clear()
-        marginal(X_PAIR, 2, 5, 10, P_PAIR, EhModel.NON_LINEAR)
-        assert len(calls) == 1, f"{marginal.__name__}: {calls}"
+    pair_marginal_primary(X_PAIR, 2, 5, 10, P_PAIR, EhModel.NON_LINEAR)
+    assert len(calls) == 1, f"pair_marginal_primary: {calls}"
     for pair in (PairSpec(Scheme.SBS, 2, 5), PairSpec(Scheme.RS, 1, 2)):
         calls.clear()
         outage_pair(X_PAIR, pair, P_PAIR)

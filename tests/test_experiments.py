@@ -28,7 +28,7 @@ from wpcn_select.analytic import (
 )
 from wpcn_select.cli import build_parser
 from wpcn_select.cli import main as cli_main
-from wpcn_select.evt import gumbel_law
+from wpcn_select.evt import gumbel_kth_cdf, gumbel_law
 from wpcn_select.experiments import (
     CSV_COLUMNS,
     ComparisonConfig,
@@ -54,6 +54,7 @@ from wpcn_select.model import (
     default_params,
     threshold_x,
 )
+from wpcn_select.montecarlo import TrialConfig
 from wpcn_select.special import DomainError
 
 P = default_params()
@@ -105,7 +106,9 @@ def test_evaluate_point_pair_routes():
     a = evaluate_point(pair, params, Method.ANALYTIC)
     assert a.value == pytest.approx(0.00023501526047497304, rel=1e-8)
     assert evaluate_point(pair, params, Method.HIGH_SNR).method is Method.HIGH_SNR
-    assert evaluate_point(pair, params, Method.EVT).value <= a.value
+    # the paper states no pair limit, so there is no extreme-value route
+    with pytest.raises(ValueError, match="pair selection has no extreme-value limit"):
+        evaluate_point(pair, params, Method.EVT)
 
 
 def test_evaluate_point_rejects_impossible_requests():
@@ -129,10 +132,27 @@ BEYOND_POPULATION = {
 @pytest.mark.parametrize("method", list(Method), ids=lambda m: m.value)
 @pytest.mark.parametrize("case", list(BEYOND_POPULATION))
 def test_evaluate_point_rejects_order_index_beyond_population(method, case):
-    # every route refuses the (M + 1)-th best; RS has no extreme-value route at all
+    # every route refuses the (M + 1)-th best; RS and pairs have no
+    # extreme-value route at all
     selection, params = BEYOND_POPULATION[case]
     with pytest.raises(ValueError, match="exceeds|extreme-value"):
         evaluate_point(selection, params, method, mc_trials=1_000)
+
+
+# a bool is an int, but no count: M = True was written to CSV as "True",
+# which read_csv could not parse back
+BOOL_COUNTS = {
+    "num_devices": lambda: SystemParams(num_devices=True),
+    "num_trials": lambda: TrialConfig(SchemeSpec(Scheme.SBS), P, num_trials=True),
+    "base_seed": lambda: TrialConfig(SchemeSpec(Scheme.SBS), P, base_seed=True),
+    "gumbel_k": lambda: gumbel_kth_cdf(0.0, True),
+}
+
+
+@pytest.mark.parametrize("case", list(BOOL_COUNTS))
+def test_bool_is_refused_as_a_count(case):
+    with pytest.raises(ValueError, match="integer"):
+        BOOL_COUNTS[case]()
 
 
 @pytest.mark.parametrize("scheme", list(Scheme) + ["pair"], ids=str)
@@ -712,6 +732,22 @@ def test_cli_commands_take_only_the_settings_they_read():
     assert sum(len(flags) for flags, _ in COMMAND_SETTINGS.values()) == 76
     assert len(REMOVED_FLAGS) == 20
 
+
+# command -> what its --out help must say: reproduce-figure writes into a
+# directory, and a csv sweep writes a metadata file beside its --out
+OUT_HELP = {
+    "reproduce-figure": "--out OUT directory for <figure>.csv and .meta.json (default: .)",
+    "sweep": "--out OUT output file (default: stdout); --format csv also writes <out>.meta.json",
+    "compute": "--out OUT output file (default: stdout) --config",
+}
+
+
+@pytest.mark.parametrize("command", list(OUT_HELP))
+def test_cli_out_help_says_what_out_names(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli_main([command, "-h"])
+    assert exc.value.code == 0
+    assert OUT_HELP[command] in " ".join(capsys.readouterr().out.split())
 
 @pytest.mark.parametrize("command, flag", REMOVED_FLAGS)
 def test_cli_refuses_a_setting_the_command_does_not_read(command, flag, capsys):
