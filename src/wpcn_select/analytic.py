@@ -70,8 +70,8 @@ from enum import Enum
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.special import betainc, k0e, k1e, xlogy
 
+from . import special  # scipy's ufuncs as special._special, read at each call
 from .model import EhModel, SystemParams
 from .special import (
     AccuracyError,
@@ -196,10 +196,10 @@ def _evaluator(method: Method, spec_type: type, *schemes: Scheme):
     one of schemes, with its order indices within the population; the
     extreme-value route takes only the nonlinear harvester, which its limits
     cover.  x <= 0 is no outage and x = inf certain outage; a pair also needs
-    x < 1, where its integration limit x/(1-x) is finite.  The body computes
-    the value at any other x, at any Pt up to inf, and it leaves through
-    _finalize.  The floor route (outage_high_snr) is the exact evaluator at
-    Pt = inf.
+    x < 1, where its integration limit x/(1-x) is finite; a nan x raises
+    DomainError.  The body computes the value at any other x, at any Pt up
+    to inf, and it leaves through _finalize.  The floor route
+    (outage_high_snr) is the exact evaluator at Pt = inf.
     """
     nonlinear_only = method is not Method.ANALYTIC
     pair = spec_type is PairSpec
@@ -213,6 +213,8 @@ def _evaluator(method: Method, spec_type: type, *schemes: Scheme):
             if nonlinear_only and spec.model is not EhModel.NON_LINEAR:
                 raise ValueError(f"the {method.value} route is stated for the nonlinear harvester")
             x = float(x)
+            if x != x:
+                raise DomainError(f"outage threshold x must be a number, got {x!r}")
             if x <= 0.0:
                 return _finalize(0.0, method)
             if math.isinf(x):
@@ -284,13 +286,13 @@ def _parent_logs(t: np.ndarray, rho: float, a: float, density: bool = True):
     if a == 0.0:
         return (-rho * t, math.log(rho) - rho * t) if density else -rho * t
     z = 2.0 * np.sqrt(a * t)
-    zk1 = z * k1e(z)
+    zk1 = z * special._special.k1e(z)
     e = -rho * t - z
     # z K1(z) = 1 - O(z^2 log z) rounds above 1 at tiny z; S cannot
     log_sf = np.minimum(e + np.log(zk1), 0.0)
     if not density:
         return log_sf
-    return log_sf, e + np.log(rho * zk1 + 2.0 * a * k0e(z))
+    return log_sf, e + np.log(rho * zk1 + 2.0 * a * special._special.k0e(z))
 
 
 def _kth_best_cdf(psi: float, M: int, k: int) -> float:
@@ -508,8 +510,14 @@ def pair_marginal_primary(
     where the density's log singularity at z = 0 leaves w log w when j = M,
     and to 4^-6 at the top, where the beta factor closes under a steep F^(M-j).
     The top is at most 40 widths past loc, where f_Z has fallen by about e^-40j.
+
+    The linear harvester at Pt = inf has both scales 0.  Both members' SNRs
+    grow with Pt, so the stronger member's SINR tends to Y'/Z' >= 1 > x, and
+    the outage is 0, as on the single-device linear route.
     """
     rho, a = _scales(1.0, params, model)
+    if rho == a == 0.0:
+        return 0.0
     spread = math.log(max(M / j, 2.0))
     loc = spread / (math.sqrt(a) + math.sqrt(a + rho * spread))
     width = 0.5 / (math.sqrt(a) + rho * loc)
@@ -523,12 +531,13 @@ def pair_marginal_primary(
     def f(w: np.ndarray, piece: np.ndarray) -> np.ndarray:
         z = w * w
         log_sf, log_pdf = _parent_logs(z, rho, a)
-        log_fz = lc + np.log(w) + log_pdf + (j - 1) * log_sf + xlogy(M - j, -np.expm1(log_sf))
+        log_fz = (lc + np.log(w) + log_pdf + (j - 1) * log_sf
+                  + special._special.xlogy(M - j, -np.expm1(log_sf)))
         # 1 - S(x(z+1))/S(z) as expm1 of the log gap keeps its digits where
         # the ratio is near 1, and its betainc is accurate where betaincc at
         # the ratio is noise; the gap is < 0 but for rounding
         gap = np.minimum(_parent_logs(x * (z + 1.0), rho, a, density=False) - log_sf, 0.0)
-        return np.exp(log_fz) * betainc(j - k, k, -np.expm1(gap))
+        return np.exp(log_fz) * special._special.betainc(j - k, k, -np.expm1(gap))
 
     return integrate_panels(f, edges, _PAIR_QUADRATURE)[0]
 

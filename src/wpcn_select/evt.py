@@ -22,8 +22,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaincc
 
+from . import special
 from .analytic import (
     Method,
     RankedLaw,
@@ -77,7 +77,7 @@ def gumbel_kth_cdf(z: float, k: int) -> float:
     z = float(z)
     if z < -700.0:  # exp(-z) would overflow; the limit is exactly 0
         return 0.0
-    return float(gammaincc(k, math.exp(-z)))
+    return float(special._special.gammaincc(k, math.exp(-z)))
 
 
 @functools.lru_cache(maxsize=256)
@@ -91,7 +91,7 @@ def gumbel_law(M: int, k: int, rate: float) -> RankedLaw:
         return lc - k * rate * t - M * np.exp(-rate * t)
 
     def cdf(t: float) -> float:
-        return float(gammaincc(k, M * math.exp(-rate * t)))
+        return float(special._special.gammaincc(k, M * math.exp(-rate * t)))
 
     return RankedLaw(logpdf, cdf, math.log(max(M / k, 2.0)) / rate, rate)
 

@@ -1,10 +1,21 @@
 """Special-function, quadrature and root-finding kernel shared by all evaluators.
 
-Wraps scipy's K1 / incomplete beta behind explicit domain
-checks, and provides the one adaptive quadrature every evaluator uses and
+Checks the domain of K1 and the regularized incomplete beta before calling
+scipy's, and provides the one adaptive quadrature every evaluator uses and
 the one scalar root finder, with an error contract: results that cannot meet
 the requested tolerance raise AccuracyError carrying the best available
 estimate instead of returning silently degraded numbers.
+
+This is the one module that imports scipy, and only scipy.special, at the
+first special-function call: importing it costs more than the rest of the
+package, and no Monte Carlo run or command-line parse needs it.  Every
+caller, here and in analytic and evt, reads the module global _special at
+call time.  It starts as a stand-in whose first attribute read imports
+scipy.special and rebinds _special to the module itself, so from then on a
+call reaches scipy's ufunc through no Python layer, at the cost of one
+attribute read.  Python's import lock makes a first call from two threads
+safe: both get the fully imported module.  sys.modules never holds the
+stand-in.
 
 brent_root is Brent's method (Algorithms for Minimization without
 Derivatives, 1973, ch. 4), scipy's brentq C loop ported statement for
@@ -34,7 +45,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import special as _special
 
 __all__ = [
     "AccuracyError",
@@ -87,6 +97,20 @@ DEFAULT_QUADRATURE = QuadratureSpec()
 # ---------------------------------------------------------------------------
 # classical special functions
 # ---------------------------------------------------------------------------
+
+class _DeferredSpecial:
+    """scipy.special until first used; see the module docstring."""
+
+    def __getattr__(self, name: str):
+        global _special
+        from scipy import special
+
+        _special = special
+        return getattr(special, name)
+
+
+_special = _DeferredSpecial()
+
 
 def bessel_k1(x: float) -> float:
     """Modified Bessel function of the second kind, order one, K1(x).

@@ -714,6 +714,19 @@ def test_pair_is_above_sbs_and_nonincreasing_in_j():
             assert all(b <= a * (1.0 + slack) for a, b in zip(pair, pair[1:])), where
 
 
+@pytest.mark.parametrize("x", [0.02, 0.5, 0.99])
+@pytest.mark.parametrize("pair", [(Scheme.SBS, 1, 3), (Scheme.SBS, 2, 5), (Scheme.RS, 1, 2)],
+                         ids=lambda p: f"{p[0].value}-{p[1]}-{p[2]}")
+def test_linear_pair_at_infinite_power_is_no_outage(pair, x):
+    # both members' SNRs scale with Pt, so the stronger member's SINR tends to
+    # Y'/Z' >= 1 > x; the single-device linear route is 0 there as well
+    params = P_PAIR.replace(transmit_power=math.inf)
+    spec = PairSpec(*pair, model=EhModel.LINEAR)
+    assert outage_pair(x, spec, params).value == 0.0
+    sbs = SchemeSpec(Scheme.SBS, k=pair[1], model=EhModel.LINEAR)
+    assert outage_sbs(x, sbs, params).value == 0.0
+
+
 # ---------------------------------------------------------------------------
 # container validation
 # ---------------------------------------------------------------------------

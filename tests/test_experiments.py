@@ -155,6 +155,18 @@ def test_bool_is_refused_as_a_count(case):
         BOOL_COUNTS[case]()
 
 
+@pytest.mark.parametrize("route", sorted(experiments._ROUTES), ids="-".join)
+def test_nan_threshold_is_refused_on_every_route(route):
+    # a nan x passed every gate of the MMS integral and came out as outage 0;
+    # the other routes raised, but each its own way.  The HIGH_SNR routes are
+    # outage_high_snr, for every scheme and the pair
+    module, name = experiments._ROUTES[route]
+    key = route[1]
+    selection = PairSpec(Scheme.SBS, 1, 3) if key == "pair" else SchemeSpec(Scheme[key])
+    with pytest.raises(DomainError, match="threshold x must be a number, got nan"):
+        getattr(module, name)(math.nan, selection, P_PAIR)
+
+
 @pytest.mark.parametrize("scheme", list(Scheme) + ["pair"], ids=str)
 def test_high_snr_floor_refuses_linear_harvester(scheme):
     # the linear harvester never saturates, so it has no floor to report
@@ -620,6 +632,14 @@ def test_cli_high_snr_linear_exits_2(capsys):
     assert "nonlinear harvester" in capsys.readouterr().err
 
 
+def test_cli_linear_pair_at_infinite_power_is_no_outage(capsys):
+    # both scales of the linear pair are 0 at Pt = inf, which divided by zero
+    rc = cli_main(["compute", "--scheme", "sbs", "--k", "1", "--j", "3", "--model", "linear",
+                   "--pt-dbm", "inf", "--q-db", "-4", "--format", "json"])
+    assert rc == 0
+    assert json.loads(capsys.readouterr().out)["outage"] == 0.0
+
+
 def test_cli_sweep_writes_csv(tmp_path, capsys):
     out = tmp_path / "sweep.csv"
     rc = cli_main(
@@ -872,3 +892,52 @@ def test_no_route_loads_scipy_integrate_or_optimize():
     assert evt_sbs == evaluate_point(SchemeSpec(Scheme.SBS, k=2), P_PAIR, Method.EVT).value
     best = find_optimal_t1(Scheme.MMS, 1, P)
     assert (t1, t1_outage) == (best.t1, best.outage.value)
+
+
+# a fresh interpreter builds the command line's parser, then runs Monte Carlo
+# points of every scheme, an SBS pair and imperfect CSI, then one
+# deterministic point of the route named in argv
+SPECIAL_PROBE = """
+import json, sys
+import wpcn_select, wpcn_select.cli
+from wpcn_select.analytic import Method, PairSpec, Scheme, SchemeSpec
+from wpcn_select.experiments import evaluate_point
+from wpcn_select.model import db_to_linear, dbm_to_watts, default_params
+def loaded():
+    return "scipy.special" in sys.modules
+wpcn_select.cli.build_parser().format_help()
+after_import = loaded()
+p = default_params(num_devices=10, transmit_power=dbm_to_watts(-40.0),
+                   rate_threshold_q=db_to_linear(-4.0))
+run = dict(mc_trials=2000, base_seed=7)
+mc = [evaluate_point(SchemeSpec(s), p, Method.MONTE_CARLO, **run).value for s in Scheme]
+mc.append(evaluate_point(PairSpec(Scheme.SBS, 1, 3), p, Method.MONTE_CARLO, **run).value)
+mc.append(evaluate_point(SchemeSpec(Scheme.EBS), p, Method.MONTE_CARLO, sigma_e2=0.3, **run).value)
+after_mc = loaded()
+exact = evaluate_point(SchemeSpec(Scheme.SBS, k=2), p, Method[sys.argv[1]]).value
+print(json.dumps([after_import, after_mc, loaded(), mc, exact]))
+"""
+
+
+@pytest.mark.parametrize("method", [Method.ANALYTIC, Method.HIGH_SNR, Method.EVT],
+                         ids=lambda m: m.value)
+def test_only_a_special_function_loads_scipy_special(method):
+    # importing scipy.special costs more than the rest of the package, and
+    # neither the command line's parsing nor a Monte Carlo run evaluates a
+    # special function; the first deterministic value loads it, and every
+    # value equals the in-process one
+    src = os.path.dirname(os.path.dirname(os.path.abspath(experiments.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    out = subprocess.run([sys.executable, "-c", SPECIAL_PROBE, method.name], env=env,
+                         capture_output=True, text=True, timeout=120, check=True)
+    *loaded, mc, exact = json.loads(out.stdout)
+    assert loaded == [False, False, True]  # after the parser, Monte Carlo, one value
+    run = dict(mc_trials=2000, base_seed=7)
+    assert mc == [
+        *(evaluate_point(SchemeSpec(s), P_PAIR, Method.MONTE_CARLO, **run).value for s in Scheme),
+        evaluate_point(PairSpec(Scheme.SBS, 1, 3), P_PAIR, Method.MONTE_CARLO, **run).value,
+        evaluate_point(SchemeSpec(Scheme.EBS), P_PAIR, Method.MONTE_CARLO, sigma_e2=0.3,
+                       **run).value,
+    ]
+    assert exact == evaluate_point(SchemeSpec(Scheme.SBS, k=2), P_PAIR, method).value

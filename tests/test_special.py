@@ -5,12 +5,18 @@ against its integral representation, the incomplete beta against the
 binomial-tail identity.
 """
 
+import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+import wpcn_select.special as special
+from wpcn_select.evt import gumbel_kth_cdf
 from wpcn_select.special import (
     DEFAULT_QUADRATURE,
     AccuracyError,
@@ -23,6 +29,49 @@ from wpcn_select.special import (
 )
 
 from oracles import qk21_reference, reg_inc_beta_complement
+
+
+# ---------------------------------------------------------------------------
+# the deferred scipy.special import
+# ---------------------------------------------------------------------------
+
+# in a fresh interpreter, eight threads released together make the first
+# special-function calls of the process, with a thread switch every microsecond
+FIRST_CALLS_PROBE = """
+import json, sys, threading
+from wpcn_select import special
+from wpcn_select.evt import gumbel_kth_cdf
+n = 8
+barrier = threading.Barrier(n)
+out = [None] * n
+def first_call(i):
+    barrier.wait(timeout=60)
+    out[i] = [special.bessel_k1(0.5 + i), special.reg_inc_beta(0.3, 2.0, 3.0 + i),
+              gumbel_kth_cdf(0.1 * i, 2)]
+unloaded = "scipy.special" not in sys.modules
+sys.setswitchinterval(1e-6)
+threads = [threading.Thread(target=first_call, args=(i,)) for i in range(n)]
+for t in threads:
+    t.start()
+for t in threads:
+    t.join(timeout=60)
+print(json.dumps([unloaded, [t.is_alive() for t in threads],
+                  special._special is sys.modules["scipy.special"], out]))
+"""
+
+
+def test_first_special_calls_from_many_threads_agree():
+    # the import lock hands every thread the fully imported module, and the
+    # stand-in is replaced by scipy.special itself
+    src = os.path.dirname(os.path.dirname(os.path.abspath(special.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    out = subprocess.run([sys.executable, "-c", FIRST_CALLS_PROBE], env=env,
+                         capture_output=True, text=True, timeout=120, check=True)
+    unloaded, alive, rebound, values = json.loads(out.stdout)
+    assert unloaded and alive == [False] * 8 and rebound
+    assert values == [[bessel_k1(0.5 + i), reg_inc_beta(0.3, 2.0, 3.0 + i),
+                       gumbel_kth_cdf(0.1 * i, 2)] for i in range(8)]
 
 
 # ---------------------------------------------------------------------------
