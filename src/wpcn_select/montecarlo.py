@@ -15,9 +15,10 @@ any M.  The tail draws are per block, not per chunk: under imperfect CSI
 the true-gain normals take (2, 2, block, 1 or 2) doubles, 2 MiB at M = 5
 (4 MiB for a pair), and random selection its picks, (block, 1 or 2) int64,
 1 MiB for a pair at M = 5.  So a worker's memory is its chunk plus the tail
-of the block it is in.  Failure counts are integers summed in any order, so
-the estimate is bit-identical for a given config no matter how many worker
-threads run the chunks, or how the blocks are cut into chunks.
+of the block it is in, freed when the block's last chunk ends.  Failure
+counts are integers summed in any order, so the estimate is bit-identical
+for a given config no matter how many worker threads run the chunks, or
+how the blocks are cut into chunks.
 
 Workers and their memory outlive a run.  The process keeps one thread pool
 of at most the thread cap (THREADS_ENV, or the usable CPUs up to 4), made
@@ -56,6 +57,7 @@ device.
 
 from __future__ import annotations
 
+import collections
 import math
 import os
 import threading
@@ -118,26 +120,20 @@ def _block_key(base_seed: int, block: int) -> np.ndarray:
     )
 
 
-def _stream_at(base_seed: int, block: int, offset: int, key=None) -> np.random.Generator:
-    """Generator whose next double is double number `offset` of a block's
-    stream: Philox yields four 64-bit outputs per counter step, and each
-    double takes one output.  key is the block's _block_key, if already
-    made."""
-    if key is None:
-        key = _block_key(base_seed, block)
+def _stream_at(key: np.ndarray, offset: int) -> np.random.Generator:
+    """Generator whose next double is double number `offset` of the block
+    stream with this _block_key: Philox yields four 64-bit outputs per
+    counter step, and each double takes one output."""
     rng = np.random.Generator(np.random.Philox(counter=offset // 4, key=key))
     rng.random(offset % 4)
     return rng
 
 
-def _draw_block(M: int, n: int, rng: np.random.Generator, rng_h=None, out=None):
-    """(u_g, u_h), each shaped (n, M): the uniforms on [0, 1) that the g and
-    h gains are made from, filled into the pair of arrays `out` if given.
-    The h rows continue rng's stream after the g rows unless rng_h is
-    given."""
-    ug, uh = (np.empty((n, M)), np.empty((n, M))) if out is None else out
-    rng.random(out=ug)
-    (rng if rng_h is None else rng_h).random(out=uh)
+def _draw_block(rng_g: np.random.Generator, rng_h: np.random.Generator, ug, uh):
+    """(ug, uh), filled in place with the uniforms on [0, 1) that the g and h
+    gains are made from: ug from rng_g, then uh from rng_h."""
+    rng_g.random(out=ug)
+    rng_h.random(out=uh)
     return ug, uh
 
 
@@ -153,16 +149,15 @@ def _gains(u: np.ndarray, sigma_e2: float, out=None) -> np.ndarray:
     return g
 
 
-def _true_gains(est: np.ndarray, sigma_e2: float, z: np.ndarray, out=None) -> np.ndarray:
+def _true_gains(est: np.ndarray, sigma_e2: float, z: np.ndarray) -> np.ndarray:
     """True squared gains given their estimates,
     (sqrt(est) + s z_1)^2 + (s z_2)^2 with s = sqrt(sigma_e2 / 2).  The
     error is CN(0, sigma_e2) and circularly symmetric, so turning the
     estimate onto the real axis leaves |estimate + error|^2 unchanged in
     law.  z holds two standard normals per estimate, shaped (2, *est.shape).
-    A new array, unless `out` (which may be est) is given: z is then
-    overwritten on the way."""
-    t = np.multiply(z, math.sqrt(sigma_e2 / 2.0), out=None if out is None else z)
-    a = np.sqrt(est, out=out)
+    In place: est becomes the true gains, and z is overwritten on the way."""
+    t = np.multiply(z, math.sqrt(sigma_e2 / 2.0), out=z)
+    a = np.sqrt(est, out=est)
     a += t[0]
     np.square(a, out=a)
     a += np.square(t[1], out=t[1])
@@ -171,7 +166,7 @@ def _true_gains(est: np.ndarray, sigma_e2: float, z: np.ndarray, out=None) -> np
 
 def _ranking_stat(
     scheme: Scheme, ug: np.ndarray, uh: np.ndarray, params: SystemParams, model,
-    sigma_e2: float = 0.0, scratch=None,
+    sigma_e2: float, scratch,
 ) -> np.ndarray:
     """What each row is ranked on, given the drawn uniforms.  The maps from
     u to the gain, to the estimate and to the harvested energy all increase
@@ -180,33 +175,25 @@ def _ranking_stat(
     ranks on every SNR, made from the gains of the whole chunk.  ug and uh
     are left as drawn.  MMS and SBS build the statistic in the first of
     the two arrays shaped like ug in `scratch`, and SBS its energies in the
-    second; without scratch they allocate their own."""
+    second."""
     if scheme is Scheme.EBS:
         return ug
     if scheme is Scheme.IBS:
         return uh
     if scheme is Scheme.MMS:
-        return np.minimum(ug, uh, out=None if scratch is None else scratch[0])
+        return np.minimum(ug, uh, out=scratch[0])
     if scheme is not Scheme.SBS:
         raise ValueError(f"no ranking statistic for {scheme!r}")
-    s1, s2 = (np.empty_like(ug), np.empty_like(ug)) if scratch is None else scratch
+    s1, s2 = scratch
     e = harvested_energy(_gains(ug, sigma_e2, out=s1), params, model, out=s2)
     return snr(_gains(uh, sigma_e2, out=s1), e, params, out=s1)
 
 
-def _copy_into(out, a: np.ndarray) -> np.ndarray:
-    """a copied into out, or into a new array if out is None."""
-    if out is None:
-        return a.copy()
-    out[...] = a
-    return out
-
-
-def _kth_index(stat: np.ndarray, k: int, scratch=None) -> np.ndarray:
+def _kth_index(stat: np.ndarray, k: int, scratch: np.ndarray) -> np.ndarray:
     """Column of each row's k-th largest entry, ties to the lowest index:
     position k - 1 of a stable descending sort.  The entries must be finite.
-    The knock-out rounds work on a copy of stat, made in `scratch` (an array
-    shaped like stat) if given.
+    The knock-out rounds work on a copy of stat, made in `scratch`, another
+    array shaped like stat.
 
     The two ranks at either end take an argmax, after knocking out the
     largest entry for k = 2 (argmax takes the first of equal maxima, which
@@ -218,14 +205,16 @@ def _kth_index(stat: np.ndarray, k: int, scratch=None) -> np.ndarray:
     # M = 5 and 0.04-0.08 ms at M = 100, a partition 0.8-1.7 ms at either
     if k <= 2 and k <= M - 1:
         if k == 2:
-            stat = _copy_into(scratch, stat)
+            np.copyto(scratch, stat)
+            stat = scratch
             stat[np.arange(n), np.argmax(stat, axis=1)] = -np.inf
         return np.argmax(stat, axis=1)
     if k >= M - 1:
         # reversed, equal values run from the highest index: stable ascending
         rev = stat[:, ::-1]
         if k == M - 1:
-            rev = _copy_into(scratch, rev)
+            np.copyto(scratch, rev)
+            rev = scratch
             rev[np.arange(n), np.argmin(rev, axis=1)] = np.inf
         return M - 1 - np.argmin(rev, axis=1)
     idx = np.argpartition(stat, M - k, axis=1)[:, M - k]
@@ -245,16 +234,15 @@ def _random_pick(M: int, n: int, pair: bool, rng: np.random.Generator) -> np.nda
 
 
 def _select(spec: SchemeSpec | PairSpec, ug, uh, params: SystemParams,
-            sigma_e2: float = 0.0, scratch=None) -> np.ndarray:
+            sigma_e2: float, scratch) -> np.ndarray:
     """(n, 1) indices, or (n, 2) for a pair, ranked in each row of the (n, M)
     uniforms; random selection takes its picks from _BlockTail instead.
     scratch, two arrays shaped like ug, holds the ranking statistic and the
     knock-out copies."""
     pair = isinstance(spec, PairSpec)
     stat = _ranking_stat(spec.scheme, ug, uh, params, spec.model, sigma_e2, scratch)
-    knock = None if scratch is None else scratch[1]
     ranks = (spec.k, spec.j) if pair else (spec.k,)
-    cols = [_kth_index(stat, r, knock) for r in ranks]
+    cols = [_kth_index(stat, r, scratch[1]) for r in ranks]
     return np.stack(cols, axis=1) if pair else cols[0][:, None]
 
 
@@ -264,20 +252,20 @@ class _BlockTail:
     h; None where the config draws neither.  Coming after the fading rows
     keeps the gain stream identical across schemes under one seed.  They
     take a variable number of raw outputs, so the first of the block's
-    chunks draws them all; each chunk takes its rows, and the last one
-    drops them."""
+    chunks draws them all and each chunk takes its rows.  Only the block's
+    chunks refer to it, so it and its draws are freed when the last one
+    ends."""
 
-    def __init__(self, config: TrialConfig, block: int, size: int, chunks: int = 1) -> None:
-        self.config, self.block, self.size = config, block, size
+    def __init__(self, config: TrialConfig, block: int, size: int) -> None:
+        self.config, self.size = config, size
         self.key = _block_key(config.base_seed, block)
-        self._left = chunks
         self._draws = None
         self._lock = threading.Lock()
 
     def _draw(self):
         spec, M = self.config.spec, self.config.params.num_devices
         pair = isinstance(spec, PairSpec)
-        rng = _stream_at(self.config.base_seed, self.block, 2 * self.size * M, self.key)
+        rng = _stream_at(self.key, 2 * self.size * M)
         picks = _random_pick(M, self.size, pair, rng) if spec.scheme is Scheme.RS else None
         normals = None
         if self.config.estimation_error_var > 0.0:
@@ -288,11 +276,7 @@ class _BlockTail:
         with self._lock:
             if self._draws is None:
                 self._draws = self._draw()
-            draws = self._draws
-            self._left -= 1
-            if self._left == 0:
-                self._draws = None
-        return tuple(None if d is None else d[..., start : start + n, :] for d in draws)
+        return tuple(None if d is None else d[..., start : start + n, :] for d in self._draws)
 
 
 def _workspace(n: int, M: int):
@@ -312,27 +296,20 @@ def _lead(a: np.ndarray, shape) -> np.ndarray:
     return a.reshape(-1)[: math.prod(shape)].reshape(shape)
 
 
-def _count_block(
-    config: TrialConfig, x: float, block: int, n: int, start: int = 0,
-    tail: _BlockTail | None = None,
-) -> int:
-    """Failures among trials start .. start + n - 1 of one block (exact
-    integer).  tail is the block's shared _BlockTail; without one the n
-    trials are the whole block.  Every chunk-sized array lives in the
-    calling thread's workspace."""
+def _count_block(config: TrialConfig, x: float, tail: _BlockTail, n: int, start: int) -> int:
+    """Failures among trials start .. start + n - 1 of the block whose shared
+    _BlockTail is tail (exact integer).  Every chunk-sized array lives in
+    the calling thread's workspace."""
     spec, params, sigma_e2 = config.spec, config.params, config.estimation_error_var
     M = params.num_devices
-    if tail is None:
-        tail = _BlockTail(config, block, n)
     ug, uh, s1, s2 = _workspace(n, M)
-    rng_g = _stream_at(config.base_seed, block, start * M, tail.key)
-    rng_h = _stream_at(config.base_seed, block, (tail.size + start) * M, tail.key)
-    _draw_block(M, n, rng_g, rng_h, out=(ug, uh))
+    _draw_block(_stream_at(tail.key, start * M), _stream_at(tail.key, (tail.size + start) * M),
+                ug, uh)
     if spec.scheme is Scheme.SBS and sigma_e2 == 0.0 and isinstance(spec, SchemeSpec):
         # the k-th best SNR is <= x exactly when fewer than k devices exceed x;
         # rows are counted without a matmul, whose OpenBLAS gemv would start
         # its own threads beside the pool's
-        stat = _ranking_stat(spec.scheme, ug, uh, params, spec.model, scratch=(s1, s2))
+        stat = _ranking_stat(spec.scheme, ug, uh, params, spec.model, sigma_e2, (s1, s2))
         return int((np.count_nonzero(stat > x, axis=1) < spec.k).sum())
     picks, normals = tail.rows(start, n)
     if picks is None:
@@ -346,8 +323,8 @@ def _count_block(
     h = np.take(uh, flat, out=_lead(s2, flat.shape), mode="clip")
     g, h = _gains(g, sigma_e2, out=g), _gains(h, sigma_e2, out=h)
     if normals is not None:
-        g = _true_gains(g, sigma_e2, normals[0], out=g)
-        h = _true_gains(h, sigma_e2, normals[1], out=h)
+        g = _true_gains(g, sigma_e2, normals[0])
+        h = _true_gains(h, sigma_e2, normals[1])
     e = harvested_energy(g, params, spec.model, out=_lead(ug, g.shape))
     x_sel = snr(h, e, params, out=h)
     if isinstance(spec, PairSpec):
@@ -420,19 +397,20 @@ def simulate_outage(config: TrialConfig) -> OutageEstimate:
     sizes = [block_size] * (total // block_size)
     if total % block_size:
         sizes.append(total % block_size)
-    chunks = []  # (block, trials, first trial, tail): near-equal cuts of each block
+    todo = collections.deque()  # (tail, trials, first trial), taken by popleft
     for block, size in enumerate(sizes):
         parts = -(-size * M // _CHUNK_ELEMENTS)
-        tail = _BlockTail(config, block, size, parts)
-        cuts = [size * i // parts for i in range(parts + 1)]
-        chunks += [(block, hi - lo, lo, tail) for lo, hi in zip(cuts, cuts[1:])]
-
-    todo = iter(chunks)  # shared by the workers; next() on it hands out one chunk
+        tail = _BlockTail(config, block, size)
+        cuts = [size * i // parts for i in range(parts + 1)]  # near-equal cuts
+        todo.extend((tail, hi - lo, lo) for lo, hi in zip(cuts, cuts[1:]))
+    del tail  # only the chunks hold a block's tail, so it dies with its last one
+    workers = _worker_count(len(todo))
+    todo.extend([None] * workers)  # each worker stops at the None it takes
 
     def drain(_) -> int:
-        return sum(_count_block(config, x, *c) for c in todo)
+        return sum(_count_block(config, x, *c) for c in iter(todo.popleft, None))
 
-    failures = sum(_pool_map(drain, range(_worker_count(len(chunks))), _thread_cap()))
+    failures = sum(_pool_map(drain, range(workers), _thread_cap()))
     p_hat = failures / total
     stderr = math.sqrt(p_hat * (1.0 - p_hat) / total)
     return OutageEstimate(p_hat, Method.MONTE_CARLO, stderr=stderr)

@@ -8,6 +8,7 @@ Frozen constants were produced by those oracles at tighter tolerances than
 asserted here.
 """
 
+import functools
 import itertools
 import math
 
@@ -17,6 +18,7 @@ from scipy.integrate import quad
 from scipy.special import k1 as scipy_k1
 from scipy.special import k1e as scipy_k1e
 
+from wpcn_select import analytic
 from wpcn_select.analytic import (
     Method,
     OutageEstimate,
@@ -45,7 +47,13 @@ from wpcn_select.model import (
     default_params,
     threshold_x,
 )
-from wpcn_select.special import AccuracyError, DomainError, reg_inc_beta
+from wpcn_select.special import (
+    AccuracyError,
+    DomainError,
+    QuadratureSpec,
+    integrate_panels,
+    reg_inc_beta,
+)
 
 from oracles import ibs_phi_quadrature
 
@@ -324,7 +332,7 @@ def test_ebs_deep_cancellation_point():
 
 
 def test_ebs_large_population_integral_keeps_relative_digits():
-    # M > 60 runs the integral; the oracle is a 40-digit mpmath quadrature
+    # M > 10 runs the integral; the oracle is a 40-digit mpmath quadrature
     # of the linear-harvester EBS integral.  The u = e^-t map was 2.4e-7 off
     params = default_params(
         transmit_power=dbm_to_watts(20.0), num_devices=500,
@@ -333,6 +341,23 @@ def test_ebs_large_population_integral_keeps_relative_digits():
     spec = SchemeSpec(Scheme.EBS, k=1, model=EhModel.LINEAR)
     got = outage_ebs(threshold_x(params), spec, params).value
     assert got == pytest.approx(2.260159406029079e-09, rel=1e-9, abs=0.0)
+
+
+@pytest.mark.parametrize("M", [11, 20, 60])
+def test_ebs_ibs_keep_ten_digits_above_the_sum_cap(monkeypatch, M):
+    # fig5's points at -40 dBm against the same integral at relative 1e-13
+    # and absolute 1e-300 with no K1 sum; a K1 sum at M = 20 is up to 3.3e-8
+    # off here, inside its cancellation monitor's limit
+    params = default_params(num_devices=M, transmit_power=dbm_to_watts(-40.0))
+    schemes = ((Scheme.EBS, outage_ebs), (Scheme.IBS, outage_ibs))
+    points = [(f, x, SchemeSpec(s, k=k))
+              for s, f in schemes for k in (1, 2) for x in np.geomspace(0.1, 3.0, 30)]
+    got = [f(x, spec, params).value for f, x, spec in points]
+    tight = functools.partial(integrate_panels, spec=QuadratureSpec(1e-13, 1e-300, 20_000))
+    monkeypatch.setattr(analytic, "integrate_panels", tight)
+    monkeypatch.setattr(analytic, "MAX_SUM_DEVICES", 0)
+    for value, (f, x, spec) in zip(got, points):
+        assert value == pytest.approx(f(x, spec, params).value, rel=1e-10, abs=0.0), (spec, x)
 
 
 def test_ebs_floor_is_rs_floor_exactly():
@@ -423,7 +448,7 @@ def test_ibs_floor_equals_sbs_floor():
 def test_floors_are_the_saturated_closed_forms(M):
     # at Pt = inf the parent survival is e^(-r) and the EBS and IBS gates are
     # constant, so every floor but MMS is a closed form, bit for bit, on
-    # both sides of the M = 60 sum/integral cutoff
+    # both sides of the M = 10 sum/integral cutoff
     for pt_dbm, q_db, t1 in itertools.product((-40.0, 20.0), (-10.0, 0.0, 10.0), (0.2, 0.8)):
         params = default_params(
             num_devices=M, transmit_power=dbm_to_watts(pt_dbm),

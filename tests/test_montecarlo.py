@@ -41,6 +41,7 @@ from wpcn_select.montecarlo import (
     _ELEMENT_BUDGET,
     THREADS_ENV,
     TrialConfig,
+    _block_key,
     _BlockTail,
     _count_block,
     _draw_block,
@@ -65,7 +66,8 @@ P = default_params()
 # ---------------------------------------------------------------------------
 
 def test_draws_have_unit_mean():
-    g, h = (_gains(u, 0.0) for u in _draw_block(8, 4000, np.random.default_rng(1)))
+    rng = np.random.default_rng(1)
+    g, h = (_gains(u, 0.0) for u in _draw_block(rng, rng, *np.empty((2, 4000, 8))))
     assert float(np.mean(g)) == pytest.approx(1.0, abs=0.02)
     assert float(np.mean(h)) == pytest.approx(1.0, abs=0.02)
 
@@ -73,8 +75,8 @@ def test_draws_have_unit_mean():
 def test_imperfect_csi_split_preserves_truth_mean():
     # estimate carries 1 - sigma_e2 of the power, the error the rest
     rng = np.random.default_rng(2)
-    est = _gains(_draw_block(8, 6000, rng)[0], 0.3)
-    true = _true_gains(est, 0.3, rng.standard_normal((2, *est.shape)))
+    est = _gains(_draw_block(rng, rng, *np.empty((2, 6000, 8)))[0], 0.3)
+    true = _true_gains(est.copy(), 0.3, rng.standard_normal((2, *est.shape)))
     assert float(np.mean(est)) == pytest.approx(0.7, abs=0.02)
     assert float(np.mean(true)) == pytest.approx(1.0, abs=0.02)
 
@@ -89,7 +91,8 @@ def test_perfect_csi_has_no_estimate_arrays():
     # no true-gain normals are drawn, and the gains are the unit-mean ones
     _, normals = _tail_rows(0.0)
     assert normals is None
-    ug, uh = _draw_block(4, 1, np.random.default_rng(0))
+    rng = np.random.default_rng(0)
+    ug, uh = _draw_block(rng, rng, *np.empty((2, 1, 4)))
     u = np.random.default_rng(0).random((2, 1, 4))
     assert np.array_equal(ug, u[0]) and np.array_equal(uh, u[1])
     g, h = _gains(ug, 0.0), _gains(uh, 0.0)
@@ -101,15 +104,17 @@ def test_imperfect_csi_ranks_on_estimates():
     # devices' true gains come from normals drawn after them
     _, normals = _tail_rows(0.4)
     assert normals is not None
-    est = [_gains(u, 0.4) for u in _draw_block(4, 1, np.random.default_rng(0))]
-    gains = [_gains(u, 0.0) for u in _draw_block(4, 1, np.random.default_rng(0))]
+    rng, rng2 = np.random.default_rng(0), np.random.default_rng(0)
+    est = [_gains(u, 0.4) for u in _draw_block(rng, rng, *np.empty((2, 1, 4)))]
+    gains = [_gains(u, 0.0) for u in _draw_block(rng2, rng2, *np.empty((2, 1, 4)))]
     for e, g in zip(est, gains):
         assert np.allclose(e, 0.6 * g, rtol=1e-15, atol=0.0)
 
 
 def test_draw_channels_deterministic():
-    a = _draw_block(5, 1, np.random.default_rng(42))
-    b = _draw_block(5, 1, np.random.default_rng(42))
+    rng_a, rng_b = np.random.default_rng(42), np.random.default_rng(42)
+    a = _draw_block(rng_a, rng_a, *np.empty((2, 1, 5)))
+    b = _draw_block(rng_b, rng_b, *np.empty((2, 1, 5)))
     assert np.array_equal(a[0], b[0])
     assert np.array_equal(a[1], b[1])
 
@@ -126,8 +131,10 @@ def test_draw_channels_validation():
 def test_conditional_true_gain_is_unit_exponential():
     # the true gain given its (1 - sigma_e2)-power estimate must be Exp(1)
     # again: mean 1, second moment 2; a million draws put both within 5 sigma
-    est = _gains(_draw_block(10, 100_000, np.random.default_rng(12))[0], 0.3)
-    true = _true_gains(est, 0.3, np.random.default_rng(13).standard_normal((2, *est.shape)))
+    rng = np.random.default_rng(12)
+    est = _gains(_draw_block(rng, rng, *np.empty((2, 100_000, 10)))[0], 0.3)
+    true = _true_gains(est.copy(), 0.3,
+                       np.random.default_rng(13).standard_normal((2, *est.shape)))
     assert float(est.mean()) == pytest.approx(0.7, abs=5e-3)
     assert float(true.mean()) == pytest.approx(1.0, abs=5e-3)
     assert float((true**2).mean()) == pytest.approx(2.0, abs=2.5e-2)
@@ -163,7 +170,8 @@ def test_kth_index_matches_stable_sort(M):
     ranks = (1, 2, 3, 49, 50, 98, 99, 100) if M == 100 else range(1, M + 1)
     for stat in (smooth, tied):
         for k in ranks:
-            assert np.array_equal(_kth_index(stat, k), _stable_kth(stat, k)), k
+            got = _kth_index(stat, k, np.empty_like(stat))
+            assert np.array_equal(got, _stable_kth(stat, k)), k
 
 
 def test_kth_index_on_crafted_ties():
@@ -176,7 +184,7 @@ def test_kth_index_on_crafted_ties():
         [0.3, 0.2, 0.9, 0.4, 0.7],
     ])
     for k in range(1, 6):
-        assert np.array_equal(_kth_index(stat, k), _stable_kth(stat, k))
+        assert np.array_equal(_kth_index(stat, k, np.empty_like(stat)), _stable_kth(stat, k))
 
 
 @pytest.mark.parametrize("k", [1, 2])
@@ -184,11 +192,14 @@ def test_sbs_count_path_matches_select_path(k):
     params = P.replace(transmit_power=dbm_to_watts(-40.0))
     cfg = TrialConfig(SchemeSpec(Scheme.SBS, k=k), params, num_trials=50_000, base_seed=6)
     x = threshold_x(params)
-    counted = _count_block(cfg, x, 2, 50_000)
+    counted = _count_block(cfg, x, _BlockTail(cfg, 2, 50_000), 50_000, 0)
     # the same block, recomputed through the k-th index and the gathered SNR
     seq = np.random.SeedSequence(entropy=6, spawn_key=(2,))
-    ug, uh = _draw_block(5, 50_000, np.random.Generator(np.random.Philox(seq)))
-    sel = _kth_index(_ranking_stat(Scheme.SBS, ug, uh, params, EhModel.NON_LINEAR), k)
+    rng = np.random.Generator(np.random.Philox(seq))
+    ug, uh, s1, s2, knock = np.empty((5, 50_000, 5))
+    _draw_block(rng, rng, ug, uh)
+    stat = _ranking_stat(Scheme.SBS, ug, uh, params, EhModel.NON_LINEAR, 0.0, (s1, s2))
+    sel = _kth_index(stat, k, knock)
     g, h = _gains(ug, 0.0), _gains(uh, 0.0)
     rows = np.arange(50_000)
     x_sel = snr(h[rows, sel], harvested_energy(g[rows, sel], params, EhModel.NON_LINEAR), params)
@@ -207,7 +218,7 @@ def select_device(spec, draw, params):
     """The index, or index pair, _select picks on a one-row block of the
     given gains, passed as the uniforms they are made from."""
     ug, uh = (-np.expm1(-a[None, :]) for a in draw)
-    sel = _select(spec, ug, uh, params)[0]
+    sel = _select(spec, ug, uh, params, 0.0, np.empty((2, *ug.shape)))[0]
     return (int(sel[0]), int(sel[1])) if isinstance(spec, PairSpec) else int(sel[0])
 
 
@@ -234,7 +245,7 @@ def test_select_tie_breaks_to_lowest_index():
 def test_select_matches_brute_force_energy_ranking():
     rng = np.random.default_rng(9)
     for _ in range(200):
-        g, h = (_gains(u, 0.0)[0] for u in _draw_block(6, 1, rng))
+        g, h = (_gains(u, 0.0)[0] for u in _draw_block(rng, rng, *np.empty((2, 1, 6))))
         energies = [harvested_energy(float(v), P, EhModel.NON_LINEAR) for v in g]
         ranked = sorted(range(6), key=lambda i: (-energies[i], i))
         for k in (1, 3, 6):
@@ -346,7 +357,7 @@ def _sequential(base_seed, block):
 @pytest.mark.parametrize("offset", [*range(10), 2 * 4_465, 7 * 33_333, 100 * 20_971])
 def test_stream_at_reproduces_the_sequential_stream(offset):
     expected = _sequential(9, 3).random(offset + 9)[offset:]
-    assert np.array_equal(_stream_at(9, 3, offset).random(9), expected)
+    assert np.array_equal(_stream_at(_block_key(9, 3), offset).random(9), expected)
 
 
 @pytest.mark.parametrize("M, n", [(2, 4_465), (7, 33_333), (100, 20_971)])
@@ -356,7 +367,7 @@ def test_tail_draws_continue_the_sequential_stream(M, n):
 
     rng = _sequential(9, 3)
     rng.random(2 * n * M)
-    for got, want in zip(tail(_stream_at(9, 3, 2 * n * M)), tail(rng)):
+    for got, want in zip(tail(_stream_at(_block_key(9, 3), 2 * n * M)), tail(rng)):
         assert np.array_equal(got, want)
 
 
@@ -614,6 +625,23 @@ def test_repeated_run_allocates_less_than_one_chunk_array(monkeypatch, M, trials
     finally:
         tracemalloc.stop()
     assert peak < 8 * 2**17, peak  # one chunk array: 2^17 doubles, 1 MiB
+
+
+def test_block_tail_draws_die_with_their_last_chunk(monkeypatch):
+    # 10^6 trials at M = 5 are 16 blocks of 3 chunks, and each block's RS
+    # picks and true-gain normals take 5 MiB; a repeated run at two workers
+    # peaked at 10.7 MiB, and at 77 MiB when every chunk was held to the end
+    monkeypatch.setenv(THREADS_ENV, "2")
+    cfg = TrialConfig(PairSpec(Scheme.RS, 1, 2), P.replace(transmit_power=dbm_to_watts(-40.0)),
+                      num_trials=1_000_000, base_seed=4, estimation_error_var=0.3)
+    simulate_outage(cfg)
+    tracemalloc.start()
+    try:
+        simulate_outage(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 * 2**20, peak
 
 
 def _simulate_in_child(cfg, conn):
