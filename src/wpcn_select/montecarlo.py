@@ -41,9 +41,13 @@ ties to the lowest index, and only the picked entries are turned into
 gains; RS transforms only its random picks.  The uniforms stay as drawn
 until the picks are gathered from them.  SBS needs every SNR and builds
 them from the whole chunk; with perfect CSI it counts the trials in which
-fewer than k SNRs exceed the threshold.  For the two ranks at either end
-of the order the k-th index is an argmax (or argmin), after one knock-out
-round for the second; other ranks take a partition.  Under imperfect CSI the estimates are
+fewer than k SNRs exceed the threshold.  Up to M = _COLUMNS_MAX_M the
+statistic is built transposed, one contiguous row of n trials per device,
+and the k-th index and the SBS count take passes over whole columns: a
+numpy call per device, where a reduction along each row makes one per
+trial.  Above it, the two ranks at either end of the order take an argmax
+(or argmin), after one knock-out round for the second, and other ranks a
+partition.  Under imperfect CSI the estimates are
 (1 - sigma_e2) Exp(1) and only the chosen devices draw a true gain,
 |sqrt(est) + CN(0, sigma_e2)|^2.
 
@@ -79,6 +83,13 @@ _BLOCK = 1 << 16
 _ELEMENT_BUDGET = 1 << 21
 #: doubles per (rows, M) array of one chunk, the unit of work
 _CHUNK_ELEMENTS = 1 << 17
+#: populations up to this size rank and count in passes over whole columns
+#: (_kth_by_columns), larger ones with a numpy reduction along each row.
+#: Whole 2^17-double chunks with columns took 0.68-0.93 of the time with
+#: rows at M = 10, for EBS and MMS at k = 1, 2, 3, ceil(M/2), M - 1, M and
+#: the SBS count; 0.78-1.02 at M = 20, with the mid rank even; 0.97-2.0 at
+#: M = 50 and 1.03-4.3 at M = 100 (2-vCPU Xeon, numpy 2.4)
+_COLUMNS_MAX_M = 10
 
 #: env var capping the worker thread count (estimates do not depend on it)
 THREADS_ENV = "WPCN_SELECT_THREADS"
@@ -175,34 +186,51 @@ def _ranking_stat(
     ranks on every SNR, made from the gains of the whole chunk.  ug and uh
     are left as drawn.  MMS and SBS build the statistic in the first of
     the two arrays shaped like ug in `scratch`, and SBS its energies in the
-    second."""
-    if scheme is Scheme.EBS:
-        return ug
-    if scheme is Scheme.IBS:
-        return uh
-    if scheme is Scheme.MMS:
-        return np.minimum(ug, uh, out=scratch[0])
-    if scheme is not Scheme.SBS:
-        raise ValueError(f"no ranking statistic for {scheme!r}")
+    second.  At M <= _COLUMNS_MAX_M the statistic of every scheme ends up
+    transposed, as (M, n) in the first array, and comes back as its (n, M)
+    transpose, so that the column passes read contiguous columns: SBS
+    builds it that way, and the others copy it there, EBS and IBS from
+    their uniforms and MMS from minima taken in the second array."""
     s1, s2 = scratch
-    e = harvested_energy(_gains(ug, sigma_e2, out=s1), params, model, out=s2)
-    return snr(_gains(uh, sigma_e2, out=s1), e, params, out=s1)
+    n, M = ug.shape
+    columns = M <= _COLUMNS_MAX_M
+    if scheme is Scheme.SBS:
+        if columns:
+            ug, uh, s1, s2 = ug.T, uh.T, s1.reshape(M, n), s2.reshape(M, n)
+        e = harvested_energy(_gains(ug, sigma_e2, out=s1), params, model, out=s2)
+        stat = snr(_gains(uh, sigma_e2, out=s1), e, params, out=s1)
+        return stat.T if columns else stat
+    if scheme is Scheme.EBS:
+        stat = ug
+    elif scheme is Scheme.IBS:
+        stat = uh
+    elif scheme is Scheme.MMS:
+        stat = np.minimum(ug, uh, out=s2 if columns else s1)
+    else:
+        raise ValueError(f"no ranking statistic for {scheme!r}")
+    if not columns:
+        return stat
+    cols = s1.reshape(M, n)
+    np.copyto(cols, stat.T)
+    return cols.T
 
 
 def _kth_index(stat: np.ndarray, k: int, scratch: np.ndarray) -> np.ndarray:
     """Column of each row's k-th largest entry, ties to the lowest index:
     position k - 1 of a stable descending sort.  The entries must be finite.
-    The knock-out rounds work on a copy of stat, made in `scratch`, another
-    array shaped like stat.
+    `scratch`, another array shaped like stat, is the work space.
 
-    The two ranks at either end take an argmax, after knocking out the
-    largest entry for k = 2 (argmax takes the first of equal maxima, which
-    is the stable order), or the mirror walk up from the smallest with
-    argmin over reversed columns; deeper ranks take a partition and repair
-    its ties."""
+    At M <= _COLUMNS_MAX_M every rank takes _kth_by_columns.  Above it,
+    the two ranks at either end take an argmax, after knocking out the
+    largest entry for k = 2 in a copy of stat (argmax takes the first of
+    equal maxima, which is the stable order), or the mirror walk up from
+    the smallest with argmin over reversed columns; deeper ranks take a
+    partition and repair its ties."""
     n, M = stat.shape
-    # one knock-out round costs about one argmax: at 2^17 doubles 0.7 ms at
-    # M = 5 and 0.04-0.08 ms at M = 100, a partition 0.8-1.7 ms at either
+    if M <= _COLUMNS_MAX_M:
+        return _kth_by_columns(stat.T, k, scratch.reshape(M, n))
+    # one knock-out round costs about one argmax: at 2^17 doubles 0.04-0.08
+    # ms at M = 100, a partition 0.8-1.7 ms
     if k <= 2 and k <= M - 1:
         if k == 2:
             np.copyto(scratch, stat)
@@ -228,6 +256,43 @@ def _kth_index(stat: np.ndarray, k: int, scratch: np.ndarray) -> np.ndarray:
     return idx
 
 
+def _kth_by_columns(cols: np.ndarray, k: int, work: np.ndarray) -> np.ndarray:
+    """_kth_index over the columns cols, shaped (M, n), by whole-column
+    passes: a numpy call per column instead of one per row.  A running
+    top r of the columns, kept by min/max insertion, ends with each row's
+    r-th largest value v; a count pass then takes the need-th column equal
+    to v, where need = r - #(entries > v), which is the stable order's tie
+    rule.  For ranks in the lower half, r = M + 1 - k and the passes run
+    mirrored: the r-th smallest, ties to the highest index, over reversed
+    columns.  So r <= ceil(M/2), and `work`, shaped like cols, holds the r
+    running rows and two spare ones."""
+    M, n = cols.shape
+    r, hi, lo, beats = k, np.maximum, np.minimum, np.greater
+    if 2 * k > M + 1:
+        cols, r, hi, lo, beats = cols[::-1], M + 1 - k, np.minimum, np.maximum, np.less
+    top, spare = work[:r], work[r : r + 2]
+    np.copyto(top[0], cols[0])
+    for c in range(1, M):
+        v = cols[c]
+        for j in range(min(c, r - 1)):
+            lo(top[j], v, out=spare[j % 2])
+            hi(top[j], v, out=top[j])
+            v = spare[j % 2]
+        if c < r:
+            np.copyto(top[c], v)
+        else:
+            hi(top[r - 1], v, out=top[r - 1])
+    v, hit = top[r - 1], np.empty(n, np.bool_)
+    left = np.full(n, r, np.int8)  # need, then the equal entries still to pass
+    for j in range(r - 1):
+        left -= beats(top[j], v, out=hit)
+    pos = np.zeros(n, np.int8)
+    for c in range(M - 1):  # the pick is at or before the last column
+        left -= np.equal(cols[c], v, out=hit)
+        pos += np.greater(left, 0, out=hit)
+    return pos.astype(np.intp) if r == k else np.subtract(M - 1, pos, dtype=np.intp)
+
+
 def _random_pick(M: int, n: int, pair: bool, rng: np.random.Generator) -> np.ndarray:
     a = rng.integers(M, size=n)
     return np.stack([a, (a + rng.integers(1, M, size=n)) % M], axis=1) if pair else a[:, None]
@@ -238,7 +303,7 @@ def _select(spec: SchemeSpec | PairSpec, ug, uh, params: SystemParams,
     """(n, 1) indices, or (n, 2) for a pair, ranked in each row of the (n, M)
     uniforms; random selection takes its picks from _BlockTail instead.
     scratch, two arrays shaped like ug, holds the ranking statistic and the
-    knock-out copies."""
+    work space of _kth_index."""
     pair = isinstance(spec, PairSpec)
     stat = _ranking_stat(spec.scheme, ug, uh, params, spec.model, sigma_e2, scratch)
     ranks = (spec.k, spec.j) if pair else (spec.k,)
@@ -310,7 +375,13 @@ def _count_block(config: TrialConfig, x: float, tail: _BlockTail, n: int, start:
         # rows are counted without a matmul, whose OpenBLAS gemv would start
         # its own threads beside the pool's
         stat = _ranking_stat(spec.scheme, ug, uh, params, spec.model, sigma_e2, (s1, s2))
-        return int((np.count_nonzero(stat > x, axis=1) < spec.k).sum())
+        if M > _COLUMNS_MAX_M:
+            above = np.count_nonzero(stat > x, axis=1)
+        else:
+            above, hit = np.zeros(n, np.int8), np.empty(n, np.bool_)
+            for col in stat.T:
+                above += np.greater(col, x, out=hit)
+        return int(np.count_nonzero(above < spec.k))
     picks, normals = tail.rows(start, n)
     if picks is None:
         flat = _select(spec, ug, uh, params, sigma_e2, (s1, s2))

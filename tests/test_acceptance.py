@@ -14,6 +14,7 @@ import os
 import numpy as np
 import pytest
 from scipy import integrate
+from scipy.special import bdtr, bdtrc
 
 from wpcn_select.analytic import (
     Method,
@@ -60,6 +61,8 @@ ORDER_INDICES = (1, 2, 4)
 POWER_GRID_DBM = (-20.0, -10.0, 0.0)
 GRID_TRIALS = 1_000_000
 GRID_SEED = 2024
+#: per-point level of the exact binomial test, Bonferroni over the 90 grid points
+GRID_ALPHA = 1e-3 / 90
 
 
 # ---------------------------------------------------------------------------
@@ -122,6 +125,38 @@ def test_criterion_01_analytic_matches_monte_carlo_on_full_grid(grid_runs):
         gap = abs(analytic - mc["outage"])
         tol = max(3.0 * mc["stderr"], 5e-3)
         assert gap <= tol, f"{key}: |analytic - mc| = {gap:.3e} > {tol:.3e}"
+
+
+def _grid_p_values(rows, scale):
+    """{point: two-sided exact binomial p-value of its Monte Carlo failure
+    count against its exact outage times scale.get(scheme, 1)}, as twice
+    the smaller tail, at most 1 (Clopper & Pearson, Biometrika 26, 1934)."""
+    by_point = {}
+    for row in rows:
+        key = (row["scheme"], row["k"], row["model"], row["pt_dbm"])
+        by_point.setdefault(key, {})[row["method"]] = row["outage"]
+    p_values = {}
+    for key, methods in by_point.items():
+        failures = round(methods["mc"] * GRID_TRIALS)
+        p = methods["analytic"] * scale.get(key[0], 1.0)
+        lower = bdtr(failures, GRID_TRIALS, p)
+        upper = bdtrc(failures - 1, GRID_TRIALS, p)  # 1 at no failures
+        p_values[key] = min(1.0, 2.0 * min(lower, upper))
+    return p_values
+
+
+def test_grid_points_pass_an_exact_binomial_test(grid_runs):
+    # criterion 1 admits a gap of 5e-3 at every point, 500% of an outage of
+    # 1e-3; this test on the same runs sees a few percent
+    rows, _ = grid_runs["8"]
+    p_values = _grid_p_values(rows, {})
+    assert len(p_values) == 90
+    worst = min(p_values, key=p_values.get)
+    assert p_values[worst] >= GRID_ALPHA, (worst, p_values[worst])
+    # and it has the power: 5% off in any one scheme fails some point
+    for scheme in SCHEMES:
+        scaled = _grid_p_values(rows, {scheme.value: 1.05})
+        assert min(scaled.values()) < GRID_ALPHA, scheme
 
 
 def test_criterion_02_pair_selection_matches_monte_carlo():

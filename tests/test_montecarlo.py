@@ -161,16 +161,18 @@ def _stable_kth(stat, k):
     return np.argsort(-stat, axis=1, kind="stable")[:, k - 1]
 
 
-# every k at small M; at M = 100 both knock-out walks and the partition
-@pytest.mark.parametrize("M", [2, 5, 7, 100])
+# every k up to M = 20, on both sides of the column-pass cutoff (M = 10);
+# at M = 100 both knock-out walks and the partition
+@pytest.mark.parametrize("M", [2, 3, 5, 7, 10, 11, 20, 100])
 def test_kth_index_matches_stable_sort(M):
     rng = np.random.default_rng(M)
     smooth = rng.random((3000, M))
     tied = rng.integers(0, 3, size=(3000, M)).astype(float)  # ties in most rows
     ranks = (1, 2, 3, 49, 50, 98, 99, 100) if M == 100 else range(1, M + 1)
-    for stat in (smooth, tied):
+    # the column passes read either layout; the statistic comes transposed
+    for stat in (smooth, tied, np.asfortranarray(smooth), np.asfortranarray(tied)):
         for k in ranks:
-            got = _kth_index(stat, k, np.empty_like(stat))
+            got = _kth_index(stat, k, np.empty((3000, M)))
             assert np.array_equal(got, _stable_kth(stat, k)), k
 
 
@@ -187,24 +189,30 @@ def test_kth_index_on_crafted_ties():
         assert np.array_equal(_kth_index(stat, k, np.empty_like(stat)), _stable_kth(stat, k))
 
 
-@pytest.mark.parametrize("k", [1, 2])
+# every k at M = 10 and 11, either side of the column-pass cutoff
+@pytest.mark.parametrize("k", range(1, 12))
 def test_sbs_count_path_matches_select_path(k):
     params = P.replace(transmit_power=dbm_to_watts(-40.0))
-    cfg = TrialConfig(SchemeSpec(Scheme.SBS, k=k), params, num_trials=50_000, base_seed=6)
-    x = threshold_x(params)
-    counted = _count_block(cfg, x, _BlockTail(cfg, 2, 50_000), 50_000, 0)
-    # the same block, recomputed through the k-th index and the gathered SNR
-    seq = np.random.SeedSequence(entropy=6, spawn_key=(2,))
-    rng = np.random.Generator(np.random.Philox(seq))
-    ug, uh, s1, s2, knock = np.empty((5, 50_000, 5))
-    _draw_block(rng, rng, ug, uh)
-    stat = _ranking_stat(Scheme.SBS, ug, uh, params, EhModel.NON_LINEAR, 0.0, (s1, s2))
-    sel = _kth_index(stat, k, knock)
-    g, h = _gains(ug, 0.0), _gains(uh, 0.0)
-    rows = np.arange(50_000)
-    x_sel = snr(h[rows, sel], harvested_energy(g[rows, sel], params, EhModel.NON_LINEAR), params)
-    assert 1_000 < counted < 49_000
-    assert counted == int((x_sel <= x).sum())
+    for M in (m for m in (5, 10, 11) if k <= m and (m > 5 or k <= 2)):
+        params = params.replace(num_devices=M)
+        cfg = TrialConfig(SchemeSpec(Scheme.SBS, k=k), params, num_trials=50_000, base_seed=6)
+        # the block, through the k-th index and the gathered SNR
+        seq = np.random.SeedSequence(entropy=6, spawn_key=(2,))
+        rng = np.random.Generator(np.random.Philox(seq))
+        ug, uh, s1, s2, knock = np.empty((5, 50_000, M))
+        _draw_block(rng, rng, ug, uh)
+        stat = _ranking_stat(Scheme.SBS, ug, uh, params, EhModel.NON_LINEAR, 0.0, (s1, s2))
+        sel = _kth_index(stat, k, knock)
+        g, h = _gains(ug, 0.0), _gains(uh, 0.0)
+        rows = np.arange(50_000)
+        x_sel = snr(h[rows, sel], harvested_energy(g[rows, sel], params, EhModel.NON_LINEAR),
+                    params)
+        # at -40 dBm and M = 5 the default threshold splits the block; at
+        # M = 10 and 11 the threshold is a drawn SNR, so one trial sits on it
+        x = threshold_x(params) if M == 5 else float(np.partition(x_sel, 25_000)[25_000])
+        counted = _count_block(cfg, x, _BlockTail(cfg, 2, 50_000), 50_000, 0)
+        assert 1_000 < counted < 49_000
+        assert counted == int((x_sel <= x).sum()), M
 
 
 # ---------------------------------------------------------------------------
@@ -601,16 +609,28 @@ def test_worker_buffers_carry_nothing_between_runs(monkeypatch):
             assert simulate_outage(cfg).value == _oracle_outage(cfg), (M, spec, sigma_e2)
 
 
-# at M = 5, 20,000 trials are one chunk of 800 kB per array; at M = 100 a
-# full block is 16 chunks of about 1 MiB per array
-@pytest.mark.parametrize("M, trials", [(5, 20_000), (100, _ELEMENT_BUDGET // 100)])
-@pytest.mark.parametrize("spec, sigma_e2", [
-    (SchemeSpec(Scheme.SBS, k=1), 0.0),
-    (SchemeSpec(Scheme.SBS, k=1), 0.3),
-    (PairSpec(Scheme.SBS, 1, 2), 0.0),
-    (SchemeSpec(Scheme.EBS, k=2), 0.0),
-], ids=["sbs", "sbs-imperfect", "sbs-pair", "ebs-k2"])
-def test_repeated_run_allocates_less_than_one_chunk_array(monkeypatch, M, trials, spec, sigma_e2):
+ALLOC_SPECS = {
+    "sbs": (SchemeSpec(Scheme.SBS, k=1), 0.0),
+    "sbs-imperfect": (SchemeSpec(Scheme.SBS, k=1), 0.3),
+    "sbs-pair": (PairSpec(Scheme.SBS, 1, 2), 0.0),
+    "ebs-k2": (SchemeSpec(Scheme.EBS, k=2), 0.0),
+    "mms-k4": (SchemeSpec(Scheme.MMS, k=4), 0.0),
+    "ibs-k5": (SchemeSpec(Scheme.IBS, k=5), 0.0),
+}
+
+
+# at M = 5, 20,000 trials are one chunk of 800 kB per array, and at M = 10
+# 13,107 trials one chunk of 1 MiB; at M = 100 a full block is 16 chunks of
+# about 1 MiB per array.  Mid ranks at M = 100 take a partition, whose
+# (n, M) index array is a chunk array of its own, so they are not listed.
+@pytest.mark.parametrize("name, M, trials", [
+    *((name, M, trials) for M, trials in ((5, 20_000), (100, _ELEMENT_BUDGET // 100))
+      for name in ("sbs", "sbs-imperfect", "sbs-pair", "ebs-k2")),
+    ("mms-k4", 5, 20_000),
+    ("ibs-k5", 10, 13_107),
+])
+def test_repeated_run_allocates_less_than_one_chunk_array(monkeypatch, name, M, trials):
+    spec, sigma_e2 = ALLOC_SPECS[name]
     # one worker, whose buffers the first run sizes; the second run may make
     # only row-sized arrays and its block's true-gain normals, which at
     # sigma_e2 = 0.3 take 640 kB at M = 5 and 671 kB at M = 100
