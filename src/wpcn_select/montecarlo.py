@@ -6,12 +6,13 @@ spawn_key=(block,)), and a block of n trials at population M reads its
 stream in a fixed order: n M doubles for the g gains, n M for the h gains,
 then the RS picks or the true-gain normals.
 
-Chunks are the unit of work.  Philox is counter-based, so a chunk of rows
-draws its g and h rows from generators positioned inside its block's
-stream; the draws after the fading rows take a variable number of raw
-outputs, so they are drawn once per block, in sequence, and each chunk
-takes its slice.  A chunk holds about 2^17 doubles (1 MiB) per array at
-any M.  The tail draws are per block, not per chunk: under imperfect CSI
+Chunks are the unit of work.  A block's stream is PCG64 (O'Neill,
+HMC-CS-2014-0905), whose advance jumps to any position without drawing, so
+a chunk of rows draws its g and h rows from generators positioned inside
+its block's stream; the draws after the fading rows take a variable number
+of raw outputs, so they are drawn once per block, in sequence, and each
+chunk takes its slice.  A chunk holds about 2^17 doubles (1 MiB) per array
+at any M.  The tail draws are per block, not per chunk: under imperfect CSI
 the true-gain normals take (2, 2, block, 1 or 2) doubles, 2 MiB at M = 5
 (4 MiB for a pair), and random selection its picks, (block, 1 or 2) int64,
 1 MiB for a pair at M = 5.  So a worker's memory is its chunk plus the tail
@@ -124,20 +125,16 @@ class TrialConfig:
         _check_order_index(self.spec, self.params.num_devices)
 
 
-def _block_key(base_seed: int, block: int) -> np.ndarray:
-    """The Philox key of a block's stream, as Philox(SeedSequence) makes it."""
-    return np.random.SeedSequence(entropy=base_seed, spawn_key=(block,)).generate_state(
-        2, np.uint64
-    )
+def _block_key(base_seed: int, block: int) -> np.random.SeedSequence:
+    """The seed of a block's stream: PCG64 seeded from it starts the block."""
+    return np.random.SeedSequence(entropy=base_seed, spawn_key=(block,))
 
 
-def _stream_at(key: np.ndarray, offset: int) -> np.random.Generator:
+def _stream_at(key: np.random.SeedSequence, offset: int) -> np.random.Generator:
     """Generator whose next double is double number `offset` of the block
-    stream with this _block_key: Philox yields four 64-bit outputs per
-    counter step, and each double takes one output."""
-    rng = np.random.Generator(np.random.Philox(counter=offset // 4, key=key))
-    rng.random(offset % 4)
-    return rng
+    stream with this _block_key: each double takes one 64-bit PCG64
+    output, and advance skips `offset` of them in O(log offset) steps."""
+    return np.random.Generator(np.random.PCG64(key).advance(offset))
 
 
 def _draw_block(rng_g: np.random.Generator, rng_h: np.random.Generator, ug, uh):
@@ -225,7 +222,7 @@ def _kth_index(stat: np.ndarray, k: int, scratch: np.ndarray) -> np.ndarray:
     largest entry for k = 2 in a copy of stat (argmax takes the first of
     equal maxima, which is the stable order), or the mirror walk up from
     the smallest with argmin over reversed columns; deeper ranks take a
-    partition and repair its ties."""
+    partition of a copy in scratch and repair its ties."""
     n, M = stat.shape
     if M <= _COLUMNS_MAX_M:
         return _kth_by_columns(stat.T, k, scratch.reshape(M, n))
@@ -245,10 +242,12 @@ def _kth_index(stat: np.ndarray, k: int, scratch: np.ndarray) -> np.ndarray:
             rev = scratch
             rev[np.arange(n), np.argmin(rev, axis=1)] = np.inf
         return M - 1 - np.argmin(rev, axis=1)
-    idx = np.argpartition(stat, M - k, axis=1)[:, M - k]
-    v = np.take_along_axis(stat, idx[:, None], axis=1)
+    np.copyto(scratch, stat)
+    scratch.partition(M - k, axis=1)
+    v = scratch[:, M - k, None]  # each row's k-th largest value
     eq = stat == v
-    if np.count_nonzero(eq) > len(idx):  # some row ties at its k-th value
+    idx = np.argmax(eq, axis=1)  # its first column
+    if np.count_nonzero(eq) > n:  # some row ties at its k-th value
         t = np.flatnonzero(eq.sum(axis=1) > 1)
         # the pick is the (k - #greater)-th of the tied entries in index order
         need = k - (stat[t] > v[t]).sum(axis=1)

@@ -128,6 +128,13 @@ def imperfect_csi_outage(spec, params, sigma_e2, num_trials, seed, chunk=10_000)
     return p, math.sqrt(p * (1.0 - p) / num_trials)
 
 
+def block_generator(base_seed, block):
+    """A sequential generator over one block's whole stream, as the
+    simulator's block streams are defined."""
+    seq = np.random.SeedSequence(entropy=base_seed, spawn_key=(block,))
+    return np.random.Generator(np.random.PCG64(seq))
+
+
 def whole_block_count(config, x, block, n):
     """Failures among the n trials of one block (exact integer), by the
     definition: draw the whole (n, M) block from one sequential generator,
@@ -137,8 +144,7 @@ def whole_block_count(config, x, block, n):
     uniforms and transforms only its picks, must match count for count."""
     spec, params, sigma_e2 = config.spec, config.params, config.estimation_error_var
     M = params.num_devices
-    seq = np.random.SeedSequence(entropy=config.base_seed, spawn_key=(block,))
-    rng = np.random.Generator(np.random.Philox(seq))
+    rng = block_generator(config.base_seed, block)
     g = -np.log1p(-rng.random((n, M)))
     h = -np.log1p(-rng.random((n, M)))
     if sigma_e2 != 0.0:  # the estimates selection ranks on
