@@ -121,7 +121,8 @@ def harvested_energy(gain_g: float, params: SystemParams, model: EhModel, out=No
     unbounded benchmark t1*Pt*|g|^2.  Takes a float or an array of gains;
     an array is left as it is, unless an output array `out` is given: the
     energies are then written there and the gains are overwritten on the
-    way, so that no array is allocated.
+    way, so that no array is allocated.  At Pt = inf NonLinear is the
+    saturation for every gain, where the map itself would take inf/inf.
     """
     t1 = params.harvest_fraction
     if model is EhModel.LINEAR:
@@ -129,6 +130,12 @@ def harvested_energy(gain_g: float, params: SystemParams, model: EhModel, out=No
             return t1 * params.transmit_power * gain_g
         return np.multiply(gain_g, t1 * params.transmit_power, out=out)
     rc = params.rectenna
+    if params.transmit_power == math.inf:
+        saturation = t1 * (rc.a - rc.b / rc.c)
+        if out is None:
+            return np.full(np.shape(gain_g), saturation) if np.ndim(gain_g) else saturation
+        out.fill(saturation)
+        return out
     # t1 * ((a p + b)/(p + c) - b/c), updating two arrays in place: a Monte
     # Carlo chunk passes a megabyte of gains per call
     if out is None:

@@ -4,22 +4,19 @@ Blocks define the random stream.  Trials are split into fixed-size blocks,
 each seeded independently through SeedSequence(entropy=base_seed,
 spawn_key=(block,)), and a block of n trials at population M reads its
 stream in a fixed order: n M doubles for the g gains, n M for the h gains,
-then the RS picks or the true-gain normals.
+then, under imperfect CSI, the chosen devices' estimation errors (w = 1,
+or 2 for a pair): n w uniforms for the g links' error moduli, n w for
+their phases, then the same for the h links.
 
 Chunks are the unit of work.  A block's stream is PCG64 (O'Neill,
-HMC-CS-2014-0905), whose advance jumps to any position without drawing, so
-a chunk of rows draws its g and h rows from generators positioned inside
-its block's stream; the draws after the fading rows take a variable number
-of raw outputs, so they are drawn once per block, in sequence, and each
-chunk takes its slice.  A chunk holds about 2^17 doubles (1 MiB) per array
-at any M.  The tail draws are per block, not per chunk: under imperfect CSI
-the true-gain normals take (2, 2, block, 1 or 2) doubles, 2 MiB at M = 5
-(4 MiB for a pair), and random selection its picks, (block, 1 or 2) int64,
-1 MiB for a pair at M = 5.  So a worker's memory is its chunk plus the tail
-of the block it is in, freed when the block's last chunk ends.  Failure
-counts are integers summed in any order, so the estimate is bit-identical
-for a given config no matter how many worker threads run the chunks, or
-how the blocks are cut into chunks.
+HMC-CS-2014-0905), whose advance jumps to any position without drawing,
+and every draw takes one 64-bit output per double, so a chunk of rows
+draws each of its parts from a generator positioned inside its block's
+stream: a chunk depends only on its block's key and size, its first trial
+and its length.  A chunk holds about 2^17 doubles (1 MiB) per array at any
+M.  Failure counts are integers summed in any order, so the estimate is
+bit-identical for a given config no matter how many worker threads run the
+chunks, or how the blocks are cut into chunks.
 
 Workers and their memory outlive a run.  The process keeps one thread pool
 of at most the thread cap (THREADS_ENV, or the usable CPUs up to 4), made
@@ -39,18 +36,20 @@ A chunk does only what its count needs.  It draws uniforms u, and a gain is
 harvester map all increase strictly, so ranking the uniforms ranks the gains
 and the energies: EBS ranks on u_g, IBS on u_h and MMS on min(u_g, u_h),
 ties to the lowest index, and only the picked entries are turned into
-gains; RS transforms only its random picks.  The uniforms stay as drawn
-until the picks are gathered from them.  SBS needs every SNR and builds
-them from the whole chunk; with perfect CSI it counts the trials in which
-fewer than k SNRs exceed the threshold.  Up to M = _COLUMNS_MAX_M the
-statistic is built transposed, one contiguous row of n trials per device,
-and the k-th index and the SBS count take passes over whole columns: a
-numpy call per device, where a reduction along each row makes one per
-trial.  Above it, the two ranks at either end of the order take an argmax
-(or argmin), after one knock-out round for the second, and other ranks a
-partition.  Under imperfect CSI the estimates are
-(1 - sigma_e2) Exp(1) and only the chosen devices draw a true gain,
-|sqrt(est) + CN(0, sigma_e2)|^2.
+gains.  The gains are iid and a random pick is independent of them, so
+random selection (RS) takes device 0, and an RS pair devices 0 and 1, the
+one with the higher SNR as the primary.  The uniforms stay as drawn until
+the picks are gathered from them.  SBS needs every SNR and builds them from
+the whole chunk; with perfect CSI it counts the trials in which fewer than
+k SNRs exceed the threshold.  Up to M = _COLUMNS_MAX_M the statistic is
+built transposed, one contiguous row of n trials per device, and the k-th
+index and the SBS count take passes over whole columns: a numpy call per
+device, where a reduction along each row makes one per trial.  Above it,
+the two ranks at either end of the order take an argmax (or argmin), after
+one knock-out round for the second, and other ranks a partition.  Under
+imperfect CSI the estimates are (1 - sigma_e2) Exp(1) and only the chosen
+devices draw a true gain, |sqrt(est) + CN(0, sigma_e2)|^2, with the error
+in polar form from its two uniforms.
 
 The uniform ranking is the exact-arithmetic order of the energies.  The
 energies in doubles can differ from it: at low transmit power (-40 dBm)
@@ -84,6 +83,9 @@ _BLOCK = 1 << 16
 _ELEMENT_BUDGET = 1 << 21
 #: doubles per (rows, M) array of one chunk, the unit of work
 _CHUNK_ELEMENTS = 1 << 17
+#: doubles per chunk row its arrays have room for at least: under imperfect
+#: CSI a pair draws four error uniforms per row and link, into u_g and u_h
+_MIN_ROW = 4
 #: populations up to this size rank and count in passes over whole columns
 #: (_kth_by_columns), larger ones with a numpy reduction along each row.
 #: Whole 2^17-double chunks with columns took 0.68-0.93 of the time with
@@ -138,8 +140,9 @@ def _stream_at(key: np.random.SeedSequence, offset: int) -> np.random.Generator:
 
 
 def _draw_block(rng_g: np.random.Generator, rng_h: np.random.Generator, ug, uh):
-    """(ug, uh), filled in place with the uniforms on [0, 1) that the g and h
-    gains are made from: ug from rng_g, then uh from rng_h."""
+    """(ug, uh), filled in place with uniforms on [0, 1), ug from rng_g, then
+    uh from rng_h: the fading draws the g and h gains are made from, or the
+    chosen devices' error draws on the g and h links."""
     rng_g.random(out=ug)
     rng_h.random(out=uh)
     return ug, uh
@@ -157,18 +160,30 @@ def _gains(u: np.ndarray, sigma_e2: float, out=None) -> np.ndarray:
     return g
 
 
-def _true_gains(est: np.ndarray, sigma_e2: float, z: np.ndarray) -> np.ndarray:
-    """True squared gains given their estimates,
-    (sqrt(est) + s z_1)^2 + (s z_2)^2 with s = sqrt(sigma_e2 / 2).  The
-    error is CN(0, sigma_e2) and circularly symmetric, so turning the
-    estimate onto the real axis leaves |estimate + error|^2 unchanged in
-    law.  z holds two standard normals per estimate, shaped (2, *est.shape).
-    In place: est becomes the true gains, and z is overwritten on the way."""
-    t = np.multiply(z, math.sqrt(sigma_e2 / 2.0), out=z)
+def _true_gains(est: np.ndarray, sigma_e2: float, u: np.ndarray) -> np.ndarray:
+    """True squared gains given their estimates and two uniforms on [0, 1)
+    per estimate, u shaped (2, *est.shape).  The error is CN(0, sigma_e2):
+    its squared modulus |e|^2 = -sigma_e2 log1p(-u[0]) is sigma_e2 Exp(1),
+    and its phase 2 pi u[1] is uniform and independent of it.  It is circularly
+    symmetric, so turning the estimate onto the real axis leaves
+    |estimate + error|^2 unchanged in law: (sqrt(est) + |e| cos)^2 +
+    |e|^2 (1 - cos^2).  The last term is formed as |e|^2 - (|e| cos)^2,
+    which |cos| <= 1 keeps from rounding below 0.  In place: est becomes
+    the true gains, and u is overwritten on the way."""
+    r, t = u
+    np.negative(r, out=r)
+    np.log1p(r, out=r)
+    r *= -sigma_e2
+    np.sqrt(r, out=r)  # |e|
+    t *= 2.0 * math.pi
+    np.cos(t, out=t)
+    t *= r  # |e| cos
     a = np.sqrt(est, out=est)
-    a += t[0]
+    a += t
     np.square(a, out=a)
-    a += np.square(t[1], out=t[1])
+    np.square(r, out=r)
+    r -= np.square(t, out=t)
+    a += r
     return a
 
 
@@ -292,67 +307,33 @@ def _kth_by_columns(cols: np.ndarray, k: int, work: np.ndarray) -> np.ndarray:
     return pos.astype(np.intp) if r == k else np.subtract(M - 1, pos, dtype=np.intp)
 
 
-def _random_pick(M: int, n: int, pair: bool, rng: np.random.Generator) -> np.ndarray:
-    a = rng.integers(M, size=n)
-    return np.stack([a, (a + rng.integers(1, M, size=n)) % M], axis=1) if pair else a[:, None]
-
-
 def _select(spec: SchemeSpec | PairSpec, ug, uh, params: SystemParams,
             sigma_e2: float, scratch) -> np.ndarray:
     """(n, 1) indices, or (n, 2) for a pair, ranked in each row of the (n, M)
-    uniforms; random selection takes its picks from _BlockTail instead.
+    uniforms.  Random selection takes device 0, or devices 0 and 1: the
+    gains are iid, so a random pick, independent of them, has their law.
     scratch, two arrays shaped like ug, holds the ranking statistic and the
     work space of _kth_index."""
     pair = isinstance(spec, PairSpec)
+    if spec.scheme is Scheme.RS:
+        return np.tile(np.arange(2 if pair else 1), (len(ug), 1))
     stat = _ranking_stat(spec.scheme, ug, uh, params, spec.model, sigma_e2, scratch)
     ranks = (spec.k, spec.j) if pair else (spec.k,)
     cols = [_kth_index(stat, r, scratch[1]) for r in ranks]
     return np.stack(cols, axis=1) if pair else cols[0][:, None]
 
 
-class _BlockTail:
-    """A block's draws after its fading rows, in stream order: the RS picks
-    (size, 1 or 2), then the true-gain normals (2, 2, size, 1 or 2) for g and
-    h; None where the config draws neither.  Coming after the fading rows
-    keeps the gain stream identical across schemes under one seed.  They
-    take a variable number of raw outputs, so the first of the block's
-    chunks draws them all and each chunk takes its rows.  Only the block's
-    chunks refer to it, so it and its draws are freed when the last one
-    ends."""
-
-    def __init__(self, config: TrialConfig, block: int, size: int) -> None:
-        self.config, self.size = config, size
-        self.key = _block_key(config.base_seed, block)
-        self._draws = None
-        self._lock = threading.Lock()
-
-    def _draw(self):
-        spec, M = self.config.spec, self.config.params.num_devices
-        pair = isinstance(spec, PairSpec)
-        rng = _stream_at(self.key, 2 * self.size * M)
-        picks = _random_pick(M, self.size, pair, rng) if spec.scheme is Scheme.RS else None
-        normals = None
-        if self.config.estimation_error_var > 0.0:
-            normals = rng.standard_normal((2, 2, self.size, 2 if pair else 1))
-        return picks, normals
-
-    def rows(self, start: int, n: int):
-        with self._lock:
-            if self._draws is None:
-                self._draws = self._draw()
-        return tuple(None if d is None else d[..., start : start + n, :] for d in self._draws)
-
-
 def _workspace(n: int, M: int):
-    """This thread's four chunk arrays, each shaped (n, M): u_g, u_h and two
-    scratch arrays.  They are views of buffers the thread keeps from chunk
-    to chunk; the buffers grow only when a larger chunk needs it."""
-    need = n * M
+    """This thread's four flat chunk arrays, u_g, u_h and two scratch
+    arrays, each with room for n rows of max(M, _MIN_ROW) doubles.  They
+    are views of buffers the thread keeps from chunk to chunk; the buffers
+    grow only when a larger chunk needs it."""
+    need = n * max(M, _MIN_ROW)
     buf = getattr(_local, "buf", None)
     if buf is None or buf.shape[1] < need:
         _local.buf = None  # free the old buffers before the new ones are made
         buf = _local.buf = np.empty((4, max(need, _CHUNK_ELEMENTS)))
-    return [b[:need].reshape(n, M) for b in buf]
+    return [b[:need] for b in buf]
 
 
 def _lead(a: np.ndarray, shape) -> np.ndarray:
@@ -360,15 +341,16 @@ def _lead(a: np.ndarray, shape) -> np.ndarray:
     return a.reshape(-1)[: math.prod(shape)].reshape(shape)
 
 
-def _count_block(config: TrialConfig, x: float, tail: _BlockTail, n: int, start: int) -> int:
-    """Failures among trials start .. start + n - 1 of the block whose shared
-    _BlockTail is tail (exact integer).  Every chunk-sized array lives in
-    the calling thread's workspace."""
+def _count_block(config: TrialConfig, x: float, key: np.random.SeedSequence, n: int,
+                 start: int, size: int) -> int:
+    """Failures among trials start .. start + n - 1 of the block of `size`
+    trials whose stream is seeded by key (exact integer).  Every
+    chunk-sized array lives in the calling thread's workspace."""
     spec, params, sigma_e2 = config.spec, config.params, config.estimation_error_var
     M = params.num_devices
-    ug, uh, s1, s2 = _workspace(n, M)
-    _draw_block(_stream_at(tail.key, start * M), _stream_at(tail.key, (tail.size + start) * M),
-                ug, uh)
+    bufs = _workspace(n, M)
+    ug, uh, s1, s2 = (_lead(b, (n, M)) for b in bufs)
+    _draw_block(_stream_at(key, start * M), _stream_at(key, (size + start) * M), ug, uh)
     if spec.scheme is Scheme.SBS and sigma_e2 == 0.0 and isinstance(spec, SchemeSpec):
         # the k-th best SNR is <= x exactly when fewer than k devices exceed x;
         # rows are counted without a matmul, whose OpenBLAS gemv would start
@@ -381,24 +363,28 @@ def _count_block(config: TrialConfig, x: float, tail: _BlockTail, n: int, start:
             for col in stat.T:
                 above += np.greater(col, x, out=hit)
         return int(np.count_nonzero(above < spec.k))
-    picks, normals = tail.rows(start, n)
-    if picks is None:
-        flat = _select(spec, ug, uh, params, sigma_e2, (s1, s2))
-    else:
-        flat = picks.copy()
+    flat = _select(spec, ug, uh, params, sigma_e2, (s1, s2))
+    w = flat.shape[1]
     flat += np.arange(0, n * M, M)[:, None]  # into the flattened rows
     # the picks go to the fronts of the scratch arrays, and once both are
-    # gathered the uniforms' own arrays take the energies
+    # gathered the uniforms' own arrays take the error uniforms, then the
+    # energies
     g = np.take(ug, flat, out=_lead(s1, flat.shape), mode="clip")
     h = np.take(uh, flat, out=_lead(s2, flat.shape), mode="clip")
     g, h = _gains(g, sigma_e2, out=g), _gains(h, sigma_e2, out=h)
-    if normals is not None:
-        g = _true_gains(g, sigma_e2, normals[0])
-        h = _true_gains(h, sigma_e2, normals[1])
-    e = harvested_energy(g, params, spec.model, out=_lead(ug, g.shape))
+    if sigma_e2 > 0.0:
+        for est, buf, base in ((g, bufs[0], 2 * size * M), (h, bufs[1], 2 * size * (M + w))):
+            u = _lead(buf, (2, n, w))  # moduli, then phases
+            _draw_block(_stream_at(key, base + start * w),
+                        _stream_at(key, base + (size + start) * w), *u)
+            _true_gains(est, sigma_e2, u)
+    e = harvested_energy(g, params, spec.model, out=_lead(bufs[0], g.shape))
     x_sel = snr(h, e, params, out=h)
     if isinstance(spec, PairSpec):
-        return int((x_sel[:, 0] / (x_sel[:, 1] + 1.0) <= x).sum())
+        p, q = x_sel[:, 0], x_sel[:, 1]
+        if spec.scheme is Scheme.RS:  # the stronger of the two is the primary
+            p, q = np.maximum(p, q), np.minimum(p, q)
+        return int((p / (q + 1.0) <= x).sum())
     return int((x_sel[:, 0] <= x).sum())
 
 
@@ -467,13 +453,12 @@ def simulate_outage(config: TrialConfig) -> OutageEstimate:
     sizes = [block_size] * (total // block_size)
     if total % block_size:
         sizes.append(total % block_size)
-    todo = collections.deque()  # (tail, trials, first trial), taken by popleft
+    todo = collections.deque()  # (key, trials, first trial, block size), taken by popleft
     for block, size in enumerate(sizes):
-        parts = -(-size * M // _CHUNK_ELEMENTS)
-        tail = _BlockTail(config, block, size)
+        parts = -(-size * max(M, _MIN_ROW) // _CHUNK_ELEMENTS)
+        key = _block_key(config.base_seed, block)
         cuts = [size * i // parts for i in range(parts + 1)]  # near-equal cuts
-        todo.extend((tail, hi - lo, lo) for lo, hi in zip(cuts, cuts[1:]))
-    del tail  # only the chunks hold a block's tail, so it dies with its last one
+        todo.extend((key, hi - lo, lo, size) for lo, hi in zip(cuts, cuts[1:]))
     workers = _worker_count(len(todo))
     todo.extend([None] * workers)  # each worker stops at the None it takes
 

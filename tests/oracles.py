@@ -8,7 +8,7 @@ from scipy.integrate import quad
 
 from wpcn_select.analytic import PairSpec, Scheme, r_scale
 from wpcn_select.model import harvested_energy, snr, threshold_x
-from wpcn_select.montecarlo import _random_pick, _true_gains
+from wpcn_select.montecarlo import _true_gains
 from wpcn_select.special import _EPS, _NODES, _RULES, _TINY, _beta_args
 
 
@@ -140,8 +140,12 @@ def whole_block_count(config, x, block, n):
     definition: draw the whole (n, M) block from one sequential generator,
     make every gain, rank each row on the scheme's own statistic (harvested
     energy, uplink gain, min gain or e2e SNR) by a stable descending sort and
-    test the picks.  The reference the chunked simulator, which ranks on the
-    uniforms and transforms only its picks, must match count for count."""
+    test the picks.  Random selection takes device 0, and a pair devices 0
+    and 1 with the higher SNR as the primary.  Under imperfect CSI the
+    chosen gains' error uniforms follow: the g links' moduli, then their
+    phases, then the same for the h links.  The reference the chunked
+    simulator, which ranks on the uniforms and transforms only its picks,
+    must match count for count."""
     spec, params, sigma_e2 = config.spec, config.params, config.estimation_error_var
     M = params.num_devices
     rng = block_generator(config.base_seed, block)
@@ -151,9 +155,7 @@ def whole_block_count(config, x, block, n):
         g, h = (1.0 - sigma_e2) * g, (1.0 - sigma_e2) * h
     pair = isinstance(spec, PairSpec)
     if spec.scheme is Scheme.RS:
-        # drawn after the fading block, so the gain stream is the same
-        # across schemes under one seed
-        sel = _random_pick(M, n, pair, rng)
+        sel = np.tile([0, 1] if pair else [0], (n, 1))
     else:
         if spec.scheme is Scheme.SBS:
             stat = snr(h, harvested_energy(g, params, spec.model), params)
@@ -167,9 +169,11 @@ def whole_block_count(config, x, block, n):
         sel = np.argsort(-stat, axis=1, kind="stable")[:, ranks]
     g, h = np.take_along_axis(g, sel, axis=1), np.take_along_axis(h, sel, axis=1)
     if sigma_e2 > 0.0:
-        g = _true_gains(g, sigma_e2, rng.standard_normal((2, *g.shape)))
-        h = _true_gains(h, sigma_e2, rng.standard_normal((2, *h.shape)))
+        g = _true_gains(g, sigma_e2, rng.random((2, *g.shape)))
+        h = _true_gains(h, sigma_e2, rng.random((2, *h.shape)))
     x_sel = snr(h, harvested_energy(g, params, spec.model), params)
-    if isinstance(spec, PairSpec):
+    if pair:
+        if spec.scheme is Scheme.RS:
+            x_sel = np.sort(x_sel, axis=1)[:, ::-1]
         return int((x_sel[:, 0] / (x_sel[:, 1] + 1.0) <= x).sum())
     return int((x_sel[:, 0] <= x).sum())

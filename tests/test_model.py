@@ -128,6 +128,13 @@ def test_harvester_saturates():
         ceiling, rel=1e-6
     )
     assert harvested_energy(1e12, p, EhModel.NON_LINEAR) < ceiling
+    # at Pt = inf every gain harvests the ceiling, where the map is inf/inf
+    inf = p.replace(transmit_power=math.inf)
+    gains, out = np.array([0.5, 2.0]), np.empty(2)
+    assert harvested_energy(2.0, inf, EhModel.NON_LINEAR) == ceiling
+    assert np.array_equal(harvested_energy(gains, inf, EhModel.NON_LINEAR), [ceiling] * 2)
+    assert harvested_energy(gains, inf, EhModel.NON_LINEAR, out=out) is out
+    assert np.array_equal(out, [ceiling] * 2)
 
 
 def test_harvester_monotone_in_gain():

@@ -13,6 +13,7 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from wpcn_select.analytic import (
     Scheme,
     SchemeSpec,
     outage_ebs,
+    outage_high_snr,
     outage_pair,
     outage_rs,
     outage_sbs,
@@ -45,12 +47,10 @@ from wpcn_select.montecarlo import (
     THREADS_ENV,
     TrialConfig,
     _block_key,
-    _BlockTail,
     _count_block,
     _draw_block,
     _gains,
     _kth_index,
-    _random_pick,
     _ranking_stat,
     _select,
     _stream_at,
@@ -79,21 +79,27 @@ def test_imperfect_csi_split_preserves_truth_mean():
     # estimate carries 1 - sigma_e2 of the power, the error the rest
     rng = np.random.default_rng(2)
     est = _gains(_draw_block(rng, rng, *np.empty((2, 6000, 8)))[0], 0.3)
-    true = _true_gains(est.copy(), 0.3, rng.standard_normal((2, *est.shape)))
+    true = _true_gains(est.copy(), 0.3, rng.random((2, 6000, 8)))
     assert float(np.mean(est)) == pytest.approx(0.7, abs=0.02)
     assert float(np.mean(true)) == pytest.approx(1.0, abs=0.02)
 
 
-def _tail_rows(sigma_e2):
-    config = TrialConfig(SchemeSpec(Scheme.SBS), P, num_trials=4, estimation_error_var=sigma_e2)
-    return _BlockTail(config, 0, 4).rows(0, 4)
+def _chunk_offsets(monkeypatch, spec, sigma_e2):
+    """The stream offsets a chunk of trials 30 .. 49 of a 70-trial block at
+    M = 5 positions its generators at."""
+    seen = []
+    real = montecarlo._stream_at
+    monkeypatch.setattr(montecarlo, "_stream_at", lambda key, at: seen.append(at) or real(key, at))
+    cfg = TrialConfig(spec, P, num_trials=70, estimation_error_var=sigma_e2)
+    _count_block(cfg, threshold_x(P), _block_key(0, 0), 20, 30, 70)
+    return seen
 
 
-def test_perfect_csi_has_no_estimate_arrays():
+def test_perfect_csi_has_no_estimate_arrays(monkeypatch):
     # selection ranks on the drawn gains and the outage reads the same ones:
-    # no true-gain normals are drawn, and the gains are the unit-mean ones
-    _, normals = _tail_rows(0.0)
-    assert normals is None
+    # a chunk reads its g and h rows only, and the gains are the unit-mean ones
+    for spec in (SchemeSpec(Scheme.MMS, k=2), PairSpec(Scheme.RS, 1, 2)):
+        assert _chunk_offsets(monkeypatch, spec, 0.0) == [30 * 5, (70 + 30) * 5]
     rng = np.random.default_rng(0)
     ug, uh = _draw_block(rng, rng, *np.empty((2, 1, 4)))
     u = np.random.default_rng(0).random((2, 1, 4))
@@ -102,11 +108,16 @@ def test_perfect_csi_has_no_estimate_arrays():
     assert np.array_equal(g, -np.log1p(-u[0])) and np.array_equal(h, -np.log1p(-u[1]))
 
 
-def test_imperfect_csi_ranks_on_estimates():
+def test_imperfect_csi_ranks_on_estimates(monkeypatch):
     # the ranked gains are estimates with power 1 - sigma_e2, and the chosen
-    # devices' true gains come from normals drawn after them
-    _, normals = _tail_rows(0.4)
-    assert normals is not None
+    # devices' true gains come from error uniforms drawn after the block's
+    # fading rows: w per trial for the g links' moduli, w for their phases,
+    # then the same for the h links
+    for spec, w in ((SchemeSpec(Scheme.MMS, k=2), 1), (PairSpec(Scheme.RS, 1, 2), 2)):
+        fading = [30 * 5, (70 + 30) * 5]
+        errors = [2 * 70 * (5 + link * w) + w * (part * 70 + 30)
+                  for link in (0, 1) for part in (0, 1)]
+        assert _chunk_offsets(monkeypatch, spec, 0.4) == fading + errors
     rng, rng2 = np.random.default_rng(0), np.random.default_rng(0)
     est = [_gains(u, 0.4) for u in _draw_block(rng, rng, *np.empty((2, 1, 4)))]
     gains = [_gains(u, 0.0) for u in _draw_block(rng2, rng2, *np.empty((2, 1, 4)))]
@@ -136,8 +147,7 @@ def test_conditional_true_gain_is_unit_exponential():
     # again: mean 1, second moment 2; a million draws put both within 5 sigma
     rng = np.random.default_rng(12)
     est = _gains(_draw_block(rng, rng, *np.empty((2, 100_000, 10)))[0], 0.3)
-    true = _true_gains(est.copy(), 0.3,
-                       np.random.default_rng(13).standard_normal((2, *est.shape)))
+    true = _true_gains(est.copy(), 0.3, np.random.default_rng(13).random((2, 100_000, 10)))
     assert float(est.mean()) == pytest.approx(0.7, abs=5e-3)
     assert float(true.mean()) == pytest.approx(1.0, abs=5e-3)
     assert float((true**2).mean()) == pytest.approx(2.0, abs=2.5e-2)
@@ -212,7 +222,7 @@ def test_sbs_count_path_matches_select_path(k):
         # at -40 dBm and M = 5 the default threshold splits the block; at
         # M = 10 and 11 the threshold is a drawn SNR, so one trial sits on it
         x = threshold_x(params) if M == 5 else float(np.partition(x_sel, 25_000)[25_000])
-        counted = _count_block(cfg, x, _BlockTail(cfg, 2, 50_000), 50_000, 0)
+        counted = _count_block(cfg, x, _block_key(6, 2), 50_000, 0, 50_000)
         assert 1_000 < counted < 49_000
         assert counted == int((x_sel <= x).sum()), M
 
@@ -267,20 +277,6 @@ def test_select_pair_returns_both_ranks():
     assert got == (2, 0)
 
 
-def test_random_selection_covers_population():
-    rng = np.random.default_rng(3)
-    picks = _random_pick(3, 200, False, rng)
-    assert picks.shape == (200, 1)
-    assert set(picks[:, 0].tolist()) == {0, 1, 2}
-
-
-def test_random_pair_is_distinct_and_in_range():
-    rng = np.random.default_rng(4)
-    a, b = _random_pick(3, 300, True, rng).T
-    assert (a != b).all()
-    assert ((0 <= a) & (a < 3) & (0 <= b) & (b < 3)).all()
-
-
 # ---------------------------------------------------------------------------
 # full simulations against the exact evaluators
 # ---------------------------------------------------------------------------
@@ -325,6 +321,36 @@ def test_simulate_pair_matches_analytic():
     assert _within_three_sigma(est, truth)
 
 
+# the first point is compare --scheme rs --k 1 --j 2 --q-db -4 --pt-dbm -40
+@pytest.mark.parametrize("M, pt_dbm, q_db, exact",
+                         [(5, -40.0, -4.0, 0.1207), (10, -40.0, -6.0, 0.0462)])
+def test_simulate_rs_pair_matches_analytic(M, pt_dbm, q_db, exact):
+    # a random pair's primary is the stronger of its two devices
+    params = default_params(num_devices=M, transmit_power=dbm_to_watts(pt_dbm),
+                            rate_threshold_q=db_to_linear(q_db))
+    pair = PairSpec(Scheme.RS, 1, 2)
+    truth = outage_pair(threshold_x(params), pair, params).value
+    assert truth == pytest.approx(exact, abs=1e-4)
+    trials = 200_000
+    est = simulate_outage(TrialConfig(pair, params, num_trials=trials, base_seed=3))
+    assert abs(est.value - truth) <= 4.0 * math.sqrt(truth * (1.0 - truth) / trials)
+
+
+def test_simulate_at_infinite_power_matches_the_floor():
+    # the harvester saturates at Pt = inf; Q = 11 dB puts every floor at k = 2
+    # between 0.2 and 0.6
+    params = default_params(transmit_power=math.inf, rate_threshold_q=db_to_linear(11.0))
+    x, trials = threshold_x(params), 100_000
+    for scheme in Scheme:
+        spec = SchemeSpec(scheme, k=2)
+        truth = outage_high_snr(x, spec, params).value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            est = simulate_outage(TrialConfig(spec, params, num_trials=trials, base_seed=2))
+        assert 0.2 < truth < 0.6
+        assert abs(est.value - truth) <= 4.0 * math.sqrt(truth * (1.0 - truth) / trials), scheme
+
+
 def test_simulate_zero_threshold_short_circuits():
     params = P.replace(rate_threshold_q=0.0)
     est = simulate_outage(TrialConfig(SchemeSpec(Scheme.SBS, k=1), params, num_trials=100))
@@ -367,13 +393,13 @@ def test_stream_at_reproduces_the_sequential_stream(offset):
 
 @pytest.mark.parametrize("M, n", [(2, 4_465), (7, 33_333), (100, 20_971)])
 def test_tail_draws_continue_the_sequential_stream(M, n):
-    def tail(rng):
-        return rng.integers(M, size=99), rng.integers(1, M, size=99), rng.standard_normal(99)
-
+    # a pair's h-link error phases for trials 7 .. 105, which come after the
+    # fading rows, the g links' moduli and phases and the h links' moduli,
+    # n w doubles each, w = 2
     rng = block_generator(9, 3)
-    rng.random(2 * n * M)
-    for got, want in zip(tail(_stream_at(_block_key(9, 3), 2 * n * M)), tail(rng)):
-        assert np.array_equal(got, want)
+    want = rng.random(2 * n * M + 6 * n + 2 * 106)[-2 * 99:].reshape(99, 2)
+    got = _stream_at(_block_key(9, 3), 2 * n * M + 6 * n + 2 * 7).random((99, 2))
+    assert np.array_equal(got, want)
 
 
 def _block_sizes(config):
@@ -421,9 +447,9 @@ def test_simulate_matches_whole_block_oracle(M, trials, pt_dbm, sigma_e2):
     assert sum(0.0 < v < 1.0 for v in values) >= len(values) // 2
 
 
-def test_shared_block_tails_survive_many_threads(monkeypatch):
-    # hundred-row chunks share each block's tail draws; with more threads
-    # than cores, switching often, each must still take its own rows
+def test_tiny_chunks_survive_many_threads(monkeypatch):
+    # hundred-row chunks, each drawing its own error uniforms; with more
+    # threads than cores, switching often, each must still read its own rows
     monkeypatch.setattr(montecarlo, "_CHUNK_ELEMENTS", 700)
     monkeypatch.setenv(THREADS_ENV, "8")
     cfg = TrialConfig(PairSpec(Scheme.RS, 1, 2), P.replace(num_devices=7), num_trials=30_001,
@@ -614,6 +640,7 @@ ALLOC_SPECS = {
     "mms-k4": (SchemeSpec(Scheme.MMS, k=4), 0.0),
     "ibs-k5": (SchemeSpec(Scheme.IBS, k=5), 0.0),
     "ebs-k50": (SchemeSpec(Scheme.EBS, k=50), 0.0),
+    "rs-pair": (PairSpec(Scheme.RS, 1, 2), 0.3),
 }
 
 
@@ -625,14 +652,14 @@ ALLOC_SPECS = {
     *((name, M, trials) for M, trials in ((5, 20_000), (100, _ELEMENT_BUDGET // 100))
       for name in ("sbs", "sbs-imperfect", "sbs-pair", "ebs-k2")),
     ("mms-k4", 5, 20_000),
+    ("rs-pair", 5, 20_000),
     ("ibs-k5", 10, 13_107),
     *((name, 100, _ELEMENT_BUDGET // 100) for name in ("mms-k4", "ibs-k5", "ebs-k50")),
 ])
 def test_repeated_run_allocates_less_than_one_chunk_array(monkeypatch, name, M, trials):
     spec, sigma_e2 = ALLOC_SPECS[name]
     # one worker, whose buffers the first run sizes; the second run may make
-    # only row-sized arrays and its block's true-gain normals, which at
-    # sigma_e2 = 0.3 take 640 kB at M = 5 and 671 kB at M = 100
+    # only row-sized arrays: the error uniforms go to the chunk's buffers
     monkeypatch.setenv(THREADS_ENV, "1")
     params = default_params(num_devices=M, transmit_power=dbm_to_watts(-40.0))
     cfg = TrialConfig(spec, params, num_trials=trials, base_seed=4, estimation_error_var=sigma_e2)
@@ -644,23 +671,6 @@ def test_repeated_run_allocates_less_than_one_chunk_array(monkeypatch, name, M, 
     finally:
         tracemalloc.stop()
     assert peak < 8 * 2**17, peak  # one chunk array: 2^17 doubles, 1 MiB
-
-
-def test_block_tail_draws_die_with_their_last_chunk(monkeypatch):
-    # 10^6 trials at M = 5 are 16 blocks of 3 chunks, and each block's RS
-    # picks and true-gain normals take 5 MiB; a repeated run at two workers
-    # peaked at 10.7 MiB, and at 77 MiB when every chunk was held to the end
-    monkeypatch.setenv(THREADS_ENV, "2")
-    cfg = TrialConfig(PairSpec(Scheme.RS, 1, 2), P.replace(transmit_power=dbm_to_watts(-40.0)),
-                      num_trials=1_000_000, base_seed=4, estimation_error_var=0.3)
-    simulate_outage(cfg)
-    tracemalloc.start()
-    try:
-        simulate_outage(cfg)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 24 * 2**20, peak
 
 
 def _simulate_in_child(cfg, conn):
@@ -718,7 +728,7 @@ _M5 = default_params(transmit_power=dbm_to_watts(-40.0))
 _M100 = default_params(num_devices=100, transmit_power=dbm_to_watts(-51.0))
 _M100_MID = default_params(num_devices=100, transmit_power=dbm_to_watts(-40.0))
 FROZEN = [
-    (SchemeSpec(Scheme.RS, k=1), _M5, 70_000, 0.5616571428571429),
+    (SchemeSpec(Scheme.RS, k=1), _M5, 70_000, 0.5625714285714286),
     (SchemeSpec(Scheme.SBS, k=1), _M5, 70_000, 0.05461428571428571),
     (SchemeSpec(Scheme.SBS, k=2), _M5, 70_000, 0.2732857142857143),
     (SchemeSpec(Scheme.EBS, k=1), _M5, 70_000, 0.24407142857142858),
@@ -729,8 +739,8 @@ FROZEN = [
     (SchemeSpec(Scheme.MMS, k=1), _M5, 70_000, 0.0917),
     (SchemeSpec(Scheme.MMS, k=2), _M5, 70_000, 0.3244),
     (PairSpec(Scheme.SBS, 1, 2), _M5, 70_000, 0.7550285714285714),
-    (SchemeSpec(Scheme.RS, k=1), _M100, 30_000, 0.9823),
-    (PairSpec(Scheme.RS, 1, 2), _M100, 30_000, 0.9886),
+    (SchemeSpec(Scheme.RS, k=1), _M100, 30_000, 0.9816666666666667),
+    (PairSpec(Scheme.RS, 1, 2), _M100, 30_000, 0.9776333333333334),
     (SchemeSpec(Scheme.SBS, k=1), _M100, 30_000, 0.15056666666666665),
     (SchemeSpec(Scheme.SBS, k=2), _M100, 30_000, 0.43896666666666667),
     (SchemeSpec(Scheme.EBS, k=1), _M100, 30_000, 0.7211666666666666),
