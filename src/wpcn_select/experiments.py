@@ -33,7 +33,7 @@ from .model import (
     watts_to_dbm,
 )
 from .montecarlo import TrialConfig, simulate_outage
-from .special import DomainError, brent_root
+from .special import DomainError, binomial_p_value, brent_root, clopper_pearson
 
 __all__ = [
     "CSV_COLUMNS",
@@ -320,7 +320,10 @@ def compare_methods(config: ComparisonConfig) -> dict:
 
     A pair passes when the gap is within sigma_tolerance Monte Carlo standard
     errors or within abs_tolerance, whichever is larger; deterministic pairs
-    use abs_tolerance alone.
+    use abs_tolerance alone.  A Monte Carlo value against another route also
+    reports the two-sided exact binomial p-value of its failure count at the
+    other route's outage and its 95% Clopper-Pearson interval; neither
+    changes the verdict.
     """
     estimates = {}
     for method in config.methods:
@@ -337,12 +340,21 @@ def compare_methods(config: ComparisonConfig) -> dict:
         se = math.sqrt(var)
         z = gap / se if se > 0.0 else None
         limit = max(config.sigma_tolerance * se, config.abs_tolerance)
+        p_value = interval = None
+        if (m1 is Method.MONTE_CARLO) != (m2 is Method.MONTE_CARLO):
+            # the failure count against the other route's outage, exactly
+            mc, other = (e1, e2) if m1 is Method.MONTE_CARLO else (e2, e1)
+            failures = round(mc.value * config.mc_trials)
+            p_value = binomial_p_value(failures, config.mc_trials, other.value)
+            interval = list(clopper_pearson(failures, config.mc_trials))
         pairs.append({
             "methods": [m1.value, m2.value],
             "gap": gap,
             "z_score": z,
             "limit": limit,
             "passed": gap <= limit,
+            "p_value": p_value,
+            "interval_95": interval,
         })
     return {
         "selection": _selection_meta(config.selection),
@@ -370,9 +382,11 @@ def format_comparison(report: dict) -> str:
     for p in report["pairs"]:
         verdict = "ok" if p["passed"] else "MISMATCH"
         z = "" if p["z_score"] is None else f"  z={p['z_score']:.2f}"
+        exact = "" if p["p_value"] is None else (
+            "  p={:.3g}  95% CI [{:.4e}, {:.4e}]".format(p["p_value"], *p["interval_95"]))
         lines.append(
             f"  {p['methods'][0]} vs {p['methods'][1]}: gap {p['gap']:.3e}"
-            f" (limit {p['limit']:.3e}){z}  {verdict}"
+            f" (limit {p['limit']:.3e}){z}{exact}  {verdict}"
         )
     lines.append("result: " + ("all methods agree" if report["all_match"] else "disagreement"))
     return "\n".join(lines)

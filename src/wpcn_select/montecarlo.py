@@ -3,10 +3,13 @@
 Blocks define the random stream.  Trials are split into fixed-size blocks,
 each seeded independently through SeedSequence(entropy=base_seed,
 spawn_key=(block,)), and a block of n trials at population M reads its
-stream in a fixed order: n M doubles for the g gains, n M for the h gains,
-then, under imperfect CSI, the chosen devices' estimation errors (w = 1,
-or 2 for a pair): n w uniforms for the g links' error moduli, n w for
-their phases, then the same for the h links.
+stream in a fixed order: n m_g doubles for the g gains, then n m_h for the
+h gains, then, under imperfect CSI, the chosen devices' estimation errors:
+n w uniforms for the g links' error moduli, n w for their phases, then the
+same for the h links.  Here w = 1, or 2 for a pair, and a link has m = M
+if the scheme ranks on it and m = w if not: SBS and MMS rank on both
+links, EBS on g alone, IBS on h alone and random selection (RS) on
+neither.
 
 Chunks are the unit of work.  A block's stream is PCG64 (O'Neill,
 HMC-CS-2014-0905), whose advance jumps to any position without drawing,
@@ -36,8 +39,10 @@ A chunk does only what its count needs.  It draws uniforms u, and a gain is
 harvester map all increase strictly, so ranking the uniforms ranks the gains
 and the energies: EBS ranks on u_g, IBS on u_h and MMS on min(u_g, u_h),
 ties to the lowest index, and only the picked entries are turned into
-gains.  The gains are iid and a random pick is independent of them, so
-random selection (RS) takes device 0, and an RS pair devices 0 and 1, the
+gains.  The picks are independent of a link the scheme does not rank on,
+so the picked devices' gains on it are iid Exp(1) like any device's, and
+that link draws only w uniforms per trial, which go straight to the gains.
+For the same reason RS takes device 0, and an RS pair devices 0 and 1, the
 one with the higher SNR as the primary.  The uniforms stay as drawn until
 the picks are gathered from them.  SBS needs every SNR and builds them from
 the whole chunk; with perfect CSI it counts the trials in which fewer than
@@ -93,6 +98,16 @@ _MIN_ROW = 4
 #: the SBS count; 0.78-1.02 at M = 20, with the mid rank even; 0.97-2.0 at
 #: M = 50 and 1.03-4.3 at M = 100 (2-vCPU Xeon, numpy 2.4)
 _COLUMNS_MAX_M = 10
+
+#: whether each scheme ranks on the g link and on the h link; a link it
+#: does not rank on draws only the picks' uniforms
+_RANKED_LINKS = {
+    Scheme.RS: (False, False),
+    Scheme.SBS: (True, True),
+    Scheme.EBS: (True, False),
+    Scheme.IBS: (False, True),
+    Scheme.MMS: (True, True),
+}
 
 #: env var capping the worker thread count (estimates do not depend on it)
 THREADS_ENV = "WPCN_SELECT_THREADS"
@@ -195,16 +210,18 @@ def _ranking_stat(
     u to the gain, to the estimate and to the harvested energy all increase
     strictly, so EBS ranks as u_g does, IBS as u_h and MMS as min(u_g, u_h)
     (the exact-arithmetic order; see the module notes on rounding).  SBS
-    ranks on every SNR, made from the gains of the whole chunk.  ug and uh
-    are left as drawn.  MMS and SBS build the statistic in the first of
-    the two arrays shaped like ug in `scratch`, and SBS its energies in the
-    second.  At M <= _COLUMNS_MAX_M the statistic of every scheme ends up
-    transposed, as (M, n) in the first array, and comes back as its (n, M)
-    transpose, so that the column passes read contiguous columns: SBS
-    builds it that way, and the others copy it there, EBS and IBS from
-    their uniforms and MMS from minima taken in the second array."""
+    ranks on every SNR, made from the gains of the whole chunk.  A link the
+    scheme does not rank on is not read, and may hold only the picks'
+    uniforms.  ug and uh are left as drawn.  `scratch` holds two (n, M)
+    arrays: MMS and SBS build the statistic in the first, and SBS its
+    energies in the second.  At M <= _COLUMNS_MAX_M the statistic of every
+    scheme ends up transposed, as (M, n) in the first array, and comes back
+    as its (n, M) transpose, so that the column passes read contiguous
+    columns: SBS builds it that way, and the others copy it there, EBS and
+    IBS from their uniforms and MMS from minima taken in the second
+    array."""
     s1, s2 = scratch
-    n, M = ug.shape
+    n, M = s1.shape
     columns = M <= _COLUMNS_MAX_M
     if scheme is Scheme.SBS:
         if columns:
@@ -310,13 +327,9 @@ def _kth_by_columns(cols: np.ndarray, k: int, work: np.ndarray) -> np.ndarray:
 def _select(spec: SchemeSpec | PairSpec, ug, uh, params: SystemParams,
             sigma_e2: float, scratch) -> np.ndarray:
     """(n, 1) indices, or (n, 2) for a pair, ranked in each row of the (n, M)
-    uniforms.  Random selection takes device 0, or devices 0 and 1: the
-    gains are iid, so a random pick, independent of them, has their law.
-    scratch, two arrays shaped like ug, holds the ranking statistic and the
-    work space of _kth_index."""
+    uniforms of the links the scheme ranks on.  scratch, two (n, M) arrays,
+    holds the ranking statistic and the work space of _kth_index."""
     pair = isinstance(spec, PairSpec)
-    if spec.scheme is Scheme.RS:
-        return np.tile(np.arange(2 if pair else 1), (len(ug), 1))
     stat = _ranking_stat(spec.scheme, ug, uh, params, spec.model, sigma_e2, scratch)
     ranks = (spec.k, spec.j) if pair else (spec.k,)
     cols = [_kth_index(stat, r, scratch[1]) for r in ranks]
@@ -347,10 +360,13 @@ def _count_block(config: TrialConfig, x: float, key: np.random.SeedSequence, n: 
     trials whose stream is seeded by key (exact integer).  Every
     chunk-sized array lives in the calling thread's workspace."""
     spec, params, sigma_e2 = config.spec, config.params, config.estimation_error_var
-    M = params.num_devices
+    M, w = params.num_devices, 2 if isinstance(spec, PairSpec) else 1
+    ranked = _RANKED_LINKS[spec.scheme]
+    m_g, m_h = (M if r else w for r in ranked)
     bufs = _workspace(n, M)
-    ug, uh, s1, s2 = (_lead(b, (n, M)) for b in bufs)
-    _draw_block(_stream_at(key, start * M), _stream_at(key, (size + start) * M), ug, uh)
+    ug, uh = _lead(bufs[0], (n, m_g)), _lead(bufs[1], (n, m_h))
+    s1, s2 = (_lead(b, (n, M)) for b in bufs[2:])
+    _draw_block(_stream_at(key, start * m_g), _stream_at(key, size * m_g + start * m_h), ug, uh)
     if spec.scheme is Scheme.SBS and sigma_e2 == 0.0 and isinstance(spec, SchemeSpec):
         # the k-th best SNR is <= x exactly when fewer than k devices exceed x;
         # rows are counted without a matmul, whose OpenBLAS gemv would start
@@ -363,21 +379,23 @@ def _count_block(config: TrialConfig, x: float, key: np.random.SeedSequence, n: 
             for col in stat.T:
                 above += np.greater(col, x, out=hit)
         return int(np.count_nonzero(above < spec.k))
-    flat = _select(spec, ug, uh, params, sigma_e2, (s1, s2))
-    w = flat.shape[1]
-    flat += np.arange(0, n * M, M)[:, None]  # into the flattened rows
-    # the picks go to the fronts of the scratch arrays, and once both are
-    # gathered the uniforms' own arrays take the error uniforms, then the
-    # energies
-    g = np.take(ug, flat, out=_lead(s1, flat.shape), mode="clip")
-    h = np.take(uh, flat, out=_lead(s2, flat.shape), mode="clip")
-    g, h = _gains(g, sigma_e2, out=g), _gains(h, sigma_e2, out=h)
+    if spec.scheme is not Scheme.RS:
+        flat = _select(spec, ug, uh, params, sigma_e2, (s1, s2))
+        flat += np.arange(0, n * M, M)[:, None]  # into the flattened rows
+    # the picks' gains go to the fronts of the scratch arrays, gathered from
+    # a ranked link and made straight from the uniforms of an unranked one;
+    # then the uniforms' own arrays take the error uniforms, then the energies
+    g, h = _lead(s1, (n, w)), _lead(s2, (n, w))
+    for u, r, out in ((ug, ranked[0], g), (uh, ranked[1], h)):
+        _gains(np.take(u, flat, out=out, mode="clip") if r else u, sigma_e2, out=out)
     if sigma_e2 > 0.0:
-        for est, buf, base in ((g, bufs[0], 2 * size * M), (h, bufs[1], 2 * size * (M + w))):
+        base = size * (m_g + m_h)
+        for est, buf in ((g, bufs[0]), (h, bufs[1])):
             u = _lead(buf, (2, n, w))  # moduli, then phases
             _draw_block(_stream_at(key, base + start * w),
                         _stream_at(key, base + (size + start) * w), *u)
             _true_gains(est, sigma_e2, u)
+            base += 2 * size * w
     e = harvested_energy(g, params, spec.model, out=_lead(bufs[0], g.shape))
     x_sel = snr(h, e, params, out=h)
     if isinstance(spec, PairSpec):
@@ -453,13 +471,23 @@ def simulate_outage(config: TrialConfig) -> OutageEstimate:
     sizes = [block_size] * (total // block_size)
     if total % block_size:
         sizes.append(total % block_size)
+    # each block takes at least the chunks that keep them within
+    # _CHUNK_ELEMENTS doubles, and the run a whole number of chunks per
+    # worker, shared out by the running share of trials
+    least = [-(-size * max(M, _MIN_ROW) // _CHUNK_ELEMENTS) for size in sizes]
+    workers = _worker_count(sum(least))
+    chunks = -(-sum(least) // workers) * workers
     todo = collections.deque()  # (key, trials, first trial, block size), taken by popleft
+    done = reached = 0
+    unmet = sum(least)  # the least chunks of the blocks still to cut
     for block, size in enumerate(sizes):
-        parts = -(-size * max(M, _MIN_ROW) // _CHUNK_ELEMENTS)
+        reached, unmet = reached + size, unmet - least[block]
+        share = (2 * chunks * reached + total) // (2 * total) - done  # rounded
+        parts = min(max(share, least[block]), chunks - done - unmet)
+        done += parts
         key = _block_key(config.base_seed, block)
         cuts = [size * i // parts for i in range(parts + 1)]  # near-equal cuts
         todo.extend((key, hi - lo, lo, size) for lo, hi in zip(cuts, cuts[1:]))
-    workers = _worker_count(len(todo))
     todo.extend([None] * workers)  # each worker stops at the None it takes
 
     def drain(_) -> int:

@@ -1,10 +1,12 @@
 """Special-function, quadrature and root-finding kernel shared by all evaluators.
 
 Checks the domain of K1 and the regularized incomplete beta before calling
-scipy's, and provides the one adaptive quadrature every evaluator uses and
-the one scalar root finder, with an error contract: results that cannot meet
-the requested tolerance raise AccuracyError carrying the best available
-estimate instead of returning silently degraded numbers.
+scipy's, gives the exact binomial test and interval that compare reports
+beside a Monte Carlo value, and provides the one adaptive quadrature every
+evaluator uses and the one scalar root finder, with an error contract:
+results that cannot meet the requested tolerance raise AccuracyError
+carrying the best available estimate instead of returning silently
+degraded numbers.
 
 This is the one module that imports scipy, and only scipy.special, at the
 first special-function call: importing it costs more than the rest of the
@@ -52,7 +54,9 @@ __all__ = [
     "DomainError",
     "QuadratureSpec",
     "bessel_k1",
+    "binomial_p_value",
     "brent_root",
+    "clopper_pearson",
     "integrate_panels",
     "reg_inc_beta",
 ]
@@ -137,6 +141,39 @@ def reg_inc_beta(psi: float, p: float, q: float) -> float:
     """Regularized incomplete beta function I_psi(p, q) on psi in [0, 1]."""
     psi, p, q = _beta_args("reg_inc_beta", psi, p, q)
     return float(_special.betainc(p, q, psi))
+
+
+def _binomial_args(name: str, failures: int, trials: int) -> None:
+    if not (type(trials) is int and trials >= 1 and type(failures) is int
+            and 0 <= failures <= trials):
+        raise DomainError(f"{name} requires integers 0 <= failures <= trials, trials >= 1, "
+                          f"got {failures!r} of {trials!r}")
+
+
+def binomial_p_value(failures: int, trials: int, p: float) -> float:
+    """Two-sided exact binomial p-value of `failures` in `trials` draws at
+    failure probability p: twice the smaller tail, at most 1."""
+    _binomial_args("binomial_p_value", failures, trials)
+    if not 0.0 <= p <= 1.0:
+        raise DomainError(f"binomial_p_value requires 0 <= p <= 1, got {p!r}")
+    lower = _special.bdtr(failures, trials, p)  # P(X <= failures)
+    upper = _special.bdtrc(failures - 1, trials, p)  # P(X >= failures), 1 at none
+    return float(min(1.0, 2.0 * min(lower, upper)))
+
+
+def clopper_pearson(failures: int, trials: int, level: float = 0.95) -> tuple[float, float]:
+    """Exact two-sided interval for a failure probability from `failures`
+    in `trials` draws (Clopper & Pearson, Biometrika 26, 1934): the beta
+    quantiles at (1 - level)/2 and (1 + level)/2, closed at 0 when there
+    are no failures and at 1 when every draw failed."""
+    _binomial_args("clopper_pearson", failures, trials)
+    if not 0.0 < level < 1.0:
+        raise DomainError(f"clopper_pearson requires 0 < level < 1, got {level!r}")
+    tail = 0.5 * (1.0 - level)
+    lo = 0.0 if failures == 0 else _special.betaincinv(failures, trials - failures + 1, tail)
+    hi = 1.0 if failures == trials else _special.betaincinv(failures + 1, trials - failures,
+                                                             1.0 - tail)
+    return float(lo), float(hi)
 
 
 # ---------------------------------------------------------------------------

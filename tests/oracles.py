@@ -137,43 +137,50 @@ def block_generator(base_seed, block):
 
 def whole_block_count(config, x, block, n):
     """Failures among the n trials of one block (exact integer), by the
-    definition: draw the whole (n, M) block from one sequential generator,
-    make every gain, rank each row on the scheme's own statistic (harvested
+    definition: draw the whole block from one sequential generator, make
+    every gain, rank each row on the scheme's own statistic (harvested
     energy, uplink gain, min gain or e2e SNR) by a stable descending sort and
-    test the picks.  Random selection takes device 0, and a pair devices 0
-    and 1 with the higher SNR as the primary.  Under imperfect CSI the
-    chosen gains' error uniforms follow: the g links' moduli, then their
-    phases, then the same for the h links.  The reference the chunked
-    simulator, which ranks on the uniforms and transforms only its picks,
-    must match count for count."""
+    test the picks.  A link the scheme ranks on draws all M gains of a
+    trial, one it does not rank on (h for EBS, g for IBS, both for random
+    selection) only the w picks' gains, w = 1, or 2 for a pair: g first,
+    then h.  Random selection takes device 0, and a pair devices 0 and 1
+    with the higher SNR as the primary.  Under imperfect CSI the chosen
+    gains' error uniforms follow: the g links' moduli, then their phases,
+    then the same for the h links.  The reference the chunked simulator,
+    which ranks on the uniforms and transforms only its picks, must match
+    count for count."""
     spec, params, sigma_e2 = config.spec, config.params, config.estimation_error_var
-    M = params.num_devices
+    M, scheme = params.num_devices, spec.scheme
+    pair = isinstance(spec, PairSpec)
+    w = 2 if pair else 1
     rng = block_generator(config.base_seed, block)
-    g = -np.log1p(-rng.random((n, M)))
-    h = -np.log1p(-rng.random((n, M)))
+    ranks_g = scheme in (Scheme.SBS, Scheme.EBS, Scheme.MMS)
+    ranks_h = scheme in (Scheme.SBS, Scheme.IBS, Scheme.MMS)
+    g = -np.log1p(-rng.random((n, M if ranks_g else w)))
+    h = -np.log1p(-rng.random((n, M if ranks_h else w)))
     if sigma_e2 != 0.0:  # the estimates selection ranks on
         g, h = (1.0 - sigma_e2) * g, (1.0 - sigma_e2) * h
-    pair = isinstance(spec, PairSpec)
-    if spec.scheme is Scheme.RS:
-        sel = np.tile([0, 1] if pair else [0], (n, 1))
-    else:
-        if spec.scheme is Scheme.SBS:
+    if scheme is not Scheme.RS:
+        if scheme is Scheme.SBS:
             stat = snr(h, harvested_energy(g, params, spec.model), params)
-        elif spec.scheme is Scheme.EBS:
+        elif scheme is Scheme.EBS:
             stat = harvested_energy(g, params, spec.model)
-        elif spec.scheme is Scheme.IBS:
+        elif scheme is Scheme.IBS:
             stat = h
         else:
             stat = np.minimum(g, h)
         ranks = [spec.k - 1, spec.j - 1] if pair else [spec.k - 1]
         sel = np.argsort(-stat, axis=1, kind="stable")[:, ranks]
-    g, h = np.take_along_axis(g, sel, axis=1), np.take_along_axis(h, sel, axis=1)
+        if ranks_g:
+            g = np.take_along_axis(g, sel, axis=1)
+        if ranks_h:
+            h = np.take_along_axis(h, sel, axis=1)
     if sigma_e2 > 0.0:
         g = _true_gains(g, sigma_e2, rng.random((2, *g.shape)))
         h = _true_gains(h, sigma_e2, rng.random((2, *h.shape)))
     x_sel = snr(h, harvested_energy(g, params, spec.model), params)
     if pair:
-        if spec.scheme is Scheme.RS:
+        if scheme is Scheme.RS:
             x_sel = np.sort(x_sel, axis=1)[:, ::-1]
         return int((x_sel[:, 0] / (x_sel[:, 1] + 1.0) <= x).sum())
     return int((x_sel[:, 0] <= x).sum())

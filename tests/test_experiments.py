@@ -55,7 +55,7 @@ from wpcn_select.model import (
     threshold_x,
 )
 from wpcn_select.montecarlo import TrialConfig
-from wpcn_select.special import DomainError
+from wpcn_select.special import DomainError, binomial_p_value, clopper_pearson
 
 P = default_params()
 
@@ -407,6 +407,13 @@ def test_compare_methods_analytic_vs_mc_passes():
     (pair,) = report["pairs"]
     assert pair["passed"] is True
     assert abs(pair["z_score"]) < 3.0
+    # the exact binomial test of the same count, and the interval around it
+    mc = report["estimates"]["mc"]["outage"]
+    assert pair["p_value"] == binomial_p_value(round(mc * 100_000), 100_000,
+                                               report["estimates"]["analytic"]["outage"])
+    assert 0.01 < pair["p_value"] <= 1.0
+    lo, hi = pair["interval_95"]
+    assert lo < mc < hi and (lo, hi) == clopper_pearson(round(mc * 100_000), 100_000)
 
 
 def test_compare_methods_flags_disagreement():
@@ -433,6 +440,8 @@ def test_format_comparison_is_readable():
     text = format_comparison(report)
     assert "analytic" in text and "highsnr" in text
     assert "ok" in text
+    # a pair of exact routes has no binomial test
+    assert report["pairs"][0]["p_value"] is None and "p=" not in text
     assert "all methods agree" in text
     assert report["all_match"] is True
 
@@ -668,7 +677,8 @@ def test_cli_compare_pass_and_fail(capsys):
          "--trials", "50000"]
     )
     assert rc == 0
-    assert "all methods agree" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "all methods agree" in out and " p=" in out and "95% CI [" in out
     rc = cli_main(
         ["compare", "--scheme", "ebs", "--k", "2", "--method", "analytic,highsnr",
          "--abs-tol", "1e-12"]

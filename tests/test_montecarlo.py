@@ -95,11 +95,22 @@ def _chunk_offsets(monkeypatch, spec, sigma_e2):
     return seen
 
 
+# (spec, w, m_g, m_h): a chunk draws m doubles per trial on each link, M on
+# a link the scheme ranks on and w (1, or 2 for a pair) on one it does not
+OFFSET_SPECS = [
+    (SchemeSpec(Scheme.MMS, k=2), 1, 5, 5),
+    (SchemeSpec(Scheme.EBS, k=2), 1, 5, 1),
+    (SchemeSpec(Scheme.IBS, k=2), 1, 1, 5),
+    (SchemeSpec(Scheme.RS), 1, 1, 1),
+    (PairSpec(Scheme.RS, 1, 2), 2, 2, 2),
+]
+
+
 def test_perfect_csi_has_no_estimate_arrays(monkeypatch):
     # selection ranks on the drawn gains and the outage reads the same ones:
     # a chunk reads its g and h rows only, and the gains are the unit-mean ones
-    for spec in (SchemeSpec(Scheme.MMS, k=2), PairSpec(Scheme.RS, 1, 2)):
-        assert _chunk_offsets(monkeypatch, spec, 0.0) == [30 * 5, (70 + 30) * 5]
+    for spec, _, m_g, m_h in OFFSET_SPECS:
+        assert _chunk_offsets(monkeypatch, spec, 0.0) == [30 * m_g, 70 * m_g + 30 * m_h], spec
     rng = np.random.default_rng(0)
     ug, uh = _draw_block(rng, rng, *np.empty((2, 1, 4)))
     u = np.random.default_rng(0).random((2, 1, 4))
@@ -113,16 +124,42 @@ def test_imperfect_csi_ranks_on_estimates(monkeypatch):
     # devices' true gains come from error uniforms drawn after the block's
     # fading rows: w per trial for the g links' moduli, w for their phases,
     # then the same for the h links
-    for spec, w in ((SchemeSpec(Scheme.MMS, k=2), 1), (PairSpec(Scheme.RS, 1, 2), 2)):
-        fading = [30 * 5, (70 + 30) * 5]
-        errors = [2 * 70 * (5 + link * w) + w * (part * 70 + 30)
+    for spec, w, m_g, m_h in OFFSET_SPECS:
+        fading = [30 * m_g, 70 * m_g + 30 * m_h]
+        errors = [70 * (m_g + m_h + 2 * link * w) + w * (part * 70 + 30)
                   for link in (0, 1) for part in (0, 1)]
-        assert _chunk_offsets(monkeypatch, spec, 0.4) == fading + errors
+        assert _chunk_offsets(monkeypatch, spec, 0.4) == fading + errors, spec
     rng, rng2 = np.random.default_rng(0), np.random.default_rng(0)
     est = [_gains(u, 0.4) for u in _draw_block(rng, rng, *np.empty((2, 1, 4)))]
     gains = [_gains(u, 0.0) for u in _draw_block(rng2, rng2, *np.empty((2, 1, 4)))]
     for e, g in zip(est, gains):
         assert np.allclose(e, 0.6 * g, rtol=1e-15, atol=0.0)
+
+
+@pytest.mark.parametrize("M", [5, 100])
+def test_unranked_link_draws_only_the_picks(monkeypatch, M):
+    # EBS draws h, IBS g and random selection both only for its picks; SBS
+    # and MMS draw both whole links, and under imperfect CSI every scheme
+    # then draws w moduli and w phases per trial and link
+    sizes = []
+    real = montecarlo._draw_block
+    monkeypatch.setattr(montecarlo, "_draw_block", lambda rg, rh, ug, uh: (
+        sizes.append((ug.size, uh.size)) or real(rg, rh, ug, uh)))
+    params = default_params(num_devices=M, transmit_power=dbm_to_watts(-40.0))
+    n, expected = 20, {}
+    for scheme, (m_g, m_h) in {Scheme.SBS: (M, M), Scheme.MMS: (M, M), Scheme.EBS: (M, 1),
+                               Scheme.IBS: (1, M), Scheme.RS: (1, 1)}.items():
+        expected[SchemeSpec(scheme, k=2)] = (n * m_g, n * m_h)
+    expected[PairSpec(Scheme.SBS, 1, 2)] = (n * M, n * M)
+    expected[PairSpec(Scheme.RS, 1, 2)] = (2 * n, 2 * n)
+    for spec, fading in expected.items():
+        w = 2 if isinstance(spec, PairSpec) else 1
+        for sigma_e2 in (0.0, 0.3):
+            sizes.clear()
+            cfg = TrialConfig(spec, params, num_trials=70, estimation_error_var=sigma_e2)
+            _count_block(cfg, threshold_x(params), _block_key(0, 0), n, 30, 70)
+            errors = [(n * w, n * w)] * 2 if sigma_e2 else []
+            assert sizes == [fading, *errors], (spec, sigma_e2)
 
 
 def test_draw_channels_deterministic():
@@ -492,8 +529,34 @@ def test_worker_count_sizes_the_pool_by_chunks(monkeypatch):
     monkeypatch.setattr(montecarlo, "_worker_count", lambda n: seen.append(n) or real(n))
     params = default_params(num_devices=100)
     simulate_outage(TrialConfig(SchemeSpec(Scheme.SBS, k=1), params, num_trials=20_000))
-    # one block of 20,000 x 100 doubles, cut into ceil(doubles / _CHUNK_ELEMENTS) chunks
+    # one block of 20,000 x 100 doubles, which needs ceil(doubles / _CHUNK_ELEMENTS) chunks
     assert seen == [-(-20_000 * 100 // montecarlo._CHUNK_ELEMENTS)]
+
+
+@pytest.mark.parametrize("cap, M, trials, chunks", [
+    # blocks of 65,536 and 34,464 trials need 3 and 2 chunks of 2^17 doubles
+    ("1", 5, 100_000, [21_845, 21_845, 21_846, 17_232, 17_232]),
+    ("2", 5, 100_000, [16_384] * 4 + [17_232] * 2),
+    ("4", 5, 100_000, [13_107, 13_107, 13_107, 13_107, 13_108, 11_488, 11_488, 11_488]),
+    # one block of 65,536 trials and one of 1: the small block keeps its one chunk
+    ("2", 5, 65_537, [21_845, 21_845, 21_846, 1]),
+    # blocks of 20,971, 20,971 and 8,058 trials need 16, 16 and 7 chunks,
+    # and take 17, 16 and 7
+    ("2", 100, 50_000, [1_233] * 7 + [1_234] * 10 + [1_310] * 5 + [1_311] * 11 + [1_151] * 6 + [1_152]),
+])
+def test_run_is_whole_rounds_of_the_pool(monkeypatch, cap, M, trials, chunks):
+    # the chunk count is a multiple of the worker count, so no worker waits
+    # alone on the last chunk; the counts do not depend on the cuts
+    seen = []
+    real = montecarlo._count_block
+    monkeypatch.setattr(montecarlo, "_count_block",
+                        lambda cfg, x, key, n, *rest: seen.append(n) or real(cfg, x, key, n, *rest))
+    monkeypatch.setenv(THREADS_ENV, cap)
+    params = default_params(num_devices=M, transmit_power=dbm_to_watts(-40.0))
+    cfg = TrialConfig(SchemeSpec(Scheme.EBS, k=2), params, num_trials=trials, base_seed=7)
+    value = simulate_outage(cfg).value
+    assert sorted(seen) == sorted(chunks) and sum(seen) == trials
+    assert value == _oracle_outage(cfg)
 
 
 def test_worker_count_defaults_to_usable_cpus(monkeypatch):
@@ -527,7 +590,8 @@ def test_import_starts_no_thread():
 
 
 def test_pool_starts_no_thread_after_warm_up(monkeypatch):
-    # 60,000 trials at M = 5 make three chunks, so both workers of the pool run
+    # 60,000 trials at M = 5 make four chunks at a cap of 2, so both workers
+    # of the pool run
     monkeypatch.setenv(THREADS_ENV, "2")
     cfg = TrialConfig(SchemeSpec(Scheme.EBS, k=2), P, num_trials=60_000, base_seed=3)
     first = [simulate_outage(cfg).value for _ in range(3)]
@@ -562,7 +626,7 @@ def _worker_threads() -> int:
 
 
 def test_runs_keep_at_most_the_cap_of_threads(monkeypatch):
-    # 1, 3 and 8 chunks at a cap of 2: the one pool holds no more than 2
+    # 1, 4 and 8 chunks at a cap of 2: the one pool holds no more than 2
     # threads, and a run of one chunk keeps one busy
     seen = []
     real = montecarlo._worker_count
@@ -728,26 +792,26 @@ _M5 = default_params(transmit_power=dbm_to_watts(-40.0))
 _M100 = default_params(num_devices=100, transmit_power=dbm_to_watts(-51.0))
 _M100_MID = default_params(num_devices=100, transmit_power=dbm_to_watts(-40.0))
 FROZEN = [
-    (SchemeSpec(Scheme.RS, k=1), _M5, 70_000, 0.5625714285714286),
+    (SchemeSpec(Scheme.RS, k=1), _M5, 70_000, 0.5629),
     (SchemeSpec(Scheme.SBS, k=1), _M5, 70_000, 0.05461428571428571),
     (SchemeSpec(Scheme.SBS, k=2), _M5, 70_000, 0.2732857142857143),
-    (SchemeSpec(Scheme.EBS, k=1), _M5, 70_000, 0.24407142857142858),
-    (SchemeSpec(Scheme.EBS, k=2), _M5, 70_000, 0.38885714285714285),
-    (SchemeSpec(Scheme.EBS, k=5), _M5, 70_000, 0.8996428571428572),
-    (SchemeSpec(Scheme.IBS, k=1), _M5, 70_000, 0.24364285714285713),
-    (SchemeSpec(Scheme.IBS, k=2), _M5, 70_000, 0.3897857142857143),
+    (SchemeSpec(Scheme.EBS, k=1), _M5, 70_000, 0.24618571428571429),
+    (SchemeSpec(Scheme.EBS, k=2), _M5, 70_000, 0.3886857142857143),
+    (SchemeSpec(Scheme.EBS, k=5), _M5, 70_000, 0.8987714285714286),
+    (SchemeSpec(Scheme.IBS, k=1), _M5, 70_000, 0.2495),
+    (SchemeSpec(Scheme.IBS, k=2), _M5, 70_000, 0.38884285714285716),
     (SchemeSpec(Scheme.MMS, k=1), _M5, 70_000, 0.0917),
     (SchemeSpec(Scheme.MMS, k=2), _M5, 70_000, 0.3244),
     (PairSpec(Scheme.SBS, 1, 2), _M5, 70_000, 0.7550285714285714),
-    (SchemeSpec(Scheme.RS, k=1), _M100, 30_000, 0.9816666666666667),
-    (PairSpec(Scheme.RS, 1, 2), _M100, 30_000, 0.9776333333333334),
+    (SchemeSpec(Scheme.RS, k=1), _M100, 30_000, 0.9814666666666667),
+    (PairSpec(Scheme.RS, 1, 2), _M100, 30_000, 0.9778),
     (SchemeSpec(Scheme.SBS, k=1), _M100, 30_000, 0.15056666666666665),
     (SchemeSpec(Scheme.SBS, k=2), _M100, 30_000, 0.43896666666666667),
-    (SchemeSpec(Scheme.EBS, k=1), _M100, 30_000, 0.7211666666666666),
-    (SchemeSpec(Scheme.EBS, k=2), _M100, 30_000, 0.7903),
-    (SchemeSpec(Scheme.EBS, k=50), _M100_MID, 30_000, 0.5219),
-    (SchemeSpec(Scheme.IBS, k=1), _M100, 30_000, 0.7210333333333333),
-    (SchemeSpec(Scheme.IBS, k=2), _M100, 30_000, 0.7841666666666667),
+    (SchemeSpec(Scheme.EBS, k=1), _M100, 30_000, 0.7205),
+    (SchemeSpec(Scheme.EBS, k=2), _M100, 30_000, 0.7898666666666667),
+    (SchemeSpec(Scheme.EBS, k=50), _M100_MID, 30_000, 0.5155333333333333),
+    (SchemeSpec(Scheme.IBS, k=1), _M100, 30_000, 0.7182666666666667),
+    (SchemeSpec(Scheme.IBS, k=2), _M100, 30_000, 0.7880666666666667),
     (SchemeSpec(Scheme.MMS, k=1), _M100, 30_000, 0.2850666666666667),
     (SchemeSpec(Scheme.MMS, k=2), _M100, 30_000, 0.573),
     (SchemeSpec(Scheme.MMS, k=50), _M100_MID, 30_000, 0.6694333333333333),

@@ -23,6 +23,8 @@ from wpcn_select.special import (
     DomainError,
     QuadratureSpec,
     bessel_k1,
+    binomial_p_value,
+    clopper_pearson,
     _qk21,
     integrate_panels,
     reg_inc_beta,
@@ -159,6 +161,61 @@ def test_reg_inc_beta_domain():
         reg_inc_beta(0.5, 0.0, 3)
     with pytest.raises(DomainError):
         reg_inc_beta(0.5, 2, -1.0)
+
+
+# ---------------------------------------------------------------------------
+# the exact binomial test and interval
+# ---------------------------------------------------------------------------
+
+def _binomial_pmf(i, n, p):
+    return math.comb(n, i) * p**i * (1.0 - p) ** (n - i)
+
+
+@pytest.mark.parametrize("failures, trials, p", [
+    (0, 40, 0.05), (3, 40, 0.05), (7, 40, 0.05), (20, 40, 0.5), (40, 40, 0.9), (1, 1, 0.3),
+])
+def test_binomial_p_value_is_twice_the_smaller_tail(failures, trials, p):
+    lower = sum(_binomial_pmf(i, trials, p) for i in range(failures + 1))
+    upper = sum(_binomial_pmf(i, trials, p) for i in range(failures, trials + 1))
+    want = min(1.0, 2.0 * min(lower, upper))
+    assert binomial_p_value(failures, trials, p) == pytest.approx(want, rel=1e-12, abs=1e-300)
+
+
+def test_binomial_p_value_at_a_certain_outcome():
+    assert binomial_p_value(0, 10, 0.0) == 1.0
+    assert binomial_p_value(1, 10, 0.0) == 0.0
+    assert binomial_p_value(10, 10, 1.0) == 1.0
+
+
+@pytest.mark.parametrize("failures, trials", [(0, 50), (1, 50), (17, 50), (49, 50), (50, 50)])
+def test_clopper_pearson_bounds_leave_each_tail_its_share(failures, trials):
+    # at the lower bound P(X >= failures) is 2.5%, at the upper P(X <= failures)
+    lo, hi = clopper_pearson(failures, trials)
+    assert 0.0 <= lo < failures / trials < hi <= 1.0 or failures in (0, trials)
+    if failures > 0:
+        upper = sum(_binomial_pmf(i, trials, lo) for i in range(failures, trials + 1))
+        assert upper == pytest.approx(0.025, rel=1e-9)
+    else:
+        assert lo == 0.0
+    if failures < trials:
+        lower = sum(_binomial_pmf(i, trials, hi) for i in range(failures + 1))
+        assert lower == pytest.approx(0.025, rel=1e-9)
+    else:
+        assert hi == 1.0
+
+
+def test_binomial_domain():
+    for bad in ((-1, 10), (11, 10), (0, 0), (2.0, 10), (True, 10)):
+        with pytest.raises(DomainError):
+            binomial_p_value(*bad, 0.5)
+        with pytest.raises(DomainError):
+            clopper_pearson(*bad)
+    for p in (-0.1, 1.1, math.nan):
+        with pytest.raises(DomainError):
+            binomial_p_value(3, 10, p)
+    for level in (0.0, 1.0):
+        with pytest.raises(DomainError):
+            clopper_pearson(3, 10, level)
 
 
 # ---------------------------------------------------------------------------
