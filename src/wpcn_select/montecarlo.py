@@ -27,10 +27,12 @@ on the first run; THREADS_ENV is read on every run, and a run under a new
 cap shuts the pool down, joins its threads and makes a new one.  A run of n
 chunks keeps min(n, cap) workers busy, each taking the next chunk until
 none is left, and the pool starts a thread only when a task finds none
-idle.  Each worker thread keeps four float64 buffers, u_g, u_h and two
-scratch arrays of at least 2^17 doubles each (about 4 MiB in all), from its
-first chunk on, growing them only for a larger chunk, and every chunk-sized
-array of a chunk is made in them.  A child of os.fork drops the inherited
+idle.  A run cuts its blocks into a whole number of chunks per worker, so
+that no worker is left alone on a last chunk.  Each worker thread keeps
+four float64 buffers, u_g, u_h and two scratch arrays of at least 2^17
+doubles each (about 4 MiB in all), from its first chunk on, growing them
+only for a larger chunk, and every chunk-sized array of a chunk is made
+in them.  A child of os.fork drops the inherited
 pool, whose threads did not survive the fork, and the buffers, and makes
 its own on its first run.
 
@@ -480,10 +482,10 @@ def simulate_outage(config: TrialConfig) -> OutageEstimate:
     todo = collections.deque()  # (key, trials, first trial, block size), taken by popleft
     done = reached = 0
     unmet = sum(least)  # the least chunks of the blocks still to cut
-    for block, size in enumerate(sizes):
-        reached, unmet = reached + size, unmet - least[block]
+    for block, (size, low) in enumerate(zip(sizes, least)):
+        reached, unmet = reached + size, unmet - low
         share = (2 * chunks * reached + total) // (2 * total) - done  # rounded
-        parts = min(max(share, least[block]), chunks - done - unmet)
+        parts = min(max(share, low), chunks - done - unmet)
         done += parts
         key = _block_key(config.base_seed, block)
         cuts = [size * i // parts for i in range(parts + 1)]  # near-equal cuts

@@ -161,18 +161,14 @@ def binomial_p_value(failures: int, trials: int, p: float) -> float:
     return float(min(1.0, 2.0 * min(lower, upper)))
 
 
-def clopper_pearson(failures: int, trials: int, level: float = 0.95) -> tuple[float, float]:
-    """Exact two-sided interval for a failure probability from `failures`
-    in `trials` draws (Clopper & Pearson, Biometrika 26, 1934): the beta
-    quantiles at (1 - level)/2 and (1 + level)/2, closed at 0 when there
-    are no failures and at 1 when every draw failed."""
+def clopper_pearson(failures: int, trials: int) -> tuple[float, float]:
+    """Exact two-sided 95% interval for a failure probability from
+    `failures` in `trials` draws (Clopper & Pearson, Biometrika 26, 1934):
+    the beta quantiles at 0.025 and 0.975, closed at 0 when there are no
+    failures and at 1 when every draw failed."""
     _binomial_args("clopper_pearson", failures, trials)
-    if not 0.0 < level < 1.0:
-        raise DomainError(f"clopper_pearson requires 0 < level < 1, got {level!r}")
-    tail = 0.5 * (1.0 - level)
-    lo = 0.0 if failures == 0 else _special.betaincinv(failures, trials - failures + 1, tail)
-    hi = 1.0 if failures == trials else _special.betaincinv(failures + 1, trials - failures,
-                                                             1.0 - tail)
+    lo = 0.0 if failures == 0 else _special.betaincinv(failures, trials - failures + 1, 0.025)
+    hi = 1.0 if failures == trials else _special.betaincinv(failures + 1, trials - failures, 0.975)
     return float(lo), float(hi)
 
 

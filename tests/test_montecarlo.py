@@ -542,15 +542,16 @@ def test_worker_count_sizes_the_pool_by_chunks(monkeypatch):
     ("2", 5, 65_537, [21_845, 21_845, 21_846, 1]),
     # blocks of 20,971, 20,971 and 8,058 trials need 16, 16 and 7 chunks,
     # and take 17, 16 and 7
-    ("2", 100, 50_000, [1_233] * 7 + [1_234] * 10 + [1_310] * 5 + [1_311] * 11 + [1_151] * 6 + [1_152]),
+    ("2", 100, 50_000,
+     [1_233] * 7 + [1_234] * 10 + [1_310] * 5 + [1_311] * 11 + [1_151] * 6 + [1_152]),
 ])
 def test_run_is_whole_rounds_of_the_pool(monkeypatch, cap, M, trials, chunks):
     # the chunk count is a multiple of the worker count, so no worker waits
     # alone on the last chunk; the counts do not depend on the cuts
     seen = []
     real = montecarlo._count_block
-    monkeypatch.setattr(montecarlo, "_count_block",
-                        lambda cfg, x, key, n, *rest: seen.append(n) or real(cfg, x, key, n, *rest))
+    monkeypatch.setattr(montecarlo, "_count_block", lambda cfg, x, key, n, *rest: (
+        seen.append(n) or real(cfg, x, key, n, *rest)))
     monkeypatch.setenv(THREADS_ENV, cap)
     params = default_params(num_devices=M, transmit_power=dbm_to_watts(-40.0))
     cfg = TrialConfig(SchemeSpec(Scheme.EBS, k=2), params, num_trials=trials, base_seed=7)
