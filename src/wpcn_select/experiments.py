@@ -370,11 +370,11 @@ def compare_methods(config: ComparisonConfig) -> dict:
 
 
 def format_comparison(report: dict) -> str:
+    sel = report["selection"]
+    j = f" j={sel['j']}" if "j" in sel else ""
     lines = [
-        "point: scheme={scheme} k={k} M={M} x={x:.6g}".format(
-            scheme=report["selection"]["scheme"], k=report["selection"]["k"],
-            M=report["fixed"]["M"], x=report["x_threshold"],
-        )
+        f"point: scheme={sel['scheme']} k={sel['k']}{j} M={report['fixed']['M']}"
+        f" model={sel['model']} x={report['x_threshold']:.6g}"
     ]
     for name, est in report["estimates"].items():
         se = "" if est["stderr"] is None else f"  (stderr {est['stderr']:.3e})"

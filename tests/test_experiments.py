@@ -446,6 +446,24 @@ def test_format_comparison_is_readable():
     assert report["all_match"] is True
 
 
+def test_format_comparison_header_names_the_pair_and_the_harvester():
+    pair = P.replace(rate_threshold_q=db_to_linear(-4.0), transmit_power=dbm_to_watts(-40.0))
+    header = {
+        name: format_comparison(compare_methods(
+            ComparisonConfig(selection=selection, params=pair, mc_trials=2_000)
+        )).splitlines()[0]
+        for name, selection in (
+            ("single", SchemeSpec(Scheme.SBS, k=1)),
+            ("pair", PairSpec(Scheme.SBS, 1, 2)),
+            ("linear", SchemeSpec(Scheme.SBS, k=1, model=EhModel.LINEAR)),
+        )
+    }
+    x = f"{threshold_x(pair):.6g}"
+    assert header["single"] == f"point: scheme=SBS k=1 M=5 model=nonlinear x={x}"
+    assert header["pair"] == f"point: scheme=SBS k=1 j=2 M=5 model=nonlinear x={x}"
+    assert header["linear"] == f"point: scheme=SBS k=1 M=5 model=linear x={x}"
+
+
 def test_comparison_config_needs_two_methods():
     with pytest.raises(ValueError):
         ComparisonConfig(SchemeSpec(Scheme.SBS, k=1), P, methods=(Method.ANALYTIC,))

@@ -14,6 +14,7 @@ import sys
 import threading
 import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -25,11 +26,13 @@ from wpcn_select.analytic import (
     PairSpec,
     Scheme,
     SchemeSpec,
+    _scales,
     outage_ebs,
     outage_high_snr,
     outage_pair,
     outage_rs,
     outage_sbs,
+    r_scale,
 )
 from wpcn_select.experiments import evaluate_point
 from wpcn_select.model import (
@@ -221,9 +224,12 @@ def test_kth_index_matches_stable_sort(M):
     ranks = (1, 2, 3, 49, 50, 98, 99, 100) if M == 100 else range(1, M + 1)
     # the column passes read either layout; the statistic comes transposed
     for stat in (smooth, tied, np.asfortranarray(smooth), np.asfortranarray(tied)):
+        before = stat.copy()
         for k in ranks:
             got = _kth_index(stat, k, np.empty((3000, M)))
             assert np.array_equal(got, _stable_kth(stat, k)), k
+            # a knocked out entry is written back
+            assert np.array_equal(stat, before), k
 
 
 def test_kth_index_on_crafted_ties():
@@ -239,6 +245,17 @@ def test_kth_index_on_crafted_ties():
         assert np.array_equal(_kth_index(stat, k, np.empty_like(stat)), _stable_kth(stat, k))
 
 
+def _threshold_on(values, params):
+    """An x whose r = r_scale(x) is exactly one of the given s values, the
+    first that some x reaches: the count compares each s with that r."""
+    for s in values:
+        x = float(s) / r_scale(1.0, params)
+        for y in x + np.arange(-4, 5) * np.spacing(x):
+            if r_scale(float(y), params) == s:
+                return float(y)
+    raise AssertionError("no x puts r on a drawn s")
+
+
 # every k at M = 10 and 11, either side of the column-pass cutoff
 @pytest.mark.parametrize("k", range(1, 12))
 def test_sbs_count_path_matches_select_path(k):
@@ -246,22 +263,116 @@ def test_sbs_count_path_matches_select_path(k):
     for M in (m for m in (5, 10, 11) if k <= m and (m > 5 or k <= 2)):
         params = params.replace(num_devices=M)
         cfg = TrialConfig(SchemeSpec(Scheme.SBS, k=k), params, num_trials=50_000, base_seed=6)
-        # the block, through the k-th index and the gathered SNR
+        # the block, through the k-th index and the picked statistic s
         rng = block_generator(6, 2)
         ug, uh, s1, s2, knock = np.empty((5, 50_000, M))
         _draw_block(rng, rng, ug, uh)
         stat = _ranking_stat(Scheme.SBS, ug, uh, params, EhModel.NON_LINEAR, 0.0, (s1, s2))
-        sel = _kth_index(stat, k, knock)
-        g, h = _gains(ug, 0.0), _gains(uh, 0.0)
-        rows = np.arange(50_000)
-        x_sel = snr(h[rows, sel], harvested_energy(g[rows, sel], params, EhModel.NON_LINEAR),
-                    params)
+        s_sel = stat[np.arange(50_000), _kth_index(stat, k, knock)]
         # at -40 dBm and M = 5 the default threshold splits the block; at
-        # M = 10 and 11 the threshold is a drawn SNR, so one trial sits on it
-        x = threshold_x(params) if M == 5 else float(np.partition(x_sel, 25_000)[25_000])
+        # M = 10 and 11 r is a drawn s, so one trial sits on it
+        if M == 5:
+            x = threshold_x(params)
+        else:
+            x = _threshold_on(np.sort(s_sel)[25_000:], params)
+            assert np.count_nonzero(s_sel == r_scale(x, params)) >= 1
         counted = _count_block(cfg, x, _block_key(6, 2), 50_000, 0, 50_000)
         assert 1_000 < counted < 49_000
-        assert counted == int((x_sel <= x).sum()), M
+        assert counted == int((s_sel <= r_scale(x, params)).sum()), M
+
+
+def test_sbs_count_holds_more_than_127_devices_above():
+    # an int8 row sum wraps past 127: at k >= 128 such a row would count as
+    # a failure
+    M, n, k = 200, 3000, 150
+    params = P.replace(num_devices=M)
+    rng = block_generator(3, 0)
+    ug, uh, s1, s2, knock = np.empty((5, n, M))
+    _draw_block(rng, rng, ug, uh)
+    stat = _ranking_stat(Scheme.SBS, ug, uh, params, EhModel.NON_LINEAR, 0.0, (s1, s2))
+    s_sel = stat[np.arange(n), _kth_index(stat, k, knock)]
+    x = _threshold_on(np.sort(s_sel)[n // 2:], params)
+    cfg = TrialConfig(SchemeSpec(Scheme.SBS, k=k), params, num_trials=n, base_seed=3)
+    counted = _count_block(cfg, x, _block_key(3, 0), n, 0, n)
+    assert np.count_nonzero((stat > r_scale(x, params)).sum(axis=1) > 127) > n // 4
+    assert 1_000 < counted < 2_000
+    assert counted == int((s_sel <= r_scale(x, params)).sum())
+
+
+def _old_map_band(e, params, model):
+    """Half-width of the rounding band, relative to the SNR, of
+    snr(h, harvested_energy(g)) and the s > r test together, given the
+    energies e.  The nonlinear map subtracts b/c from a value near it, so
+    it loses t1 b/(c e) ulps; against 40-digit mpmath on 3,000 gains at
+    -40, -10 and +20 dBm (a third of them below 1e-4) its error was at most
+    1.32 eps (1 + t1 b/(c e)); the statistic and r add a few eps."""
+    rc = params.rectenna
+    lost = 0.0 if model is EhModel.LINEAR else params.harvest_fraction * rc.b / (rc.c * e)
+    return 8.0 * np.finfo(float).eps * (1.0 + lost)
+
+
+STAT_CASES = [
+    (model, pt_dbm)
+    for model in (EhModel.NON_LINEAR, EhModel.LINEAR)
+    for pt_dbm in (-40.0, -10.0, 20.0, math.inf)
+    if not (model is EhModel.LINEAR and pt_dbm == math.inf)  # every SNR is inf
+]
+
+
+@pytest.mark.parametrize("model, pt_dbm", STAT_CASES)
+def test_sbs_statistic_is_the_snr_up_to_rounding(model, pt_dbm):
+    # 10^5 drawn devices: s orders them as their SNRs do, and s > r (beta
+    # for the linear harvester) holds where SNR > x, except where the SNR
+    # lies within the rounding band of the other side
+    params = P.replace(transmit_power=dbm_to_watts(pt_dbm), num_devices=100)
+    rng = np.random.default_rng(8)
+    ug, uh, s1, s2 = np.empty((4, 1000, 100))
+    _draw_block(rng, rng, ug, uh)
+    s = _ranking_stat(Scheme.SBS, ug, uh, params, model, 0.0, (s1, s2)).ravel()
+    e = harvested_energy(_gains(ug, 0.0), params, model).ravel()
+    x_all = snr(_gains(uh, 0.0).ravel(), e, params)
+    band = _old_map_band(e, params, model) * x_all
+    order = np.argsort(s, kind="stable")
+    v, w = x_all[order], band[order]
+    drops = np.flatnonzero(v[:-1] > v[1:])
+    assert np.all(v[drops] - v[drops + 1] <= w[drops] + w[drops + 1])
+    # the default threshold, and a drawn SNR that splits the devices in half
+    for x in (threshold_x(params), float(np.partition(x_all, 50_000)[50_000])):
+        r, beta = _scales(x, params, model)
+        edge = beta if model is EhModel.LINEAR else r
+        differ = (s > edge) != (x_all > x)
+        assert np.all(np.abs(x_all[differ] - x) <= band[differ])
+
+
+# the three weakest of 10^4 downlink gains drawn at -40 dBm
+# (default_rng(12).random((2, 10_000)), smallest u_g first), as (u_g, u_h),
+# with the SNR to 40 digits from a 50-digit mpmath evaluation of
+# h t1 ((a p + b)/(p + c) - b/c)/(t2 sigma_n^2), p = Pt g, g = -log1p(-u_g)
+WEAKEST = [
+    ("0x1.20a4df9e00000p-20", "0x1.9d535d2769762p-2",
+     "0.000003254059139306983414052980083014184874214"),
+    ("0x1.861a03f99c000p-15", "0x1.932e5fc27db97p-1",
+     "0.0004216360372784110928340472271599537219526"),
+    ("0x1.2ddc0dccc4000p-14", "0x1.9e4b492347234p-2",
+     "0.000218471409744299756488585285952868150519"),
+]
+
+
+def test_sbs_statistic_keeps_the_weakest_snr_digits():
+    # the SNR implied by s, s t1 (a c - b)/(c t2 sigma_n^2) in exact
+    # rationals, is within 1e-15 relative of the oracle; the harvester
+    # map itself loses digits to b/c there (1.8e-3 relative on the first)
+    params = P.replace(transmit_power=dbm_to_watts(-40.0), num_devices=11)
+    rc = params.rectenna
+    t1 = Fraction(params.harvest_fraction)
+    to_snr = t1 * (Fraction(rc.a) * Fraction(rc.c) - Fraction(rc.b)) / (
+        Fraction(rc.c) * (1 - t1) * Fraction(params.noise_variance))
+    for u_g, u_h, oracle in WEAKEST:
+        ug, uh = (np.full((1, 11), float.fromhex(u)) for u in (u_g, u_h))
+        s = _ranking_stat(Scheme.SBS, ug, uh, params, EhModel.NON_LINEAR, 0.0,
+                          np.empty((2, 1, 11)))
+        implied, exact = Fraction(float(s[0, 0])) * to_snr, Fraction(oracle)
+        assert abs(implied / exact - 1) < Fraction(1, 10**15)
 
 
 # ---------------------------------------------------------------------------
