@@ -35,13 +35,7 @@ from .experiments import (
 )
 from .model import EhModel, SystemParams, db_to_linear, dbm_to_watts
 
-_SWEEP_PARAMS = {
-    "pt-dbm": SweptParameter.TRANSMIT_POWER_DBM,
-    "k": SweptParameter.ORDER_INDEX,
-    "m": SweptParameter.POPULATION_SIZE,
-    "t1": SweptParameter.HARVEST_FRACTION,
-    "sigma-e2": SweptParameter.ESTIMATION_ERROR,
-}
+_SWEEP_PARAMS = {p.value.replace("_", "-"): p for p in SweptParameter}
 
 
 def dbm(text: str) -> float:

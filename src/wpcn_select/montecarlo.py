@@ -1,25 +1,23 @@
 """Monte Carlo estimation of the outage probabilities.
 
-Blocks define the random stream.  Trials are split into fixed-size blocks,
-each seeded independently through SeedSequence(entropy=base_seed,
-spawn_key=(block,)), and a block of n trials at population M reads its
-stream in a fixed order: n m_g doubles for the g gains, then n m_h for the
-h gains, then, under imperfect CSI, the chosen devices' estimation errors:
-n w uniforms for the g links' error moduli, n w for their phases, then the
-same for the h links.  Here w = 1, or 2 for a pair, and a link has m = M
-if the scheme ranks on it and m = w if not: SBS and MMS rank on both
-links, EBS on g alone, IBS on h alone and random selection (RS) on
-neither.
+A run has one random stream, seeded by SeedSequence(entropy=base_seed,
+spawn_key=(0,)), and a run of n trials at population M reads it in a fixed
+order: n m_g doubles for the g gains, then n m_h for the h gains, then,
+under imperfect CSI, the chosen devices' estimation errors: n w uniforms for
+the g links' error moduli, n w for their phases, then the same for the h
+links.  Here w = 1, or 2 for a pair, and a link has m = M if the scheme
+ranks on it and m = w if not: SBS and MMS rank on both links, EBS on g
+alone, IBS on h alone and random selection (RS) on neither.
 
-Chunks are the unit of work.  A block's stream is PCG64 (O'Neill,
+Chunks are the unit of work.  The stream is PCG64 (O'Neill,
 HMC-CS-2014-0905), whose advance jumps to any position without drawing,
 and every draw takes one 64-bit output per double, so a chunk of rows
-draws each of its parts from a generator positioned inside its block's
-stream: a chunk depends only on its block's key and size, its first trial
-and its length.  A chunk holds about 2^17 doubles (1 MiB) per array at any
-M.  Failure counts are integers summed in any order, so the estimate is
+draws each of its parts from a generator positioned inside the run's
+stream: a chunk depends only on the run's seed and trial count, its first
+trial and its length.  A chunk holds about 2^17 doubles (1 MiB) per array at
+any M.  Failure counts are integers summed in any order, so the estimate is
 bit-identical for a given config no matter how many worker threads run the
-chunks, or how the blocks are cut into chunks.
+chunks, or how the run is cut into chunks.
 
 Workers and their memory outlive a run.  The process keeps one thread pool
 of at most the thread cap (THREADS_ENV, or the usable CPUs up to 4), made
@@ -27,8 +25,8 @@ on the first run; THREADS_ENV is read on every run, and a run under a new
 cap shuts the pool down, joins its threads and makes a new one.  A run of n
 chunks keeps min(n, cap) workers busy, each taking the next chunk until
 none is left, and the pool starts a thread only when a task finds none
-idle.  A run cuts its blocks into a whole number of chunks per worker, so
-that no worker is left alone on a last chunk.  Each worker thread keeps
+idle.  A run is cut into a whole number of chunks per worker, so that no
+worker is left alone on a last chunk.  Each worker thread keeps
 four float64 buffers, u_g, u_h and two scratch arrays of at least 2^17
 doubles each (about 4 MiB in all), from its first chunk on, growing them
 only for a larger chunk, and every chunk-sized array of a chunk is made
@@ -95,9 +93,6 @@ __all__ = [
     "simulate_outage",
 ]
 
-#: trials per RNG block, fewer for large M; the block sizes fix the stream
-_BLOCK = 1 << 16
-_ELEMENT_BUDGET = 1 << 21
 #: doubles per (rows, M) array of one chunk, the unit of work
 _CHUNK_ELEMENTS = 1 << 17
 #: doubles per chunk row its arrays have room for at least: under imperfect
@@ -154,15 +149,10 @@ class TrialConfig:
         _check_order_index(self.spec, self.params.num_devices)
 
 
-def _block_key(base_seed: int, block: int) -> np.random.SeedSequence:
-    """The seed of a block's stream: PCG64 seeded from it starts the block."""
-    return np.random.SeedSequence(entropy=base_seed, spawn_key=(block,))
-
-
 def _stream_at(key: np.random.SeedSequence, offset: int) -> np.random.Generator:
-    """Generator whose next double is double number `offset` of the block
-    stream with this _block_key: each double takes one 64-bit PCG64
-    output, and advance skips `offset` of them in O(log offset) steps."""
+    """Generator whose next double is double number `offset` of the stream
+    PCG64 seeded by key draws: each double takes one 64-bit PCG64 output,
+    and advance skips `offset` of them in O(log offset) steps."""
     return np.random.Generator(np.random.PCG64(key).advance(offset))
 
 
@@ -385,7 +375,7 @@ def _lead(a: np.ndarray, shape) -> np.ndarray:
 
 def _count_block(config: TrialConfig, x: float, key: np.random.SeedSequence, n: int,
                  start: int, size: int) -> int:
-    """Failures among trials start .. start + n - 1 of the block of `size`
+    """Failures among trials start .. start + n - 1 of the run of `size`
     trials whose stream is seeded by key (exact integer).  Every
     chunk-sized array lives in the calling thread's workspace."""
     spec, params, sigma_e2 = config.spec, config.params, config.estimation_error_var
@@ -497,33 +487,20 @@ def simulate_outage(config: TrialConfig) -> OutageEstimate:
         # zero rate threshold never fails: gains are positive a.s.
         return OutageEstimate(0.0, Method.MONTE_CARLO, stderr=0.0)
 
-    M = config.params.num_devices
-    block_size = min(_BLOCK, max(1, _ELEMENT_BUDGET // M))
     total = config.num_trials
-    sizes = [block_size] * (total // block_size)
-    if total % block_size:
-        sizes.append(total % block_size)
-    # each block takes at least the chunks that keep them within
-    # _CHUNK_ELEMENTS doubles, and the run a whole number of chunks per
-    # worker, shared out by the running share of trials
-    least = [-(-size * max(M, _MIN_ROW) // _CHUNK_ELEMENTS) for size in sizes]
-    workers = _worker_count(sum(least))
-    chunks = -(-sum(least) // workers) * workers
-    todo = collections.deque()  # (key, trials, first trial, block size), taken by popleft
-    done = reached = 0
-    unmet = sum(least)  # the least chunks of the blocks still to cut
-    for block, (size, low) in enumerate(zip(sizes, least)):
-        reached, unmet = reached + size, unmet - low
-        share = (2 * chunks * reached + total) // (2 * total) - done  # rounded
-        parts = min(max(share, low), chunks - done - unmet)
-        done += parts
-        key = _block_key(config.base_seed, block)
-        cuts = [size * i // parts for i in range(parts + 1)]  # near-equal cuts
-        todo.extend((key, hi - lo, lo, size) for lo, hi in zip(cuts, cuts[1:]))
+    # the chunks that keep each within _CHUNK_ELEMENTS doubles, rounded up
+    # to a whole number per worker, cut near-equal
+    least = -(-total * max(config.params.num_devices, _MIN_ROW) // _CHUNK_ELEMENTS)
+    workers = _worker_count(least)
+    chunks = -(-least // workers) * workers
+    key = np.random.SeedSequence(entropy=config.base_seed, spawn_key=(0,))
+    cuts = [total * i // chunks for i in range(chunks + 1)]
+    todo = collections.deque(zip(cuts, cuts[1:]))  # (first, end) trials, taken by popleft
     todo.extend([None] * workers)  # each worker stops at the None it takes
 
     def drain(_) -> int:
-        return sum(_count_block(config, x, *c) for c in iter(todo.popleft, None))
+        return sum(_count_block(config, x, key, hi - lo, lo, total)
+                   for lo, hi in iter(todo.popleft, None))
 
     failures = sum(_pool_map(drain, range(workers), _thread_cap()))
     p_hat = failures / total

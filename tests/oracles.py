@@ -128,32 +128,30 @@ def imperfect_csi_outage(spec, params, sigma_e2, num_trials, seed, chunk=10_000)
     return p, math.sqrt(p * (1.0 - p) / num_trials)
 
 
-def block_generator(base_seed, block):
-    """A sequential generator over one block's whole stream, as the
-    simulator's block streams are defined."""
-    seq = np.random.SeedSequence(entropy=base_seed, spawn_key=(block,))
-    return np.random.Generator(np.random.PCG64(seq))
+def run_key(base_seed):
+    """The seed of a run's one stream, as the simulator defines it."""
+    return np.random.SeedSequence(entropy=base_seed, spawn_key=(0,))
 
 
-def whole_block_count(config, x, block, n):
-    """Failures among the n trials of one block (exact integer), by the
-    definition: draw the whole block from one sequential generator, make
-    every gain, rank each row on the scheme's own statistic (harvested
-    energy, uplink gain, min gain or e2e SNR) by a stable descending sort and
-    test the picks.  A link the scheme ranks on draws all M gains of a
-    trial, one it does not rank on (h for EBS, g for IBS, both for random
-    selection) only the w picks' gains, w = 1, or 2 for a pair: g first,
-    then h.  Random selection takes device 0, and a pair devices 0 and 1
+def whole_run_outage(config):
+    """Failure fraction of the whole run, by the definition: draw every
+    trial from one sequential generator, make every gain, rank each row on
+    the scheme's own statistic (harvested energy, uplink gain, min gain or
+    e2e SNR) by a stable descending sort and test the picks.  A link the
+    scheme ranks on draws all M gains of a trial, one it does not rank on
+    (h for EBS, g for IBS, both for random selection) only the w picks'
+    gains, w = 1, or 2 for a pair: every trial's g first, then every
+    trial's h.  Random selection takes device 0, and a pair devices 0 and 1
     with the higher SNR as the primary.  Under imperfect CSI the chosen
     gains' error uniforms follow: the g links' moduli, then their phases,
     then the same for the h links.  The reference the chunked simulator,
     which ranks on the uniforms and transforms only its picks, must match
-    count for count."""
+    bit for bit."""
     spec, params, sigma_e2 = config.spec, config.params, config.estimation_error_var
     M, scheme = params.num_devices, spec.scheme
     pair = isinstance(spec, PairSpec)
-    w = 2 if pair else 1
-    rng = block_generator(config.base_seed, block)
+    n, w = config.num_trials, 2 if pair else 1
+    rng = np.random.default_rng(run_key(config.base_seed))
     ranks_g = scheme in (Scheme.SBS, Scheme.EBS, Scheme.MMS)
     ranks_h = scheme in (Scheme.SBS, Scheme.IBS, Scheme.MMS)
     g = -np.log1p(-rng.random((n, M if ranks_g else w)))
@@ -179,8 +177,7 @@ def whole_block_count(config, x, block, n):
         g = _true_gains(g, sigma_e2, rng.random((2, *g.shape)))
         h = _true_gains(h, sigma_e2, rng.random((2, *h.shape)))
     x_sel = snr(h, harvested_energy(g, params, spec.model), params)
-    if pair:
-        if scheme is Scheme.RS:
-            x_sel = np.sort(x_sel, axis=1)[:, ::-1]
-        return int((x_sel[:, 0] / (x_sel[:, 1] + 1.0) <= x).sum())
-    return int((x_sel[:, 0] <= x).sum())
+    if pair and scheme is Scheme.RS:
+        x_sel = np.sort(x_sel, axis=1)[:, ::-1]
+    sinr = x_sel[:, 0] / (x_sel[:, 1] + 1.0) if pair else x_sel[:, 0]
+    return int((sinr <= threshold_x(params)).sum()) / n

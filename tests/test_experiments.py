@@ -26,7 +26,7 @@ from wpcn_select.analytic import (
     SchemeSpec,
     order_stat_law,
 )
-from wpcn_select.cli import build_parser
+from wpcn_select.cli import _SWEEP_PARAMS, build_parser
 from wpcn_select.cli import main as cli_main
 from wpcn_select.evt import gumbel_kth_cdf, gumbel_law
 from wpcn_select.experiments import (
@@ -260,6 +260,28 @@ def test_sweep_mixes_good_and_bad_points():
     assert len(res.rows) == 2
     assert len(res.errors) == 1
     assert res.errors[0]["index"] == 1
+
+
+def test_sweep_seeds_grid_index_i_base_seed_plus_i(monkeypatch):
+    # k = 0 fails to build, so no method runs there; k = 6 builds and fails
+    # in the simulator.  Neither shifts the seeds of the rows after it
+    def fake_simulation(cfg):
+        # the seed comes back as the stderr, so each row names its own seed
+        return OutageEstimate(0.5, Method.MONTE_CARLO, float(cfg.base_seed))
+
+    monkeypatch.setattr(experiments, "simulate_outage", fake_simulation)
+    res = run_sweep(
+        SweepSpec(
+            SchemeSpec(Scheme.SBS, k=1),
+            SweptParameter.ORDER_INDEX,
+            (1, 0, 6, 2, 3),
+            P,
+            methods=(Method.MONTE_CARLO,),
+            base_seed=10,
+        )
+    )
+    assert [(err["index"], err["method"]) for err in res.errors] == [(1, None), (2, "mc")]
+    assert [(row["k"], row["stderr"]) for row in res.rows] == [(1, 10.0), (2, 13.0), (3, 14.0)]
 
 
 # ---------------------------------------------------------------------------
@@ -677,6 +699,15 @@ def test_cli_sweep_writes_csv(tmp_path, capsys):
     assert rc == 0
     rows = read_csv(out)
     assert [row["pt_dbm"] for row in rows] == [-20.0, -10.0, 0.0]
+
+
+def test_cli_sweep_param_names_every_swept_parameter():
+    action = next(a for a in _subcommands()["sweep"]._actions if a.dest == "sweep_param")
+    assert action.choices == ["k", "m", "pt-dbm", "sigma-e2", "t1"]
+    cases = [("pt-dbm", "-20"), ("k", "2"), ("m", "6"), ("t1", "0.3"), ("sigma-e2", "0.2")]
+    for name, value in cases:
+        args = build_parser().parse_args(["sweep", "--sweep-param", name, f"--grid={value}"])
+        assert _SWEEP_PARAMS[args.sweep_param].value == name.replace("-", "_")
 
 
 def test_cli_simulate_is_mc(capsys):

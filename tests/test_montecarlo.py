@@ -45,11 +45,8 @@ from wpcn_select.model import (
     threshold_x,
 )
 from wpcn_select.montecarlo import (
-    _BLOCK,
-    _ELEMENT_BUDGET,
     THREADS_ENV,
     TrialConfig,
-    _block_key,
     _count_block,
     _draw_block,
     _gains,
@@ -62,7 +59,7 @@ from wpcn_select.montecarlo import (
     simulate_outage,
 )
 
-from oracles import block_generator, imperfect_csi_outage, whole_block_count
+from oracles import imperfect_csi_outage, run_key, whole_run_outage
 
 P = default_params()
 
@@ -88,13 +85,13 @@ def test_imperfect_csi_split_preserves_truth_mean():
 
 
 def _chunk_offsets(monkeypatch, spec, sigma_e2):
-    """The stream offsets a chunk of trials 30 .. 49 of a 70-trial block at
+    """The stream offsets a chunk of trials 30 .. 49 of a 70-trial run at
     M = 5 positions its generators at."""
     seen = []
     real = montecarlo._stream_at
     monkeypatch.setattr(montecarlo, "_stream_at", lambda key, at: seen.append(at) or real(key, at))
     cfg = TrialConfig(spec, P, num_trials=70, estimation_error_var=sigma_e2)
-    _count_block(cfg, threshold_x(P), _block_key(0, 0), 20, 30, 70)
+    _count_block(cfg, threshold_x(P), run_key(0), 20, 30, 70)
     return seen
 
 
@@ -124,7 +121,7 @@ def test_perfect_csi_has_no_estimate_arrays(monkeypatch):
 
 def test_imperfect_csi_ranks_on_estimates(monkeypatch):
     # the ranked gains are estimates with power 1 - sigma_e2, and the chosen
-    # devices' true gains come from error uniforms drawn after the block's
+    # devices' true gains come from error uniforms drawn after the run's
     # fading rows: w per trial for the g links' moduli, w for their phases,
     # then the same for the h links
     for spec, w, m_g, m_h in OFFSET_SPECS:
@@ -160,7 +157,7 @@ def test_unranked_link_draws_only_the_picks(monkeypatch, M):
         for sigma_e2 in (0.0, 0.3):
             sizes.clear()
             cfg = TrialConfig(spec, params, num_trials=70, estimation_error_var=sigma_e2)
-            _count_block(cfg, threshold_x(params), _block_key(0, 0), n, 30, 70)
+            _count_block(cfg, threshold_x(params), run_key(0), n, 30, 70)
             errors = [(n * w, n * w)] * 2 if sigma_e2 else []
             assert sizes == [fading, *errors], (spec, sigma_e2)
 
@@ -263,20 +260,20 @@ def test_sbs_count_path_matches_select_path(k):
     for M in (m for m in (5, 10, 11) if k <= m and (m > 5 or k <= 2)):
         params = params.replace(num_devices=M)
         cfg = TrialConfig(SchemeSpec(Scheme.SBS, k=k), params, num_trials=50_000, base_seed=6)
-        # the block, through the k-th index and the picked statistic s
-        rng = block_generator(6, 2)
+        # the run, through the k-th index and the picked statistic s
+        rng = np.random.default_rng(run_key(6))
         ug, uh, s1, s2, knock = np.empty((5, 50_000, M))
         _draw_block(rng, rng, ug, uh)
         stat = _ranking_stat(Scheme.SBS, ug, uh, params, EhModel.NON_LINEAR, 0.0, (s1, s2))
         s_sel = stat[np.arange(50_000), _kth_index(stat, k, knock)]
-        # at -40 dBm and M = 5 the default threshold splits the block; at
+        # at -40 dBm and M = 5 the default threshold splits the run; at
         # M = 10 and 11 r is a drawn s, so one trial sits on it
         if M == 5:
             x = threshold_x(params)
         else:
             x = _threshold_on(np.sort(s_sel)[25_000:], params)
             assert np.count_nonzero(s_sel == r_scale(x, params)) >= 1
-        counted = _count_block(cfg, x, _block_key(6, 2), 50_000, 0, 50_000)
+        counted = _count_block(cfg, x, run_key(6), 50_000, 0, 50_000)
         assert 1_000 < counted < 49_000
         assert counted == int((s_sel <= r_scale(x, params)).sum()), M
 
@@ -286,14 +283,14 @@ def test_sbs_count_holds_more_than_127_devices_above():
     # a failure
     M, n, k = 200, 3000, 150
     params = P.replace(num_devices=M)
-    rng = block_generator(3, 0)
+    rng = np.random.default_rng(run_key(3))
     ug, uh, s1, s2, knock = np.empty((5, n, M))
     _draw_block(rng, rng, ug, uh)
     stat = _ranking_stat(Scheme.SBS, ug, uh, params, EhModel.NON_LINEAR, 0.0, (s1, s2))
     s_sel = stat[np.arange(n), _kth_index(stat, k, knock)]
     x = _threshold_on(np.sort(s_sel)[n // 2:], params)
     cfg = TrialConfig(SchemeSpec(Scheme.SBS, k=k), params, num_trials=n, base_seed=3)
-    counted = _count_block(cfg, x, _block_key(3, 0), n, 0, n)
+    counted = _count_block(cfg, x, run_key(3), n, 0, n)
     assert np.count_nonzero((stat > r_scale(x, params)).sum(axis=1) > 127) > n // 4
     assert 1_000 < counted < 2_000
     assert counted == int((s_sel <= r_scale(x, params)).sum())
@@ -383,7 +380,7 @@ CRAFTED = (np.array([0.1, 5.0, 2.0]), np.array([4.0, 0.1, 3.0]))  # (g, h)
 
 
 def select_device(spec, draw, params):
-    """The index, or index pair, _select picks on a one-row block of the
+    """The index, or index pair, _select picks on a one-row chunk of the
     given gains, passed as the uniforms they are made from."""
     ug, uh = (-np.expm1(-a[None, :]) for a in draw)
     sel = _select(spec, ug, uh, params, 0.0, np.empty((2, *ug.shape)))[0]
@@ -530,13 +527,13 @@ def test_simulate_invariant_to_worker_count(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# chunks: positioned streams, the whole-block reference, memory, workers
+# chunks: positioned streams, the whole-run reference, memory, workers
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("offset", [*range(10), 2 * 4_465, 7 * 33_333, 100 * 20_971])
 def test_stream_at_reproduces_the_sequential_stream(offset):
-    expected = block_generator(9, 3).random(offset + 9)[offset:]
-    assert np.array_equal(_stream_at(_block_key(9, 3), offset).random(9), expected)
+    expected = np.random.default_rng(run_key(9)).random(offset + 9)[offset:]
+    assert np.array_equal(_stream_at(run_key(9), offset).random(9), expected)
 
 
 @pytest.mark.parametrize("M, n", [(2, 4_465), (7, 33_333), (100, 20_971)])
@@ -544,22 +541,10 @@ def test_tail_draws_continue_the_sequential_stream(M, n):
     # a pair's h-link error phases for trials 7 .. 105, which come after the
     # fading rows, the g links' moduli and phases and the h links' moduli,
     # n w doubles each, w = 2
-    rng = block_generator(9, 3)
+    rng = np.random.default_rng(run_key(9))
     want = rng.random(2 * n * M + 6 * n + 2 * 106)[-2 * 99:].reshape(99, 2)
-    got = _stream_at(_block_key(9, 3), 2 * n * M + 6 * n + 2 * 7).random((99, 2))
+    got = _stream_at(run_key(9), 2 * n * M + 6 * n + 2 * 7).random((99, 2))
     assert np.array_equal(got, want)
-
-
-def _block_sizes(config):
-    size = min(_BLOCK, max(1, _ELEMENT_BUDGET // config.params.num_devices))
-    full, rest = divmod(config.num_trials, size)
-    return [size] * full + ([rest] if rest else [])
-
-
-def _oracle_outage(config):
-    x = threshold_x(config.params)
-    sizes = enumerate(_block_sizes(config))
-    return sum(whole_block_count(config, x, b, n) for b, n in sizes) / config.num_trials
 
 
 def _reference_specs(M):
@@ -578,8 +563,8 @@ def _reference_specs(M):
     return specs
 
 
-# M = 2 and 7 run two blocks, the second of 4,465 trials, whose g rows end
-# off a multiple of four doubles; M = 100 and 1000 cut one block in 7 and 8
+# M = 2, 7, 100 and 1000 cut the run into at least 3, 4, 7 and 8 chunks; the
+# odd trial counts end the g rows off a multiple of four doubles
 @pytest.mark.parametrize("sigma_e2", [0.0, 0.3])
 @pytest.mark.parametrize("M, trials, pt_dbm", [
     (2, 70_001, -40.0), (7, 70_001, -40.0), (100, 8_001, -51.0), (1000, 1_001, -55.0),
@@ -591,7 +576,7 @@ def test_simulate_matches_whole_block_oracle(M, trials, pt_dbm, sigma_e2):
         cfg = TrialConfig(spec, params, num_trials=trials, base_seed=M,
                           estimation_error_var=sigma_e2)
         values.append(simulate_outage(cfg).value)
-        assert values[-1] == _oracle_outage(cfg), spec
+        assert values[-1] == whole_run_outage(cfg), spec
     assert sum(0.0 < v < 1.0 for v in values) >= len(values) // 2
 
 
@@ -608,12 +593,12 @@ def test_tiny_chunks_survive_many_threads(monkeypatch):
         value = simulate_outage(cfg).value
     finally:
         sys.setswitchinterval(interval)
-    assert value == _oracle_outage(cfg)
+    assert value == whole_run_outage(cfg)
 
 
 def test_simulate_memory_is_bounded_by_the_chunk(monkeypatch):
-    # four workers, the default cap, hold four chunks at once; whole-block
-    # arrays at M = 100 take 16 MB each and peaked at 130-160 MB here
+    # four workers, the default cap, hold four chunks at once; whole-run
+    # arrays of 50,000 trials at M = 100 would take 40 MB each
     monkeypatch.setenv(THREADS_ENV, "4")
     p100 = default_params(num_devices=100, transmit_power=dbm_to_watts(-51.0))
     p1000 = default_params(num_devices=1000, transmit_power=dbm_to_watts(-55.0))
@@ -640,21 +625,22 @@ def test_worker_count_sizes_the_pool_by_chunks(monkeypatch):
     monkeypatch.setattr(montecarlo, "_worker_count", lambda n: seen.append(n) or real(n))
     params = default_params(num_devices=100)
     simulate_outage(TrialConfig(SchemeSpec(Scheme.SBS, k=1), params, num_trials=20_000))
-    # one block of 20,000 x 100 doubles, which needs ceil(doubles / _CHUNK_ELEMENTS) chunks
+    # a run of 20,000 x 100 doubles, which needs ceil(doubles / _CHUNK_ELEMENTS) chunks
     assert seen == [-(-20_000 * 100 // montecarlo._CHUNK_ELEMENTS)]
 
 
 @pytest.mark.parametrize("cap, M, trials, chunks", [
-    # blocks of 65,536 and 34,464 trials need 3 and 2 chunks of 2^17 doubles
-    ("1", 5, 100_000, [21_845, 21_845, 21_846, 17_232, 17_232]),
-    ("2", 5, 100_000, [16_384] * 4 + [17_232] * 2),
-    ("4", 5, 100_000, [13_107, 13_107, 13_107, 13_107, 13_108, 11_488, 11_488, 11_488]),
-    # one block of 65,536 trials and one of 1: the small block keeps its one chunk
-    ("2", 5, 65_537, [21_845, 21_845, 21_846, 1]),
-    # blocks of 20,971, 20,971 and 8,058 trials need 16, 16 and 7 chunks,
-    # and take 17, 16 and 7
-    ("2", 100, 50_000,
-     [1_233] * 7 + [1_234] * 10 + [1_310] * 5 + [1_311] * 11 + [1_151] * 6 + [1_152]),
+    # 100,000 trials at M = 5 need 4 chunks of 2^17 doubles, whole rounds
+    # of 1, 2 and 4 workers
+    ("1", 5, 100_000, [25_000] * 4),
+    ("2", 5, 100_000, [25_000] * 4),
+    ("4", 5, 100_000, [25_000] * 4),
+    # 65,537 trials need 3 chunks, and 2 workers take 4, one a trial longer
+    ("2", 5, 65_537, [16_384] * 3 + [16_385]),
+    # 50,000 trials at M = 100 need 39 chunks, and 2 workers take 40
+    ("2", 100, 50_000, [1_250] * 40),
+    # 140,000 trials need 6 chunks, and 4 workers take 8
+    ("4", 5, 140_000, [17_500] * 8),
 ])
 def test_run_is_whole_rounds_of_the_pool(monkeypatch, cap, M, trials, chunks):
     # the chunk count is a multiple of the worker count, so no worker waits
@@ -668,7 +654,7 @@ def test_run_is_whole_rounds_of_the_pool(monkeypatch, cap, M, trials, chunks):
     cfg = TrialConfig(SchemeSpec(Scheme.EBS, k=2), params, num_trials=trials, base_seed=7)
     value = simulate_outage(cfg).value
     assert sorted(seen) == sorted(chunks) and sum(seen) == trials
-    assert value == _oracle_outage(cfg)
+    assert value == whole_run_outage(cfg)
 
 
 def test_worker_count_defaults_to_usable_cpus(monkeypatch):
@@ -805,7 +791,7 @@ def test_worker_buffers_carry_nothing_between_runs(monkeypatch):
         for spec, sigma_e2 in specs:
             cfg = TrialConfig(spec, params, num_trials=trials, base_seed=M,
                               estimation_error_var=sigma_e2)
-            assert simulate_outage(cfg).value == _oracle_outage(cfg), (M, spec, sigma_e2)
+            assert simulate_outage(cfg).value == whole_run_outage(cfg), (M, spec, sigma_e2)
 
 
 ALLOC_SPECS = {
@@ -821,16 +807,16 @@ ALLOC_SPECS = {
 
 
 # at M = 5, 20,000 trials are one chunk of 800 kB per array, and at M = 10
-# 13,107 trials one chunk of 1 MiB; at M = 100 a full block is 16 chunks of
-# about 1 MiB per array.  Mid ranks at M = 100 take a partition in a
+# 13,107 trials one chunk of 1 MiB; at M = 100, 20,971 trials are 16 chunks
+# of about 1 MiB per array.  Mid ranks at M = 100 take a partition in a
 # scratch array, and its (n, M) bool comparison is an eighth of a chunk.
 @pytest.mark.parametrize("name, M, trials", [
-    *((name, M, trials) for M, trials in ((5, 20_000), (100, _ELEMENT_BUDGET // 100))
+    *((name, M, trials) for M, trials in ((5, 20_000), (100, 20_971))
       for name in ("sbs", "sbs-imperfect", "sbs-pair", "ebs-k2")),
     ("mms-k4", 5, 20_000),
     ("rs-pair", 5, 20_000),
     ("ibs-k5", 10, 13_107),
-    *((name, 100, _ELEMENT_BUDGET // 100) for name in ("mms-k4", "ibs-k5", "ebs-k50")),
+    *((name, 100, 20_971) for name in ("mms-k4", "ibs-k5", "ebs-k50")),
 ])
 def test_repeated_run_allocates_less_than_one_chunk_array(monkeypatch, name, M, trials):
     spec, sigma_e2 = ALLOC_SPECS[name]
@@ -897,37 +883,37 @@ def test_estimation_error_degrades_outage():
 
 
 # simulate_outage values with perfect CSI at seed 17, pinned from the
-# whole-block oracle summed over the blocks; any change to the random stream
+# whole-run oracle; any change to the random stream
 # shows here.  Each lies within 4 binomial sigma of its exact outage, except
 # the pairs: x = 3 here, and pair outage needs x < 1
 _M5 = default_params(transmit_power=dbm_to_watts(-40.0))
 _M100 = default_params(num_devices=100, transmit_power=dbm_to_watts(-51.0))
 _M100_MID = default_params(num_devices=100, transmit_power=dbm_to_watts(-40.0))
 FROZEN = [
-    (SchemeSpec(Scheme.RS, k=1), _M5, 70_000, 0.5629),
-    (SchemeSpec(Scheme.SBS, k=1), _M5, 70_000, 0.05461428571428571),
-    (SchemeSpec(Scheme.SBS, k=2), _M5, 70_000, 0.2732857142857143),
-    (SchemeSpec(Scheme.EBS, k=1), _M5, 70_000, 0.24618571428571429),
-    (SchemeSpec(Scheme.EBS, k=2), _M5, 70_000, 0.3886857142857143),
-    (SchemeSpec(Scheme.EBS, k=5), _M5, 70_000, 0.8987714285714286),
-    (SchemeSpec(Scheme.IBS, k=1), _M5, 70_000, 0.2495),
-    (SchemeSpec(Scheme.IBS, k=2), _M5, 70_000, 0.38884285714285716),
-    (SchemeSpec(Scheme.MMS, k=1), _M5, 70_000, 0.0917),
-    (SchemeSpec(Scheme.MMS, k=2), _M5, 70_000, 0.3244),
-    (PairSpec(Scheme.SBS, 1, 2), _M5, 70_000, 0.7550285714285714),
-    (SchemeSpec(Scheme.RS, k=1), _M100, 30_000, 0.9814666666666667),
-    (PairSpec(Scheme.RS, 1, 2), _M100, 30_000, 0.9778),
-    (SchemeSpec(Scheme.SBS, k=1), _M100, 30_000, 0.15056666666666665),
-    (SchemeSpec(Scheme.SBS, k=2), _M100, 30_000, 0.43896666666666667),
-    (SchemeSpec(Scheme.EBS, k=1), _M100, 30_000, 0.7205),
-    (SchemeSpec(Scheme.EBS, k=2), _M100, 30_000, 0.7898666666666667),
-    (SchemeSpec(Scheme.EBS, k=50), _M100_MID, 30_000, 0.5155333333333333),
-    (SchemeSpec(Scheme.IBS, k=1), _M100, 30_000, 0.7182666666666667),
-    (SchemeSpec(Scheme.IBS, k=2), _M100, 30_000, 0.7880666666666667),
-    (SchemeSpec(Scheme.MMS, k=1), _M100, 30_000, 0.2850666666666667),
-    (SchemeSpec(Scheme.MMS, k=2), _M100, 30_000, 0.573),
-    (SchemeSpec(Scheme.MMS, k=50), _M100_MID, 30_000, 0.6694333333333333),
-    (PairSpec(Scheme.SBS, 1, 2), _M100, 30_000, 0.9924666666666667),
+    (SchemeSpec(Scheme.RS, k=1), _M5, 70_000, 0.5618285714285715),
+    (SchemeSpec(Scheme.SBS, k=1), _M5, 70_000, 0.0565),
+    (SchemeSpec(Scheme.SBS, k=2), _M5, 70_000, 0.2754714285714286),
+    (SchemeSpec(Scheme.EBS, k=1), _M5, 70_000, 0.24655714285714286),
+    (SchemeSpec(Scheme.EBS, k=2), _M5, 70_000, 0.39058571428571426),
+    (SchemeSpec(Scheme.EBS, k=5), _M5, 70_000, 0.8987),
+    (SchemeSpec(Scheme.IBS, k=1), _M5, 70_000, 0.24995714285714285),
+    (SchemeSpec(Scheme.IBS, k=2), _M5, 70_000, 0.3900571428571429),
+    (SchemeSpec(Scheme.MMS, k=1), _M5, 70_000, 0.0946),
+    (SchemeSpec(Scheme.MMS, k=2), _M5, 70_000, 0.3250142857142857),
+    (PairSpec(Scheme.SBS, 1, 2), _M5, 70_000, 0.7571571428571429),
+    (SchemeSpec(Scheme.RS, k=1), _M100, 30_000, 0.9803666666666667),
+    (PairSpec(Scheme.RS, 1, 2), _M100, 30_000, 0.9784333333333334),
+    (SchemeSpec(Scheme.SBS, k=1), _M100, 30_000, 0.14866666666666667),
+    (SchemeSpec(Scheme.SBS, k=2), _M100, 30_000, 0.4361333333333333),
+    (SchemeSpec(Scheme.EBS, k=1), _M100, 30_000, 0.7214333333333334),
+    (SchemeSpec(Scheme.EBS, k=2), _M100, 30_000, 0.7893333333333333),
+    (SchemeSpec(Scheme.EBS, k=50), _M100_MID, 30_000, 0.5208666666666667),
+    (SchemeSpec(Scheme.IBS, k=1), _M100, 30_000, 0.7168333333333333),
+    (SchemeSpec(Scheme.IBS, k=2), _M100, 30_000, 0.7865666666666666),
+    (SchemeSpec(Scheme.MMS, k=1), _M100, 30_000, 0.2773),
+    (SchemeSpec(Scheme.MMS, k=2), _M100, 30_000, 0.5738666666666666),
+    (SchemeSpec(Scheme.MMS, k=50), _M100_MID, 30_000, 0.6666),
+    (PairSpec(Scheme.SBS, 1, 2), _M100, 30_000, 0.9920333333333333),
 ]
 
 
