@@ -621,7 +621,9 @@ def test_reproduce_figure_row_counts(tmp_path, figure):
     assert json.loads(meta_path.read_text())["figure"] == figure
 
 
-@pytest.mark.parametrize("figure, mc_rows", [("fig2a", 130), ("fig6", 76 * 3)])
+@pytest.mark.parametrize("figure, mc_rows", [
+    ("fig2a", 130), ("fig2b", 130), ("fig3a", 40), ("fig3b", 80), ("fig6", 76 * 3),
+])
 def test_reproduce_figure_seeds_mc_rows_in_row_order(tmp_path, monkeypatch, figure, mc_rows):
     def fake_simulation(cfg):
         # the seed comes back as the stderr, so each row names its own seed
