@@ -2,8 +2,10 @@
 
 Everything here funnels through ``evaluate_point`` so the analytic,
 high-SNR, asymptotic, and Monte Carlo routes stay interchangeable row by
-row.  Output rows follow one fixed CSV schema; floats are written with
-repr() so a rerun of the same config is byte-identical.
+row.  Every figure and sweep evaluates its grid through ``_grid_rows``,
+which seeds the i-th point's Monte Carlo row seed + i.  Output rows follow
+one fixed CSV schema; floats are written with repr() so a rerun of the
+same config is byte-identical.
 """
 
 from __future__ import annotations
@@ -144,8 +146,36 @@ def make_row(
 
 
 # ---------------------------------------------------------------------------
-# sweeps
+# grids and sweeps
 # ---------------------------------------------------------------------------
+
+class _Point(NamedTuple):
+    """A grid point: one row per method, in order, at one sigma_e2."""
+
+    selection: Selection
+    params: SystemParams
+    sigma_e2: float = 0.0
+    methods: tuple = (Method.ANALYTIC, Method.MONTE_CARLO)
+
+
+def _grid_rows(points, trials: int, seed: int, errors=None) -> list:
+    """Every point's rows in order; the i-th point's Monte Carlo row is run
+    for `trials` trials and seeded seed + i.  A failed row raises, or, when
+    an errors list is given, is recorded there and the grid goes on."""
+    rows = []
+    for i, (sel, params, sig, methods) in enumerate(points):
+        for method in methods:
+            try:
+                est = evaluate_point(sel, params, method, sigma_e2=sig,
+                                     mc_trials=trials, base_seed=seed + i)
+            except (ValueError, ArithmeticError) as exc:
+                if errors is None:
+                    raise
+                errors.append({"index": i, "method": method.value, "message": str(exc)})
+            else:
+                rows.append(make_row(sel, params, sig, method, est))
+    return rows
+
 
 class SweptParameter(Enum):
     TRANSMIT_POWER_DBM = "pt_dbm"
@@ -182,44 +212,33 @@ class SweepResult:
     metadata: dict
 
 
-def _apply_swept(
-    selection: Selection, params: SystemParams, swept: SweptParameter, value, sigma_e2: float
-):
+def _apply_swept(sweep: SweepSpec, value):
+    sel, params, sig, swept = sweep.selection, sweep.params, sweep.sigma_e2, sweep.swept
     if swept is SweptParameter.TRANSMIT_POWER_DBM:
-        return selection, params.replace(transmit_power=dbm_to_watts(float(value))), sigma_e2
+        return sel, params.replace(transmit_power=dbm_to_watts(float(value))), sig
     if swept is SweptParameter.POPULATION_SIZE:
-        return selection, params.replace(num_devices=int(value)), sigma_e2
+        return sel, params.replace(num_devices=int(value)), sig
     if swept is SweptParameter.HARVEST_FRACTION:
-        return selection, params.replace(harvest_fraction=float(value)), sigma_e2
+        return sel, params.replace(harvest_fraction=float(value)), sig
     if swept is SweptParameter.ESTIMATION_ERROR:
-        return selection, params, float(value)
-    return dataclasses.replace(selection, k=int(value)), params, sigma_e2
+        return sel, params, float(value)
+    return dataclasses.replace(sel, k=int(value)), params, sig
 
 
 def run_sweep(sweep: SweepSpec) -> SweepResult:
     """Evaluate every (grid value, method) pair, recording failures per row
     instead of aborting the grid."""
-    rows, errors = [], []
+    points, errors = [], []
     for i, value in enumerate(sweep.grid):
         try:
-            sel, params, sig = _apply_swept(
-                sweep.selection, sweep.params, sweep.swept, value, sweep.sigma_e2
-            )
+            points.append(_Point(*_apply_swept(sweep, value), sweep.methods))
         except (ValueError, ArithmeticError) as exc:
-            errors.append({"index": i, "value": value, "method": None, "message": str(exc)})
-            continue
-        for method in sweep.methods:
-            try:
-                est = evaluate_point(
-                    sel, params, method,
-                    sigma_e2=sig, mc_trials=sweep.mc_trials, base_seed=sweep.base_seed + i,
-                )
-            except (ValueError, ArithmeticError) as exc:
-                errors.append(
-                    {"index": i, "value": value, "method": method.value, "message": str(exc)}
-                )
-            else:
-                rows.append(make_row(sel, params, sig, method, est))
+            points.append(_Point(None, None, 0.0, ()))  # no rows; the next index keeps its seed
+            errors.append({"index": i, "method": None, "message": str(exc)})
+    rows = _grid_rows(points, sweep.mc_trials, sweep.base_seed, errors)
+    errors.sort(key=lambda err: err["index"])  # stable, so each index keeps its method order
+    for err in errors:
+        err["value"] = sweep.grid[err["index"]]
     metadata = {
         "swept": sweep.swept.value,
         "grid": [float(v) for v in sweep.grid],
@@ -468,38 +487,11 @@ def _params_for_x(params: SystemParams, x: float) -> SystemParams:
     return params.replace(rate_threshold_q=q)
 
 
-class _FigurePoint(NamedTuple):
-    """A figure point: its deterministic rows, then one Monte Carlo row per sigma_e2."""
-
-    selection: Selection
-    params: SystemParams
-    methods: tuple = (Method.ANALYTIC,)
-    mc_sigma_e2: tuple = (0.0,)
-
-
-def _figure_rows(points, trials: int, seed: int) -> list:
-    """Every point's rows in order; the n-th Monte Carlo row is seeded seed + n."""
-    rows = []
-    n = 0
-    for sel, p, methods, sigmas in points:
-        for method in methods:
-            rows.append(make_row(sel, p, 0.0, method, evaluate_point(sel, p, method)))
-        if trials > 0:
-            for sig in sigmas:
-                est = evaluate_point(
-                    sel, p, Method.MONTE_CARLO,
-                    sigma_e2=sig, mc_trials=trials, base_seed=seed + n,
-                )
-                rows.append(make_row(sel, p, sig, Method.MONTE_CARLO, est))
-                n += 1
-    return rows
-
-
 def _fig_outage_vs_power(params: SystemParams, k: int):
     grid = list(range(-40, 25, 5))
     points = [
-        _FigurePoint(SchemeSpec(scheme, k=k, model=model),
-                     params.replace(transmit_power=dbm_to_watts(pt)))
+        _Point(SchemeSpec(scheme, k=k, model=model),
+               params.replace(transmit_power=dbm_to_watts(pt)))
         for scheme, model, pt in itertools.product(
             _ALL_SCHEMES, (EhModel.NON_LINEAR, EhModel.LINEAR), grid
         )
@@ -512,7 +504,7 @@ def _fig_outage_vs_power(params: SystemParams, k: int):
 def _fig_outage_vs_k(params: SystemParams, M: int):
     p0 = params.replace(num_devices=M, transmit_power=dbm_to_watts(-10.0))
     points = [
-        _FigurePoint(SchemeSpec(scheme, k=k), p0)
+        _Point(SchemeSpec(scheme, k=k), p0)
         for scheme, k in itertools.product(_RANKED_SCHEMES, range(1, M + 1))
     ]
     meta = {"M": M, "k_grid": list(range(1, M + 1)), "pt_dbm": -10.0,
@@ -525,7 +517,8 @@ def _fig_pair(params: SystemParams):
         transmit_power=dbm_to_watts(-40.0), rate_threshold_q=db_to_linear(-4.0)
     )
     points = [
-        _FigurePoint(PairSpec(Scheme.SBS, k=k, j=j), p0.replace(num_devices=M), mc_sigma_e2=())
+        _Point(PairSpec(Scheme.SBS, k=k, j=j), p0.replace(num_devices=M),
+               methods=(Method.ANALYTIC,))
         for M in (10, 20, 30) for k in (1, 2) for j in range(3, M + 1)
     ]
     meta = {"M_grid": [10, 20, 30], "k_grid": [1, 2], "j": "3..M",
@@ -537,8 +530,8 @@ def _fig_evt(params: SystemParams):
     p0 = params.replace(transmit_power=dbm_to_watts(-40.0))
     x_grid = np.geomspace(0.1, 3.0, 30)
     points = [
-        _FigurePoint(SchemeSpec(scheme, k=k), _params_for_x(p0.replace(num_devices=M), float(x)),
-                     (Method.ANALYTIC, Method.EVT), mc_sigma_e2=())
+        _Point(SchemeSpec(scheme, k=k), _params_for_x(p0.replace(num_devices=M), float(x)),
+               methods=(Method.ANALYTIC, Method.EVT))
         for scheme, k, M in itertools.product(
             _RANKED_SCHEMES, (1, 2), (10, 20, 50, 100, 200, 500, 1000)
         )
@@ -554,10 +547,10 @@ def _fig_harvest_time(params: SystemParams):
     p0 = params.replace(transmit_power=dbm_to_watts(-10.0))
     t1_grid = [round(0.05 * i, 2) for i in range(1, 20)]
     sigma_grid = (0.0, 0.2, 0.5)
-    points = [
-        _FigurePoint(SchemeSpec(scheme, k=2), p0.replace(harvest_fraction=t1),
-                     mc_sigma_e2=sigma_grid)
-        for scheme, t1 in itertools.product(_RANKED_SCHEMES, t1_grid)
+    points = [  # the exact row only at sigma_e2 = 0, where it is defined
+        _Point(SchemeSpec(scheme, k=2), p0.replace(harvest_fraction=t1), sig,
+               (Method.ANALYTIC, Method.MONTE_CARLO) if sig == 0.0 else (Method.MONTE_CARLO,))
+        for scheme, t1, sig in itertools.product(_RANKED_SCHEMES, t1_grid, sigma_grid)
     ]
     meta = {"t1_grid": t1_grid, "sigma_e2_grid": list(sigma_grid), "k": 2,
             "pt_dbm": -10.0, "schemes": [s.value for s in _RANKED_SCHEMES]}
@@ -590,7 +583,10 @@ def reproduce_figure(
     if key not in _FIGURES:
         raise ValueError(f"unknown figure {figure_id!r}; pick from {sorted(_FIGURES)}")
     points, meta = _FIGURES[key](SystemParams())
-    rows = _figure_rows(points, trials, seed)
+    if trials <= 0:
+        points = [pt._replace(methods=tuple(m for m in pt.methods if m is not Method.MONTE_CARLO))
+                  for pt in points]
+    rows = _grid_rows(points, trials, seed)
     meta.update({
         "figure": key,
         "trials": trials,

@@ -55,7 +55,7 @@ from wpcn_select.model import (
     threshold_x,
 )
 from wpcn_select.montecarlo import TrialConfig
-from wpcn_select.special import DomainError, binomial_p_value, clopper_pearson
+from wpcn_select.special import AccuracyError, DomainError, binomial_p_value, clopper_pearson
 
 P = default_params()
 
@@ -633,6 +633,29 @@ def test_reproduce_figure_seeds_mc_rows_in_row_order(tmp_path, monkeypatch, figu
     csv_path, _ = reproduce_figure(figure, out_dir=tmp_path, trials=100, seed=7)
     seeds = [row["stderr"] for row in read_csv(csv_path) if row["method"] == "mc"]
     assert seeds == [float(s) for s in range(7, 7 + mc_rows)]
+
+
+@pytest.mark.parametrize("error", [
+    DomainError("no such point"), AccuracyError("tolerance missed", estimate=0.25),
+], ids=lambda e: type(e).__name__)
+def test_reproduce_figure_raises_a_failed_row(tmp_path, monkeypatch, error):
+    # a figure fails fast: its third row's exception reaches the caller as
+    # raised, and no file is written
+    real, calls = experiments.evaluate_point, []
+
+    def fail_third_row(*args, **kwargs):
+        calls.append(args)
+        if len(calls) == 3:
+            raise error
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "evaluate_point", fail_third_row)
+    with pytest.raises(type(error)) as info:
+        reproduce_figure("fig3a", out_dir=tmp_path, trials=0)
+    assert info.value is error and str(info.value) == str(error)
+    assert getattr(info.value, "estimate", None) == getattr(error, "estimate", None)
+    assert len(calls) == 3
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_reproduce_figure_unknown_id(tmp_path):
