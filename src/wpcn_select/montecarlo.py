@@ -26,7 +26,8 @@ cap shuts the pool down, joins its threads and makes a new one.  A run of n
 chunks keeps min(n, cap) workers busy, each taking the next chunk until
 none is left, and the pool starts a thread only when a task finds none
 idle.  A run is cut into a whole number of chunks per worker, so that no
-worker is left alone on a last chunk.  Each worker thread keeps
+worker is left alone on a last chunk, but never into more chunks than it
+has trials.  Each worker thread keeps
 four float64 buffers, u_g, u_h and two scratch arrays of at least 2^17
 doubles each (about 4 MiB in all), from its first chunk on, growing them
 only for a larger chunk, and every chunk-sized array of a chunk is made
@@ -489,10 +490,10 @@ def simulate_outage(config: TrialConfig) -> OutageEstimate:
 
     total = config.num_trials
     # the chunks that keep each within _CHUNK_ELEMENTS doubles, rounded up
-    # to a whole number per worker, cut near-equal
+    # to a whole number per worker but at most one per trial, cut near-equal
     least = -(-total * max(config.params.num_devices, _MIN_ROW) // _CHUNK_ELEMENTS)
     workers = _worker_count(least)
-    chunks = -(-least // workers) * workers
+    chunks = min(-(-least // workers) * workers, total)
     key = np.random.SeedSequence(entropy=config.base_seed, spawn_key=(0,))
     cuts = [total * i // chunks for i in range(chunks + 1)]
     todo = collections.deque(zip(cuts, cuts[1:]))  # (first, end) trials, taken by popleft

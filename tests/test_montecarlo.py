@@ -657,6 +657,21 @@ def test_run_is_whole_rounds_of_the_pool(monkeypatch, cap, M, trials, chunks):
     assert value == whole_run_outage(cfg)
 
 
+def test_run_is_never_cut_into_more_chunks_than_trials(monkeypatch):
+    # 5 trials at M = 140,000 need 6 chunks of 2^17 doubles, which 4 workers
+    # would round up to 8; each of the 5 chunks holds one trial instead
+    seen = []
+    real = montecarlo._count_block
+    monkeypatch.setattr(montecarlo, "_count_block", lambda cfg, x, key, n, *rest: (
+        seen.append(n) or real(cfg, x, key, n, *rest)))
+    monkeypatch.setenv(THREADS_ENV, "4")
+    params = default_params(num_devices=140_000, transmit_power=dbm_to_watts(-40.0))
+    cfg = TrialConfig(SchemeSpec(Scheme.EBS, k=2), params, num_trials=5, base_seed=7)
+    value = simulate_outage(cfg).value
+    assert seen == [1] * 5
+    assert value == whole_run_outage(cfg)
+
+
 def test_worker_count_defaults_to_usable_cpus(monkeypatch):
     monkeypatch.delenv(THREADS_ENV, raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 64)
