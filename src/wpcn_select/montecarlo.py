@@ -27,13 +27,12 @@ chunks keeps min(n, cap) workers busy, each taking the next chunk until
 none is left, and the pool starts a thread only when a task finds none
 idle.  A run is cut into a whole number of chunks per worker, so that no
 worker is left alone on a last chunk, but never into more chunks than it
-has trials.  Each worker thread keeps
-four float64 buffers, u_g, u_h and two scratch arrays of at least 2^17
-doubles each (about 4 MiB in all), from its first chunk on, growing them
-only for a larger chunk, and every chunk-sized array of a chunk is made
-in them.  A child of os.fork drops the inherited
-pool, whose threads did not survive the fork, and the buffers, and makes
-its own on its first run.
+has trials.  Each worker thread keeps four float64 buffers, u_g, u_h and
+two scratch arrays of at least 2^17 doubles each (about 4 MiB in all), from
+its first chunk on, growing them only for a larger chunk, and every
+chunk-sized array of a chunk is made in them.  A child of os.fork drops the
+inherited pool, whose threads did not survive the fork, and the buffers,
+and makes its own on its first run.
 
 A chunk does only what its count needs.  It draws uniforms u, and a gain is
 -log1p(-u).  That map, the (1 - sigma_e2) scale of an estimate and the
